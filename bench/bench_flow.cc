@@ -28,12 +28,9 @@
 //     latency instead of silent loss, so the ratio grows.
 //
 // Modes:
-//   (default)            — human-readable summary of both legs.
-//   --out PATH [--quick] — writes the JSON part consumed by
-//     check_bench_regression.py --flow (BENCH_flow.json, gated in CI
-//     against bench/baseline_flow.json).
-#include <cstring>
-#include <fstream>
+//   (default) — human-readable summary of both legs (60 ms window).
+//   --check   — the same legs over a 20 ms window; exits 1 if a floor
+//     below breaks.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -52,6 +49,19 @@ using namespace incod;
 constexpr uint64_t kKeyspace = 1024;
 constexpr double kOfferedPps = 2.0e6;  // ~6x the 1-core host's capacity.
 constexpr uint64_t kSeed = 42;
+
+// --check floors. Simulated time, deterministic per seed, with margin over
+// both windows. Reference (20 ms / 60 ms): drop-tail drop fraction
+// 0.85-0.87, flow drop fraction 0, pause frames 40/118, CNPs 39/117,
+// goodput ratio 1.0, flow slowdown x8413/x25177, slowdown shift x4.2/x12.7.
+constexpr double kMinDroptailDropFraction = 0.5;
+constexpr double kMaxFlowDropFraction = 0.001;
+constexpr double kMinFlowPauseFrames = 10;
+constexpr double kMinFlowCnps = 10;
+constexpr double kMinGoodputRatio = 0.8;
+constexpr double kMinFlowSlowdown = 3000.0;
+constexpr double kMinSlowdownShift = 2.0;
+constexpr double kMaxOffloadFlowDropFraction = 0.001;
 
 SimDuration RunWindow(bool quick) {
   return quick ? Milliseconds(20) : Milliseconds(60);
@@ -140,7 +150,9 @@ void Print(const char* label, const FlowRun& r) {
   std::cout << "\n";
 }
 
-int Run(bool quick, const std::string& out_path) {
+// --check runs the short (quick) window.
+int Run(bool check) {
+  const bool quick = check;
   bench::PrintHeader("Backpressure under overload: drop-tail vs PFC + DCQCN",
                      "One overloaded client--NIC--host chain; flow control "
                      "converts silent rx-queue loss into pause propagation "
@@ -168,60 +180,37 @@ int Run(bool quick, const std::string& out_path) {
       lake_drop.p99_us == 0 ? 0 : host_drop.p99_us / lake_drop.p99_us;
   const double slowdown_flow =
       lake_flow.p99_us == 0 ? 0 : host_flow.p99_us / lake_flow.p99_us;
+  const double slowdown_shift =
+      slowdown_droptail == 0 ? 0 : slowdown_flow / slowdown_droptail;
   std::cout << "  host-vs-offload p99 slowdown: drop-tail x" << slowdown_droptail
-            << ", flow x" << slowdown_flow << " (shift x"
-            << (slowdown_droptail == 0 ? 0 : slowdown_flow / slowdown_droptail)
-            << ")\n";
+            << ", flow x" << slowdown_flow << " (shift x" << slowdown_shift << ")\n";
 
-  if (out_path.empty()) {
+  if (!check) {
     return 0;
   }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  bench::JsonWriter json(out);
-  json.BeginObject();
-  json.Field("bench", "flow");
-  json.Field("build_type", bench::BuildTypeName());
-  json.Field("quick", quick);
-  json.BeginObject("backpressure");
-  json.Field("offered_pps", kOfferedPps);
-  json.Field("droptail_drop_fraction", host_drop.drop_fraction);
-  json.Field("flow_drop_fraction", host_flow.drop_fraction);
-  json.Field("flow_pause_frames", host_flow.pause_frames);
-  json.Field("flow_cnps", host_flow.cnps);
-  json.Field("flow_end_rate_pps", host_flow.end_rate_pps);
-  json.Field("goodput_ratio", goodput_ratio);
-  json.EndObject();
-  json.BeginObject("offload");
-  json.Field("droptail_slowdown", slowdown_droptail);
-  json.Field("flow_slowdown", slowdown_flow);
-  json.Field("slowdown_shift",
-             slowdown_droptail == 0 ? 0.0 : slowdown_flow / slowdown_droptail);
-  json.Field("offload_flow_drop_fraction", lake_flow.drop_fraction);
-  json.Field("offload_flow_goodput_pps", lake_flow.achieved_pps);
-  json.EndObject();
-  json.EndObject();
-  std::cout << "\nwrote " << out_path << "\n";
-  return 0;
+  std::cout << "\n";
+  bench::Check floors;
+  floors.AtLeast("drop-tail drop fraction", host_drop.drop_fraction,
+                 kMinDroptailDropFraction);
+  floors.AtMost("flow-control chain drop fraction", host_flow.drop_fraction,
+                kMaxFlowDropFraction);
+  floors.AtLeast("host pause frames", static_cast<double>(host_flow.pause_frames),
+                 kMinFlowPauseFrames);
+  floors.AtLeast("CNPs sent", static_cast<double>(host_flow.cnps), kMinFlowCnps);
+  floors.AtLeast("goodput ratio (flow / drop-tail)", goodput_ratio, kMinGoodputRatio);
+  floors.AtLeast("host-vs-offload p99 slowdown (flow)", slowdown_flow, kMinFlowSlowdown);
+  floors.AtLeast("slowdown shift (flow / drop-tail)", slowdown_shift, kMinSlowdownShift);
+  floors.AtMost("offload chain drop fraction under flow", lake_flow.drop_fraction,
+                kMaxOffloadFlowDropFraction);
+  return floors.ExitCode();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_flow [--quick] [--out PATH]\n";
-      return 2;
-    }
+  bool check = false;
+  if (!bench::ParseCheckFlag(argc, argv, &check)) {
+    return 2;
   }
-  return Run(quick, out_path);
+  return Run(check);
 }

@@ -15,15 +15,12 @@
 // shifts by the wire-size ratio: the tipping point tracks packet rate, not
 // byte rate. A third leg with the datapath disabled isolates the interrupt
 // cost, and a small-ring leg shows descriptor-ring overflow as its own drop
-// class. Gated in CI via check_bench_regression.py --hostnic against
-// bench/baseline_hostnic.json.
+// class.
 //
 // Modes:
-//   (default)            — human-readable analysis (all sections).
-//   --out PATH [--quick] — also writes the JSON part consumed by
-//     check_bench_regression.py --hostnic.
-#include <cstring>
-#include <fstream>
+//   (default) — human-readable analysis (all sections, 60 ms sweep window).
+//   --check   — the same analysis with a 20 ms sweep window; exits 1 if a
+//     load-shape floor below breaks.
 #include <iostream>
 #include <string>
 
@@ -56,6 +53,17 @@ constexpr uint64_t kKeyspace = 1024;
 constexpr uint64_t kSeed = 42;
 constexpr uint32_t kFloodValueBytes = 64;
 constexpr uint32_t kBulkValueBytes = 1024;
+
+// --check floors. Simulated time, deterministic per seed. Reference (20 ms):
+// flood=bulk capacity 906.6 kpps vs ideal 999.6, kpps tipping ratio 1.00,
+// Gbps tipping shift 8.38x, irq capacity ratio 1.10, 9779 interrupts, 15152
+// small-ring drops.
+constexpr double kMinKppsTippingRatio = 0.9;
+constexpr double kMaxKppsTippingRatio = 1.1;
+constexpr double kMinGbpsTippingShift = 4.0;
+constexpr double kMinIrqCapacityRatio = 1.03;
+constexpr double kMinMechInterrupts = 1000;
+constexpr double kMinSmallringRingDrops = 1000;
 
 enum class HostNicProfile {
   kOff,           // Legacy pass-through NIC, idealized dispatch.
@@ -143,7 +151,9 @@ ShapeRun RunShape(uint32_t value_bytes, HostNicProfile profile, bool quick) {
   return run;
 }
 
-int Run(bool quick, const std::string& out_path) {
+// --check runs the short (quick) sweep window.
+int Run(bool check) {
+  const bool quick = check;
   bench::PrintHeader("Sections 8/9.4/10: placement analysis",
                      "Energy tipping points per application and target.");
 
@@ -294,56 +304,28 @@ int Run(bool quick, const std::string& out_path) {
             << "ideal/mechanistic capacity: " << irq_ratio
             << " (the interrupt path is a real cost)\n";
 
-  if (out_path.empty()) {
+  if (!check) {
     return 0;
   }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  bench::JsonWriter json(out);
-  json.BeginObject();
-  json.Field("bench", "hostnic");
-  json.Field("build_type", bench::BuildTypeName());
-  json.Field("quick", quick);
-  json.BeginObject("hostnic");
-  json.Field("offered_pps", kOfferedPps);
-  json.Field("flood_value_bytes", static_cast<uint64_t>(kFloodValueBytes));
-  json.Field("bulk_value_bytes", static_cast<uint64_t>(kBulkValueBytes));
-  json.Field("flood_capacity_kpps", flood.capacity_kpps);
-  json.Field("bulk_capacity_kpps", bulk.capacity_kpps);
-  json.Field("ideal_capacity_kpps", ideal.capacity_kpps);
-  json.Field("flood_tipping_kpps", flood.tipping_kpps);
-  json.Field("bulk_tipping_kpps", bulk.tipping_kpps);
-  json.Field("flood_tipping_gbps", flood.tipping_gbps);
-  json.Field("bulk_tipping_gbps", bulk.tipping_gbps);
-  json.Field("kpps_tipping_ratio", kpps_ratio);
-  json.Field("gbps_tipping_shift", gbps_shift);
-  json.Field("irq_capacity_ratio", irq_ratio);
-  json.Field("mech_interrupts", flood.nic_interrupts);
-  json.Field("host_interrupts_serviced", flood.host_interrupts);
-  json.Field("smallring_ring_drops", ring.ring_drops);
-  json.EndObject();
-  json.EndObject();
-  std::cout << "\nwrote " << out_path << "\n";
-  return 0;
+  std::cout << "\n";
+  bench::Check floors;
+  floors.AtLeast("flood/bulk tipping ratio (kpps)", kpps_ratio, kMinKppsTippingRatio);
+  floors.AtMost("flood/bulk tipping ratio (kpps)", kpps_ratio, kMaxKppsTippingRatio);
+  floors.AtLeast("bulk/flood tipping shift (Gbps)", gbps_shift, kMinGbpsTippingShift);
+  floors.AtLeast("ideal/mechanistic capacity ratio", irq_ratio, kMinIrqCapacityRatio);
+  floors.AtLeast("NIC interrupts raised", static_cast<double>(flood.nic_interrupts),
+                 kMinMechInterrupts);
+  floors.AtLeast("small-ring descriptor drops", static_cast<double>(ring.ring_drops),
+                 kMinSmallringRingDrops);
+  return floors.ExitCode();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_placement [--quick] [--out PATH]\n";
-      return 2;
-    }
+  bool check = false;
+  if (!bench::ParseCheckFlag(argc, argv, &check)) {
+    return 2;
   }
-  return Run(quick, out_path);
+  return Run(check);
 }

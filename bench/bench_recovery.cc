@@ -18,12 +18,9 @@
 //           from the kill until sustained client completions resume.
 //
 // Modes:
-//   (default)            — human-readable summary of both legs.
-//   --out PATH [--quick] — writes the JSON part consumed by
-//     check_bench_regression.py --recovery (BENCH_recovery.json, gated in
-//     CI against bench/baseline_recovery.json).
-#include <cstring>
-#include <fstream>
+//   (default) — human-readable summary of both legs.
+//   --check   — the same legs over shorter windows; exits 1 if a floor
+//     below breaks.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -59,6 +56,15 @@ RackOrchestratorConfig RecoveryOrchestratorConfig() {
   config.min_dwell = Seconds(30);
   return config;
 }
+
+// --check floors. Simulated time, deterministic per seed: both legs detect
+// the death in 2 ms; the KVS post-recovery miss fraction is 0.288 cold and
+// 0 warm; the Paxos service gap is 50.5 ms cold and 3.5 ms warm.
+constexpr double kMaxDetectionMs = 10.0;
+constexpr double kKvsWarmMaxMissFraction = 0.05;
+constexpr double kKvsMinDeltaMissFraction = 0.15;
+constexpr double kPaxosWarmMaxGapMs = 10.0;
+constexpr double kPaxosMinDeltaGapMs = 20.0;
 
 double DetectionMs(const RackOrchestrator& orchestrator, SimTime kill_at) {
   for (const RackDecisionRecord& record : orchestrator.decision_log()) {
@@ -189,14 +195,15 @@ void PrintPaxos(const char* label, const PaxosRecovery& r) {
             << r.checkpoints << "\n";
 }
 
-int Run(bool quick, const std::string& out_path) {
+// --check runs the short (quick) windows.
+int Run(bool check) {
   bench::PrintHeader("Crash recovery from AppState checkpoints, warm vs cold",
                      "Device death mid-offload; heartbeat detection; restore "
                      "onto a surviving placement from the latest checkpoint "
                      "(warm) or from scratch (cold).");
 
-  const KvsRecovery kvs_cold = RunKvsRecovery(/*warm=*/false, quick);
-  const KvsRecovery kvs_warm = RunKvsRecovery(/*warm=*/true, quick);
+  const KvsRecovery kvs_cold = RunKvsRecovery(/*warm=*/false, /*quick=*/check);
+  const KvsRecovery kvs_warm = RunKvsRecovery(/*warm=*/true, /*quick=*/check);
   std::cout << "kvs: LaKe NIC dies at " << ToSeconds(kKillAt)
             << " s; recovery lands on the ToR NetCache program\n";
   PrintKvs("  cold", kvs_cold);
@@ -205,8 +212,8 @@ int Run(bool quick, const std::string& out_path) {
       kvs_cold.post_recovery_miss_fraction - kvs_warm.post_recovery_miss_fraction;
   std::cout << "  delta (cold - warm) miss fraction: " << kvs_delta << "\n\n";
 
-  const PaxosRecovery paxos_cold = RunPaxosRecovery(/*warm=*/false, quick);
-  const PaxosRecovery paxos_warm = RunPaxosRecovery(/*warm=*/true, quick);
+  const PaxosRecovery paxos_cold = RunPaxosRecovery(/*warm=*/false, /*quick=*/check);
+  const PaxosRecovery paxos_warm = RunPaxosRecovery(/*warm=*/true, /*quick=*/check);
   std::cout << "paxos: P4xos leader NIC dies at " << ToSeconds(kKillAt)
             << " s; the software leader takes over\n";
   PrintPaxos("  cold", paxos_cold);
@@ -214,55 +221,37 @@ int Run(bool quick, const std::string& out_path) {
   const double paxos_delta = paxos_cold.service_gap_ms - paxos_warm.service_gap_ms;
   std::cout << "  delta (cold - warm) service gap: " << paxos_delta << " ms\n";
 
-  if (out_path.empty()) {
+  if (!check) {
     return 0;
   }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  bench::JsonWriter json(out);
-  json.BeginObject();
-  json.Field("bench", "recovery");
-  json.Field("build_type", bench::BuildTypeName());
-  json.Field("quick", quick);
-  json.BeginObject("kvs");
-  json.Field("detection_ms", kvs_warm.detection_ms);
-  json.Field("cold_post_recovery_miss_fraction", kvs_cold.post_recovery_miss_fraction);
-  json.Field("warm_post_recovery_miss_fraction", kvs_warm.post_recovery_miss_fraction);
-  json.Field("delta_miss_fraction", kvs_delta);
-  json.Field("warm_checkpoints", kvs_warm.checkpoints);
-  json.Field("warm_recovery_flag", kvs_warm.warm_recovery);
-  json.Field("landed", kvs_warm.landed);
-  json.EndObject();
-  json.BeginObject("paxos");
-  json.Field("detection_ms", paxos_warm.detection_ms);
-  json.Field("cold_gap_ms", paxos_cold.service_gap_ms);
-  json.Field("warm_gap_ms", paxos_warm.service_gap_ms);
-  json.Field("delta_gap_ms", paxos_delta);
-  json.Field("warm_checkpoints", paxos_warm.checkpoints);
-  json.Field("warm_recovery_flag", paxos_warm.warm_recovery);
-  json.EndObject();
-  json.EndObject();
-  std::cout << "\nwrote " << out_path << "\n";
-  return 0;
+  std::cout << "\n";
+  bench::Check floors;
+  // Warm floors: the restore came from a checkpoint and stayed near-lossless.
+  floors.That("kvs failure detected", kvs_warm.detection_ms >= 0);
+  floors.AtMost("kvs detection ms", kvs_warm.detection_ms, kMaxDetectionMs);
+  floors.That("kvs recovery restored from a checkpoint (warm)", kvs_warm.warm_recovery);
+  floors.That("kvs checkpoints taken before the kill", kvs_warm.checkpoints > 0);
+  floors.AtMost("kvs warm post-recovery miss fraction",
+                kvs_warm.post_recovery_miss_fraction, kKvsWarmMaxMissFraction);
+  floors.AtLeast("kvs cold-warm miss-fraction delta", kvs_delta, kKvsMinDeltaMissFraction);
+  floors.That("paxos failure detected", paxos_warm.detection_ms >= 0);
+  floors.AtMost("paxos detection ms", paxos_warm.detection_ms, kMaxDetectionMs);
+  floors.That("paxos recovery restored from a checkpoint (warm)",
+              paxos_warm.warm_recovery);
+  floors.That("paxos checkpoints taken before the kill", paxos_warm.checkpoints > 0);
+  floors.That("paxos warm service resumed", paxos_warm.service_gap_ms >= 0);
+  floors.AtMost("paxos warm service gap ms", paxos_warm.service_gap_ms,
+                kPaxosWarmMaxGapMs);
+  floors.AtLeast("paxos cold-warm service gap delta ms", paxos_delta, kPaxosMinDeltaGapMs);
+  return floors.ExitCode();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_recovery [--quick] [--out PATH]\n";
-      return 2;
-    }
+  bool check = false;
+  if (!bench::ParseCheckFlag(argc, argv, &check)) {
+    return 2;
   }
-  return Run(quick, out_path);
+  return Run(check);
 }

@@ -28,13 +28,10 @@
 // event-identical anyway).
 //
 // Modes:
-//   (default)            — human-readable summary of both legs.
-//   --out PATH [--quick] — writes the JSON part consumed by
-//     check_bench_regression.py --row (BENCH_row.json, gated in CI against
-//     bench/baseline_row.json).
+//   (default) — human-readable summary of both legs.
+//   --check   — the same legs over a shorter cadence window; exits 1 if a
+//     floor below breaks.
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -123,6 +120,11 @@ void ForceOffloads(RowScenario& row) {
 
 // --- Leg A: global-brownout re-placement wave -------------------------------
 
+// --check floors. Simulated time, deterministic per seed: the cap cascade
+// evicts all 4 racks within 0.005 ms of the brownout.
+constexpr int kMinRacksEvicted = 4;
+constexpr double kMaxWaveLatencyMs = 1.0;
+
 struct WaveResult {
   int racks_evicted = 0;
   double first_eviction_ms = -1;
@@ -172,6 +174,14 @@ WaveResult RunWave() {
 }
 
 // --- Leg B: post-brownout miss fraction vs checkpoint cadence ---------------
+
+// --check floors. Simulated time, deterministic per seed: after the death
+// wave cold restarts miss 0.440 (0.176 over the full window) and any warm
+// cadence misses none. Each coarser cadence may miss at most
+// kMonotoneEpsilon less than the next finer one.
+constexpr double kFineMaxMissFraction = 0.05;
+constexpr double kMinDeltaMissFraction = 0.1;
+constexpr double kMonotoneEpsilon = 0.02;
 
 struct CadencePoint {
   std::string label;
@@ -259,7 +269,8 @@ void PrintPoint(const CadencePoint& point) {
             << point.warm_recoveries << "/" << kRacks << "\n";
 }
 
-int Run(bool quick, const std::string& out_path) {
+// --check runs the short (quick) cadence window.
+int Run(bool check) {
   bench::PrintHeader(
       "Datacenter-row orchestration under correlated faults",
       "A 4-rack row under one global power ledger: the brownout cap cascade's "
@@ -275,9 +286,9 @@ int Run(bool quick, const std::string& out_path) {
             << " ms, wave latency (last rack) +" << wave.wave_latency_ms
             << " ms, caps issued " << wave.caps_issued << "\n\n";
 
-  const CadencePoint cold = RunCadence("cold", 0, quick);
-  const CadencePoint coarse = RunCadence("coarse", Milliseconds(5), quick);
-  const CadencePoint fine = RunCadence("fine", Milliseconds(1), quick);
+  const CadencePoint cold = RunCadence("cold", 0, /*quick=*/check);
+  const CadencePoint coarse = RunCadence("coarse", Milliseconds(5), /*quick=*/check);
+  const CadencePoint fine = RunCadence("fine", Milliseconds(1), /*quick=*/check);
   const double delta = cold.miss_fraction - fine.miss_fraction;
   std::cout << "cadence: correlated LaKe death wave at "
             << ToMilliseconds(kEventAt)
@@ -287,70 +298,33 @@ int Run(bool quick, const std::string& out_path) {
   PrintPoint(fine);
   std::cout << "  delta (cold - fine) miss fraction: " << delta << "\n";
 
-  if (out_path.empty()) {
+  if (!check) {
     return 0;
   }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  bench::JsonWriter json(out);
-  json.BeginObject();
-  json.Field("bench", "row");
-  json.Field("build_type", bench::BuildTypeName());
-  json.Field("quick", quick);
-  json.BeginObject("wave");
-  json.Field("racks", static_cast<uint64_t>(kRacks));
-  json.Field("brownout_at_ms", ToMilliseconds(kEventAt));
-  json.Field("budget_before_watts", kBudgetWatts);
-  json.Field("budget_after_watts", kBrownoutWatts);
-  json.Field("racks_evicted", static_cast<uint64_t>(wave.racks_evicted));
-  json.Field("first_eviction_ms", wave.first_eviction_ms);
-  json.Field("wave_latency_ms", wave.wave_latency_ms);
-  json.Field("caps_issued", wave.caps_issued);
-  json.Field("apportion_rounds", wave.apportion_rounds);
-  json.EndObject();
-  json.BeginObject("cadence");
-  json.Field("racks", static_cast<uint64_t>(kRacks));
-  json.Field("kill_at_ms", ToMilliseconds(kEventAt));
-  json.BeginArray("points");
-  for (const CadencePoint* point : {&cold, &coarse, &fine}) {
-    json.BeginObject();
-    json.Field("label", point->label);
-    json.Field("checkpoint_period_ms", point->checkpoint_period_ms);
-    json.Field("miss_fraction", point->miss_fraction);
-    json.Field("hits", point->hits);
-    json.Field("misses", point->misses);
-    json.Field("checkpoints", point->checkpoints);
-    json.Field("warm_recoveries", static_cast<uint64_t>(point->warm_recoveries));
-    json.Field("detection_ms", point->detection_ms);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Field("cold_miss_fraction", cold.miss_fraction);
-  json.Field("fine_miss_fraction", fine.miss_fraction);
-  json.Field("delta_miss_fraction", delta);
-  json.EndObject();
-  json.EndObject();
-  std::cout << "\nwrote " << out_path << "\n";
-  return 0;
+  std::cout << "\n";
+  bench::Check floors;
+  floors.AtLeast("racks evicted by the cap cascade", wave.racks_evicted,
+                 kMinRacksEvicted);
+  floors.That("wave reached the last rack", wave.wave_latency_ms >= 0);
+  floors.AtMost("cap-to-last-eviction wave latency ms", wave.wave_latency_ms,
+                kMaxWaveLatencyMs);
+  floors.AtMost("fine-cadence post-recovery miss fraction", fine.miss_fraction,
+                kFineMaxMissFraction);
+  floors.AtLeast("cold-fine miss-fraction delta", delta, kMinDeltaMissFraction);
+  floors.That("miss fraction falls with cadence (cold >= coarse >= fine)",
+              cold.miss_fraction + kMonotoneEpsilon >= coarse.miss_fraction &&
+                  coarse.miss_fraction + kMonotoneEpsilon >= fine.miss_fraction);
+  floors.That("fine cadence recovered warm on every rack",
+              fine.warm_recoveries == kRacks);
+  return floors.ExitCode();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_row [--quick] [--out PATH]\n";
-      return 2;
-    }
+  bool check = false;
+  if (!bench::ParseCheckFlag(argc, argv, &check)) {
+    return 2;
   }
-  return Run(quick, out_path);
+  return Run(check);
 }

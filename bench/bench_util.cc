@@ -1,8 +1,9 @@
 #include "bench/bench_util.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
+#include <cstring>
+#include <iostream>
+#include <sstream>
 
 namespace incod {
 namespace bench {
@@ -21,95 +22,38 @@ void PrintHeader(const std::string& figure, const std::string& description) {
             << description << "\n\n";
 }
 
-void JsonWriter::Indent() {
-  for (size_t i = 0; i < first_in_scope_.size(); ++i) {
-    out_ << "  ";
+void Check::That(const std::string& what, bool ok) {
+  std::cout << "  [" << (ok ? "ok" : "FAIL") << "] " << what << "\n";
+  failed_ = failed_ || !ok;
+}
+
+void Check::Bound(const std::string& what, double value, const char* op, double bound,
+                  bool ok) {
+  std::ostringstream line;
+  line << what << " " << value << " " << op << " " << bound;
+  That(line.str(), ok);
+}
+
+void Check::AtLeast(const std::string& what, double value, double floor) {
+  Bound(what, value, ">=", floor, value >= floor);
+}
+
+void Check::AtMost(const std::string& what, double value, double ceiling) {
+  Bound(what, value, "<=", ceiling, value <= ceiling);
+}
+
+int Check::ExitCode() const {
+  std::cout << (failed_ ? "FAIL: a --check floor broke\n" : "OK\n") << std::flush;
+  return failed_ ? 1 : 0;
+}
+
+bool ParseCheckFlag(int argc, char** argv, bool* check) {
+  *check = argc == 2 && std::strcmp(argv[1], "--check") == 0;
+  if (argc == 1 || *check) {
+    return true;
   }
-}
-
-void JsonWriter::Prefix(const std::string* key) {
-  if (!first_in_scope_.empty()) {
-    if (!first_in_scope_.back()) {
-      out_ << ",";
-    }
-    first_in_scope_.back() = false;
-    out_ << "\n";
-    Indent();
-  }
-  if (key != nullptr) {
-    out_ << '"' << *key << "\": ";
-  }
-}
-
-void JsonWriter::BeginObject() {
-  Prefix(nullptr);
-  out_ << "{";
-  first_in_scope_.push_back(true);
-}
-
-void JsonWriter::BeginObject(const std::string& key) {
-  Prefix(&key);
-  out_ << "{";
-  first_in_scope_.push_back(true);
-}
-
-void JsonWriter::EndObject() {
-  const bool empty = first_in_scope_.back();
-  first_in_scope_.pop_back();
-  if (!empty) {
-    out_ << "\n";
-    Indent();
-  }
-  out_ << "}";
-  if (first_in_scope_.empty()) {
-    out_ << "\n";
-  }
-}
-
-void JsonWriter::BeginArray(const std::string& key) {
-  Prefix(&key);
-  out_ << "[";
-  first_in_scope_.push_back(true);
-}
-
-void JsonWriter::EndArray() {
-  const bool empty = first_in_scope_.back();
-  first_in_scope_.pop_back();
-  if (!empty) {
-    out_ << "\n";
-    Indent();
-  }
-  out_ << "]";
-}
-
-void JsonWriter::Field(const std::string& key, double value) {
-  Prefix(&key);
-  if (!std::isfinite(value)) {
-    out_ << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  out_ << buf;
-}
-
-void JsonWriter::Field(const std::string& key, uint64_t value) {
-  Prefix(&key);
-  out_ << value;
-}
-
-void JsonWriter::Field(const std::string& key, const std::string& value) {
-  Prefix(&key);
-  out_ << '"' << value << '"';
-}
-
-void JsonWriter::Field(const std::string& key, const char* value) {
-  Field(key, std::string(value));
-}
-
-void JsonWriter::Field(const std::string& key, bool value) {
-  Prefix(&key);
-  out_ << (value ? "true" : "false");
+  std::cerr << "usage: " << argv[0] << " [--check]\n";
+  return false;
 }
 
 void PrintSeries(const std::vector<SweepSeries>& series) {

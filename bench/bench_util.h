@@ -8,7 +8,6 @@
 #define INCOD_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
-#include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,34 +22,26 @@ namespace bench {
 // build type so a Debug measurement is visibly suspect.
 const char* BuildTypeName();
 
-// Minimal streaming JSON writer for bench artifacts (BENCH_engine.json and
-// friends): nested objects, object arrays, numeric/string/bool fields,
-// automatic commas. Enough for flat metric trees; not a general serializer.
-class JsonWriter {
+// Floors for a bench's --check mode. Each call prints one "[ok]" or
+// "[FAIL]" line; ExitCode() prints the verdict and returns 1 if any floor
+// broke, 0 otherwise.
+class Check {
  public:
-  explicit JsonWriter(std::ostream& out) : out_(out) {}
-
-  void BeginObject();                        // Root object, or array element.
-  void BeginObject(const std::string& key);  // Nested object.
-  void EndObject();
-  void BeginArray(const std::string& key);   // Array of objects/values.
-  void EndArray();
-
-  void Field(const std::string& key, double value);
-  void Field(const std::string& key, uint64_t value);
-  void Field(const std::string& key, const std::string& value);
-  // Without this overload a string literal would silently pick the bool
-  // overload (const char* -> bool is a standard conversion).
-  void Field(const std::string& key, const char* value);
-  void Field(const std::string& key, bool value);
+  void That(const std::string& what, bool ok);
+  void AtLeast(const std::string& what, double value, double floor);
+  void AtMost(const std::string& what, double value, double ceiling);
+  int ExitCode() const;
 
  private:
-  void Prefix(const std::string* key);
-  void Indent();
+  void Bound(const std::string& what, double value, const char* op, double bound,
+             bool ok);
 
-  std::ostream& out_;
-  std::vector<bool> first_in_scope_;
+  bool failed_ = false;
 };
+
+// Parses a bench command line that is empty or just --check. Returns false
+// (after printing usage) on anything else.
+bool ParseCheckFlag(int argc, char** argv, bool* check);
 
 struct SweepPoint {
   double offered_pps = 0;

@@ -102,6 +102,7 @@ void Link::Send(const PacketSink* from, Packet packet) {
     const SimDuration ser = SerializationDelay(packet.size_bytes);
     d.busy_until = start + ser;
     d.waiting_starts.push_back(start);
+    ++d.posted;
     // deliver_at >= now + propagation >= now + lookahead, so the post always
     // satisfies the conservative bound.
     sharded_->PostCrossShard(d.src_shard, d.dst_shard,
@@ -196,6 +197,7 @@ void Link::CompleteService(int dir) {
   if (d.tx_down) {
     ++d.dropped_down_tx;
   } else if (d.cross) {
+    ++d.posted;
     sharded_->PostCrossShard(d.src_shard, d.dst_shard, now + config_.propagation_delay,
                              CrossDeliver{this, dir, std::move(pkt)});
   } else {
@@ -359,6 +361,11 @@ uint64_t Link::dropped_to_dead(const PacketSink* toward) const {
 
 size_t Link::in_flight(const PacketSink* toward) const {
   const Direction& d = dir_[IndexToward(toward)];
+  if (d.cross) {
+    // Cross-shard packets on the wire live in the mailbox, not in_flight.
+    return d.tx_queue.size() +
+           static_cast<size_t>(d.posted - (d.delivered + d.dropped_down_rx + d.dropped_dead));
+  }
   return d.in_flight.size() + d.tx_queue.size();
 }
 

@@ -116,11 +116,10 @@ class Link {
   uint64_t paused_deferred(const PacketSink* toward) const;
 
   uint64_t delivered(const PacketSink* toward) const;
-  // Packets dropped because the waiting queue was at capacity. `dropped` is
-  // the legacy alias; paused-then-delivered packets never count here (they
-  // show up in paused_deferred instead).
+  // Packets dropped because the waiting queue was at capacity.
+  // Paused-then-delivered packets never count here (they show up in
+  // paused_deferred instead).
   uint64_t dropped_overflow(const PacketSink* toward) const;
-  uint64_t dropped(const PacketSink* toward) const { return dropped_overflow(toward); }
   uint64_t total_dropped() const {
     return dir_[0].dropped_overflow + dir_[1].dropped_overflow;
   }
@@ -132,7 +131,9 @@ class Link {
   // Packets dropped at delivery because the receiving sink was dead.
   uint64_t dropped_to_dead(const PacketSink* toward) const;
   // Packets accepted but not yet delivered (in service, queued, or on the
-  // wire) toward the given endpoint.
+  // wire) toward the given endpoint. On a cross-shard direction the wire is
+  // the engine mailbox: posted minus what the receiver has delivered or
+  // dropped.
   size_t in_flight(const PacketSink* toward) const;
 
   const std::string& name() const { return name_; }
@@ -178,8 +179,10 @@ class Link {
     // Cross-shard only: service-start times of accepted packets, kept
     // sender-side so the waiting-backlog accounting (entries with
     // service_start > now) never touches receiver-shard state. The packets
-    // themselves travel inside the posted delivery events.
+    // themselves travel inside the posted delivery events; `posted` counts
+    // them (sender-side) for in_flight().
     std::deque<SimTime> waiting_starts;
+    uint64_t posted = 0;
   };
   // The scheduled delivery callable: small enough that the event engine
   // stores it inline (asserted in link.cc).

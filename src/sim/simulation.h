@@ -14,9 +14,8 @@
 //    migrate into buckets once the window reaches them. Cancellation is O(1)
 //    via a generation-tagged slot table instead of hash sets.
 //
-//  * kHeap: the classic binary-heap engine, kept as the reference for
-//    differential testing (tests/engine_diff_test.cc) and for the perf
-//    trajectory recorded by bench/bench_engine.cc.
+//  * kHeap: the classic binary-heap engine, kept only as the reference for
+//    differential testing (tests/engine_diff_test.cc).
 //
 // Both engines share the slot table, sequence numbering, and counters, so
 // any divergence in event order is a bug the differential tests catch.

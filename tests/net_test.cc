@@ -142,7 +142,7 @@ TEST(LinkTest, DropsWhenQueueFull) {
   EXPECT_EQ(link.in_flight(&b), 5u);
   sim.Run();
   EXPECT_EQ(b.packets.size(), 5u);
-  EXPECT_EQ(link.dropped(&b), 95u);
+  EXPECT_EQ(link.dropped_overflow(&b), 95u);
   EXPECT_EQ(link.total_dropped(), 95u);
   EXPECT_EQ(link.in_flight(&b), 0u);
 }
@@ -162,9 +162,9 @@ TEST(LinkTest, InServicePacketDoesNotOccupyQueue) {
   for (int i = 0; i < 5; ++i) {  // 1 in service + 4 waiting: all accepted.
     link.Send(&a, MakeRawPacket(1, 2, 1500));
   }
-  EXPECT_EQ(link.dropped(&b), 0u);
+  EXPECT_EQ(link.dropped_overflow(&b), 0u);
   link.Send(&a, MakeRawPacket(1, 2, 1500));  // Queue genuinely full now.
-  EXPECT_EQ(link.dropped(&b), 1u);
+  EXPECT_EQ(link.dropped_overflow(&b), 1u);
   sim.Run();
   EXPECT_EQ(b.packets.size(), 5u);
   // Once the first packet finishes serializing, a queue slot frees up and
@@ -172,7 +172,7 @@ TEST(LinkTest, InServicePacketDoesNotOccupyQueue) {
   link.Send(&a, MakeRawPacket(1, 2, 1500));
   sim.Run();
   EXPECT_EQ(b.packets.size(), 6u);
-  EXPECT_EQ(link.dropped(&b), 1u);
+  EXPECT_EQ(link.dropped_overflow(&b), 1u);
 }
 
 // Runs the same traffic through a coalescing and a non-coalescing link and

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/incod.h"
@@ -14,44 +15,76 @@
 namespace incod {
 namespace {
 
-// ---- Link conservation: sent == delivered + dropped + in-queue ----
+// ---- Link conservation: sent == delivered + dropped + in flight ----
+//
+// Parameter: (seed, cross_shard). The cross-shard leg puts the two ends in
+// different shards, so packets on the wire live in the engine mailbox
+// instead of the link's own deque. The law must hold mid-run, not only once
+// the link has drained.
 
-class LinkConservationTest : public ::testing::TestWithParam<uint64_t> {};
+class LinkConservationTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(LinkConservationTest, PacketsAreConserved) {
-  Simulation sim(GetParam());
-  Rng rng = sim.rng().Fork();
+  const auto [seed, cross_shard] = GetParam();
+  ShardedSimulation::Options options;
+  options.num_shards = 2;
+  options.num_threads = 1;
+  options.mode = ShardedSimulation::Mode::kSingleQueue;
+  options.seed = seed;
+  ShardedSimulation ssim(options);
+  Rng rng = ssim.shard(0).rng().Fork();
   struct Collector : PacketSink {
     void Receive(Packet) override { ++count; }
     std::string SinkName() const override { return "sink"; }
     uint64_t count = 0;
   } a, b;
+  const int b_shard = cross_shard ? 1 : 0;
+  Topology topo(ssim.shard(0));
+  topo.SetSharded(&ssim, 0);
+  topo.AssignShard(&b, b_shard);
   Link::Config config;
   config.gigabits_per_second = 0.1;  // Slow: guarantees queueing and drops.
   config.queue_capacity_packets = 16;
-  Link link(sim, config);
-  link.Connect(&a, &b);
+  Link* link = topo.Connect(&a, &b, config);
   uint64_t sent_to_b = 0;
   uint64_t sent_to_a = 0;
   for (int i = 0; i < 2000; ++i) {
     Packet pkt;
     pkt.size_bytes = static_cast<uint32_t>(rng.UniformInt(64, 1500));
-    sim.Schedule(rng.UniformInt(0, Milliseconds(5)), [&, pkt] {
-      if (rng.Bernoulli(0.5)) {
-        link.Send(&a, pkt);
+    const SimTime at = rng.UniformInt(0, Milliseconds(5));
+    // Each end sends from the shard that owns it.
+    if (rng.Bernoulli(0.5)) {
+      ssim.shard(0).Schedule(at, [&, pkt] {
+        link->Send(&a, pkt);
         ++sent_to_b;
-      } else {
-        link.Send(&b, pkt);
+      });
+    } else {
+      ssim.shard(b_shard).Schedule(at, [&, pkt] {
+        link->Send(&b, pkt);
         ++sent_to_a;
-      }
-    });
+      });
+    }
   }
-  sim.Run();
-  EXPECT_EQ(sent_to_b, b.count + link.dropped(&b));
-  EXPECT_EQ(sent_to_a, a.count + link.dropped(&a));
+  for (const SimTime until : {Milliseconds(1), Milliseconds(3), Milliseconds(5),
+                              Milliseconds(100)}) {
+    ssim.RunUntil(until);
+    EXPECT_EQ(sent_to_b, link->delivered(&b) + link->dropped_overflow(&b) +
+                             link->in_flight(&b))
+        << "at " << until;
+    EXPECT_EQ(sent_to_a, link->delivered(&a) + link->dropped_overflow(&a) +
+                             link->in_flight(&a))
+        << "at " << until;
+  }
+  EXPECT_EQ(link->in_flight(&b), 0u);
+  EXPECT_EQ(link->in_flight(&a), 0u);
+  EXPECT_EQ(b.count, link->delivered(&b));
+  EXPECT_EQ(a.count, link->delivered(&a));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LinkConservationTest, ::testing::Values(1u, 2u, 3u));
+INSTANTIATE_TEST_SUITE_P(SeedsAndShards, LinkConservationTest,
+                         ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                                            ::testing::Bool()));
 
 // ---- Switch conservation under random rules and traffic ----
 
@@ -95,7 +128,7 @@ TEST(SwitchFuzzTest, RandomRulesAndTrafficConserve) {
   uint64_t link_drops = 0;
   for (int i = 0; i < 4; ++i) {
     delivered += sinks[i].count;
-    link_drops += links[i]->dropped(&sinks[i]);
+    link_drops += links[i]->dropped_overflow(&sinks[i]);
   }
   EXPECT_EQ(sw.forwarded() + sw.dropped_no_route(), offered);
   EXPECT_EQ(delivered + link_drops, sw.forwarded());
