@@ -24,7 +24,6 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/app/smartnic_app.h"
 #include "src/kvs/lake.h"
 #include "src/kvs/memcached_server.h"
 #include "src/ondemand/controller.h"
@@ -151,8 +150,7 @@ TransitionResult RunSmartNicTransition(bool warm) {
   spec.target.initially_active = false;
   ScenarioTestbed testbed(sim, std::move(spec));
   auto* memcached = testbed.host_app_as<MemcachedServer>(0);
-  auto* hosted = testbed.offload_app_as<SmartNicHostedApp>();
-  auto* lake = hosted->inner_as<LakeCache>();
+  auto* lake = testbed.offload_app_as<LakeCache>();
 
   for (uint64_t k = 0; k < kTransitionKeys; ++k) {
     memcached->store().Set(k, 64);

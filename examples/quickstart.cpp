@@ -6,8 +6,8 @@
 // ("kvs") through the AppRegistry — drives both with the same declarative
 // workload, and prints throughput, latency and wall power side by side.
 //
-// Build & run:   cmake -B build -G Ninja && cmake --build build
-//                ./build/examples/quickstart
+// Build & run:   cmake -B build -S . && cmake --build build -j
+//                ./build/quickstart
 #include <cstdio>
 #include <memory>
 

@@ -20,8 +20,10 @@
 //                      move any registered app between placements.
 //
 // Substrates host apps through AppContext implementations: Server (host
-// worker threads), FpgaNic (main logical core), and SwitchHostedApp
-// (pipeline program, app/switch_app.h).
+// worker threads), FpgaNic (main logical core), SmartNic (offload engine),
+// and SwitchHostedApp (pipeline program, app/switch_app.h). One class per
+// implementation runs on every substrate it advertises: the offload apps
+// serve both the FPGA NIC and the SmartNIC placement.
 #ifndef INCOD_SRC_APP_APP_H_
 #define INCOD_SRC_APP_APP_H_
 
@@ -193,10 +195,9 @@ class App {
   virtual void RestoreState(const AppState& state) { (void)state; }
 
   // The context of the substrate currently hosting this app. Set by the
-  // substrate when the app is bound/installed. Virtual so wrapper apps
-  // (SmartNicHostedApp) can propagate the binding to the app they adapt.
+  // substrate when the app is bound/installed.
   AppContext* context() const { return context_; }
-  virtual void BindContext(AppContext* context) { context_ = context; }
+  void BindContext(AppContext* context) { context_ = context; }
 
  private:
   AppContext* context_ = nullptr;

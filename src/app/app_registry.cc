@@ -5,38 +5,9 @@
 #include <memory>
 #include <utility>
 
-#include "src/app/smartnic_app.h"
-
 namespace incod {
 
 namespace {
-
-// Per-arch SmartNIC firmware profiles (§10). The FPGA-NIC implementations
-// provide the protocol logic; these describe how that firmware maps onto
-// each surveyed SmartNIC engine: FPGA regions run the NetFPGA pipeline
-// as-is, fixed-function ASIC engines lose some flexibility-dependent speed,
-// and SoC cores parse anything but slowly. LaKe's two cache levels occupy
-// two slots, so a resource-walled SoC board fits exactly one KVS firmware.
-SmartNicPlacementProfile KvsSmartNicProfile() {
-  SmartNicPlacementProfile profile;
-  profile.asic_mpps_fraction = 0.75;
-  profile.soc_mpps_fraction = 0.35;
-  profile.resource_slots = 2;
-  return profile;
-}
-
-SmartNicPlacementProfile DnsSmartNicProfile() {
-  SmartNicPlacementProfile profile;
-  profile.soc_mpps_fraction = 0.5;
-  return profile;
-}
-
-SmartNicPlacementProfile PaxosSmartNicProfile() {
-  SmartNicPlacementProfile profile;
-  profile.asic_mpps_fraction = 0.9;
-  profile.soc_mpps_fraction = 0.6;
-  return profile;
-}
 
 [[noreturn]] void ThrowMissing(const char* family, const char* what) {
   throw std::invalid_argument(std::string("AppRegistry: ") + family +
@@ -62,6 +33,7 @@ std::unique_ptr<App> MakeKvs(PlacementKind placement, const AppFactoryEnv& env) 
     case PlacementKind::kHost:
       return std::make_unique<MemcachedServer>(env.memcached);
     case PlacementKind::kFpgaNic:
+    case PlacementKind::kSmartNic:
       return std::make_unique<LakeCache>(env.lake);
     case PlacementKind::kSwitchAsic: {
       KvSwitchCacheConfig config = env.netcache;
@@ -70,9 +42,6 @@ std::unique_ptr<App> MakeKvs(PlacementKind placement, const AppFactoryEnv& env) 
       }
       return std::make_unique<KvSwitchCache>(config);
     }
-    case PlacementKind::kSmartNic:
-      return std::make_unique<SmartNicHostedApp>(
-          std::make_unique<LakeCache>(env.lake), KvsSmartNicProfile());
   }
   return nullptr;
 }
@@ -82,6 +51,7 @@ std::unique_ptr<App> MakeDns(PlacementKind placement, const AppFactoryEnv& env) 
     case PlacementKind::kHost:
       return std::make_unique<NsdServer>(RequireZone(env), env.nsd);
     case PlacementKind::kFpgaNic:
+    case PlacementKind::kSmartNic:
       return std::make_unique<EmuDns>(RequireZone(env), env.emu_dns);
     case PlacementKind::kSwitchAsic: {
       DnsSwitchConfig config = env.switch_dns;
@@ -90,10 +60,6 @@ std::unique_ptr<App> MakeDns(PlacementKind placement, const AppFactoryEnv& env) 
       }
       return std::make_unique<DnsSwitchProgram>(RequireZone(env), config);
     }
-    case PlacementKind::kSmartNic:
-      return std::make_unique<SmartNicHostedApp>(
-          std::make_unique<EmuDns>(RequireZone(env), env.emu_dns),
-          DnsSmartNicProfile());
   }
   return nullptr;
 }
@@ -111,16 +77,12 @@ std::unique_ptr<App> MakePaxosRole(P4xosRole role, PlacementKind placement,
       return std::make_unique<SoftwareAcceptor>(std::move(group), env.paxos_role_id,
                                                 env.paxos_software);
     case PlacementKind::kFpgaNic:
+    case PlacementKind::kSmartNic:
       return std::make_unique<P4xosFpgaApp>(role, std::move(group), env.paxos_role_id,
                                             env.service, env.p4xos);
     case PlacementKind::kSwitchAsic:
       return std::make_unique<P4xosSwitchProgram>(role, std::move(group),
                                                   env.paxos_role_id, env.service);
-    case PlacementKind::kSmartNic:
-      return std::make_unique<SmartNicHostedApp>(
-          std::make_unique<P4xosFpgaApp>(role, std::move(group), env.paxos_role_id,
-                                         env.service, env.p4xos),
-          PaxosSmartNicProfile());
   }
   return nullptr;
 }

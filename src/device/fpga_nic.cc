@@ -41,9 +41,6 @@ void FpgaNic::InstallApp(App* app) {
   }
   app_ = app;
   app_->BindContext(this);
-  if (auto* legacy = dynamic_cast<FpgaApp*>(app_)) {
-    legacy->set_nic(this);
-  }
   profile_ = app_->OffloadProfile();
   pipeline_ = profile_.pipeline;
   if (pipeline_.workers < 1) {

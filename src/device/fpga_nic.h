@@ -2,7 +2,7 @@
 //
 // The board acts as the host's NIC at all times (the paper's LaKe/Emu DNS
 // packet classifier passes non-application traffic through), and optionally
-// runs one FpgaApp in its main logical core. Power is tracked per module in
+// runs one App in its main logical core. Power is tracked per module in
 // a PowerLedger calibrated from §5 of the paper:
 //   - shell (PHYs, arbiters)            9.5 W
 //   - PCIe & DMA                        1.5 W   -> reference NIC 11 W DC
@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "src/device/fpga_app.h"
+#include "src/app/app.h"
 #include "src/device/offload_target.h"
 #include "src/net/link.h"
 #include "src/net/packet.h"
@@ -61,10 +61,9 @@ class FpgaNic : public PacketSink,
   FpgaNic(Simulation& sim, FpgaNicConfig config);
 
   // Installs the application core (not owned). Any App supporting the
-  // FPGA-NIC placement works; legacy FpgaApp subclasses additionally get
-  // their FpgaNic back-pointer set. Re-programming the FPGA at runtime is
-  // out of scope (the paper keeps the app "programmed but inactive" to
-  // avoid a traffic halt, §9.2).
+  // FPGA-NIC placement works. Re-programming the FPGA at runtime is out of
+  // scope (the paper keeps the app "programmed but inactive" to avoid a
+  // traffic halt, §9.2).
   void InstallApp(App* app);
   App* app() const { return app_; }
 

@@ -71,6 +71,11 @@ void SmartNic::InstallApp(App* app) {
                                 " does not support the SmartNIC placement");
   }
   const SmartNicPlacementProfile profile = app->OffloadProfile().smartnic;
+  if (profile.resource_slots < 1) {
+    // A zero-slot firmware would slip past the resource wall.
+    throw std::invalid_argument("SmartNic: " + app->AppName() +
+                                " needs >= 1 resource slot");
+  }
   const double fraction = profile.MppsFractionFor(preset_.arch);
   if (fraction <= 0) {
     throw std::invalid_argument("SmartNic: " + app->AppName() +
@@ -192,68 +197,28 @@ void SmartNic::Receive(Packet packet) {
     TransmitToNetwork(std::move(packet));
     return;
   }
-  if (!apps_.empty()) {
-    const int claimed = ClaimingApp(packet);
-    if (claimed >= 0) {
-      app_ingress_.Increment();
-      app_ingress_rate_.RecordEvent(sim_.Now());
-      if (app_active_ && !engine_power_gated_) {
-        if (engine_dead()) {
-          // The engine died with the classifier still steering into it:
-          // claimed traffic is lost until recovery re-places the app.
-          dead_dropped_.Increment();
-          return;
-        }
-        AdmitToEngine(static_cast<size_t>(claimed), std::move(packet));
-        return;
-      }
-    }
-    DeliverToHost(std::move(packet));
-    return;
-  }
-  const bool claimed = config_.offload_proto != AppProto::kRaw &&
-                       packet.proto == config_.offload_proto;
-  if (claimed) {
+  const int claimed = ClaimingApp(packet);
+  if (claimed >= 0) {
     app_ingress_.Increment();
     app_ingress_rate_.RecordEvent(sim_.Now());
-  }
-  if (!claimed || !app_active_ || handler_ == nullptr) {
-    DeliverToHost(std::move(packet));
-    return;
-  }
-  if (engine_dead()) {
-    dead_dropped_.Increment();
-    return;
-  }
-  // Legacy handler firmware runs at the preset's full peak rate.
-  const SimDuration service = static_cast<SimDuration>(1e9 / (preset_.peak_mpps * 1e6));
-  const std::optional<SimTime> done = ReserveEngineSlot(service);
-  if (!done.has_value()) {
-    return;
-  }
-  auto process = [this, pkt = std::move(packet)]() mutable {
-    if (engine_dead()) {
-      dead_dropped_.Increment();
+    if (app_active_ && !engine_power_gated_) {
+      if (engine_dead()) {
+        // The engine died with the classifier still steering into it:
+        // claimed traffic is lost until recovery re-places the app.
+        dead_dropped_.Increment();
+        return;
+      }
+      AdmitToEngine(static_cast<size_t>(claimed), std::move(packet));
       return;
     }
-    processed_.Increment();
-    processed_rate_.RecordEvent(sim_.Now());
-    auto reply = handler_(pkt);
-    if (reply.has_value()) {
-      TransmitToNetwork(std::move(*reply));
-    } else {
-      DeliverToHost(std::move(pkt));
-    }
-  };
-  static_assert(sizeof(process) <= InlineEvent::kInlineCapacity,
-                "SmartNic processing events must stay inline");
-  sim_.ScheduleAt(*done, std::move(process));
+  }
+  DeliverToHost(std::move(packet));
 }
 
 std::optional<SimTime> SmartNic::ReserveEngineSlot(SimDuration service) {
-  // One serialization point for everything the engine runs (hosted apps and
-  // legacy handler firmware share it): next free slot at `service` pacing,
-  // drop when the implied backlog overflows the input queue.
+  // One serialization point for every hosted app's firmware: next free slot
+  // at `service` pacing, drop when the implied backlog overflows the input
+  // queue.
   const SimTime now = sim_.Now();
   const SimTime start = std::max(now, busy_until_);
   const double backlog =
@@ -333,11 +298,8 @@ double SmartNic::AppIngressRatePerSecond() const {
 }
 
 double SmartNic::OffloadCapacityPps() const {
-  if (apps_.empty()) {
-    return preset_.peak_mpps * 1e6;
-  }
   // Hosted apps share one engine: the binding ceiling is the slowest
-  // installed firmware's.
+  // installed firmware's (the preset's peak while none is installed).
   double capacity = preset_.peak_mpps * 1e6;
   for (const HostedApp& hosted : apps_) {
     capacity = std::min(capacity, hosted.capacity_pps);

@@ -10,15 +10,15 @@
 // or a switch ASIC.
 //
 // The device is also an application substrate: it implements AppContext and
-// hosts unified Apps (SmartNicHostedApp wrappers via the AppRegistry's
-// kSmartNic factories) on its offload engine. Each hosted app's firmware is
-// timed at the preset's peak Mpps scaled by the app's per-arch fraction,
+// hosts unified Apps that advertise the kSmartNic placement (the same
+// LakeCache / EmuDns / P4xosFpgaApp classes the FPGA NIC runs) on its
+// offload engine. Each hosted app's firmware is timed at the preset's peak
+// Mpps scaled by the per-arch fraction in its OffloadProfile().smartnic,
 // and occupies resource slots against a preset-derived budget — the §10
 // "resource wall" that caps how many apps a SoC board can run at once.
 #ifndef INCOD_SRC_DEVICE_SMARTNIC_H_
 #define INCOD_SRC_DEVICE_SMARTNIC_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,9 +66,6 @@ struct SmartNicDeviceConfig {
   // Optional address of the board itself (0: none); hosted apps reply from
   // it when set.
   NodeId device_node = 0;
-  // Which application traffic the offload firmware claims when driven
-  // through the legacy handler path (hosted Apps claim via Matches()).
-  AppProto offload_proto = AppProto::kRaw;
   SimDuration processing_latency = Microseconds(2);  // SoC/ASIC path latency.
   SimDuration rate_window = Milliseconds(100);
   size_t queue_capacity = 1024;
@@ -79,11 +76,6 @@ struct SmartNicDeviceConfig {
   double offload_engine_fraction = 0.3;
 };
 
-// The offloaded application's firmware: builds the reply for a claimed
-// request, or returns nullopt to punt the packet to the host. Legacy
-// surface predating the unified App contract; InstallApp supersedes it.
-using SmartNicHandler = std::function<std::optional<Packet>(const Packet&)>;
-
 class SmartNic : public PacketSink,
                  public PowerSource,
                  public OffloadTarget,
@@ -92,15 +84,11 @@ class SmartNic : public PacketSink,
  public:
   SmartNic(Simulation& sim, SmartNicPreset preset, SmartNicDeviceConfig config);
 
-  // Installs the offload firmware (what the engine does with claimed
-  // packets). Without a handler or hosted apps, claimed packets are counted
-  // and punted.
-  void SetHandler(SmartNicHandler handler) { handler_ = std::move(handler); }
-
   // Installs a unified App (not owned) on the offload engine. The app must
   // support the SmartNIC placement; its per-arch profile sets the firmware's
   // Mpps ceiling and slot footprint. Throws when the board's slot budget —
-  // the §10 resource wall — is exhausted.
+  // the §10 resource wall — is exhausted. Packets no installed app claims
+  // (via Matches()) pass through to the host.
   void InstallApp(App* app);
   size_t app_count() const { return apps_.size(); }
   App* app(size_t index = 0) const {
@@ -193,7 +181,6 @@ class SmartNic : public PacketSink,
   Simulation& sim_;
   SmartNicPreset preset_;
   SmartNicDeviceConfig config_;
-  SmartNicHandler handler_;
   std::vector<HostedApp> apps_;
   int slots_used_ = 0;
   Link* net_link_ = nullptr;

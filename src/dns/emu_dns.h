@@ -44,7 +44,7 @@ class EmuDns : public App {
   AppProto proto() const override { return AppProto::kDns; }
   std::string AppName() const override { return "emu-dns"; }
   bool SupportsPlacement(PlacementKind placement) const override {
-    return placement == PlacementKind::kFpgaNic;
+    return placement == PlacementKind::kFpgaNic || placement == PlacementKind::kSmartNic;
   }
 
   std::vector<ModulePowerSpec> PowerModules() const;
@@ -54,6 +54,9 @@ class EmuDns : public App {
     profile.pipeline = PipelineSpec();
     profile.power_modules = PowerModules();
     profile.dynamic_watts_at_capacity = 0.5;
+    // SmartNIC firmware (§10): the single-pipeline design keeps full speed
+    // on FPGA and ASIC engines; SoC cores parse names slowly.
+    profile.smartnic.soc_mpps_fraction = 0.5;
     return profile;
   }
 

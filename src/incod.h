@@ -33,24 +33,21 @@
 #include "src/net/topology.h"
 
 // Unified application layer: one App contract across host / FPGA NIC /
-// switch-ASIC placements, typed state snapshots, and the name -> factory
-// registry scenarios build from.
+// switch-ASIC / SmartNIC placements, typed state snapshots, and the
+// name -> factory registry scenarios build from.
 #include "src/app/app.h"
 #include "src/app/app_registry.h"
 #include "src/app/app_state.h"
-#include "src/app/smartnic_app.h"
 #include "src/app/switch_app.h"
 
 // Hosts and devices.
 #include "src/device/conventional_nic.h"
-#include "src/device/fpga_app.h"
 #include "src/device/fpga_nic.h"
 #include "src/device/offload_target.h"
 #include "src/device/smartnic.h"
 #include "src/device/switch_asic.h"
 #include "src/device/switch_offload.h"
 #include "src/host/server.h"
-#include "src/host/software_app.h"
 
 // Fault injection.
 #include "src/fault/fault_injector.h"

@@ -130,9 +130,8 @@ void Link::Send(const PacketSink* from, Packet packet) {
   // Same-deliver-tick coalescing: FIFO service makes deliver times
   // non-decreasing, so an equal tick can only be the deque tail's. Ride the
   // already-scheduled event instead of adding another.
-  const bool coalesce = config_.coalesce_same_tick_delivery &&
-                        !d.in_flight.empty() &&
-                        d.in_flight.back().deliver_at == deliver_at;
+  const bool coalesce =
+      !d.in_flight.empty() && d.in_flight.back().deliver_at == deliver_at;
   d.in_flight.push_back(InFlight{start, deliver_at, std::move(packet)});
   if (!coalesce) {
     drive.ScheduleAt(deliver_at, Deliver{this, index});
@@ -286,8 +285,8 @@ void Link::CompleteDelivery(int dir) {
       ++d.delivered;
       d.to->Receive(std::move(pkt));
     }
-  } while (config_.coalesce_same_tick_delivery && !config_.flow.pfc &&
-           !d.in_flight.empty() && d.in_flight.front().deliver_at == tick);
+  } while (!config_.flow.pfc && !d.in_flight.empty() &&
+           d.in_flight.front().deliver_at == tick);
 }
 
 Simulation& Link::RxSim(const Direction& d) {

@@ -11,11 +11,10 @@
 // closure allocation, and the Packet moves exactly twice (in, out).
 //
 // Same-tick coalescing: when serialization rounds to zero ticks (tiny
-// packets on fast links), consecutive packets share one deliver tick; with
-// coalesce_same_tick_delivery (default) they share a single delivery event
-// that drains every packet of that tick in FIFO order, instead of one
-// event per packet. Delivery order is identical either way (asserted by
-// net_test's differential check).
+// packets on fast links), consecutive packets share one deliver tick and
+// one delivery event, which drains every packet of that tick in FIFO order
+// (the order and ticks are asserted against a golden sequence in
+// net_test).
 //
 // PFC paced mode (config.flow.pfc): the direction instead runs a serve loop
 // over an explicit transmit queue — one ServeDone event per packet — so the
@@ -48,8 +47,6 @@ class Link {
     double gigabits_per_second = 10.0;
     SimDuration propagation_delay = Nanoseconds(500);
     size_t queue_capacity_packets = 1024;
-    // Batch packets that complete delivery on the same tick into one event.
-    bool coalesce_same_tick_delivery = true;
     // PFC/ECN flow control; flow.pfc switches the link into paced mode.
     LinkFlowConfig flow;
   };

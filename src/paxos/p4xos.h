@@ -66,7 +66,7 @@ class P4xosFpgaApp : public App {
   AppProto proto() const override { return AppProto::kPaxos; }
   std::string AppName() const override;
   bool SupportsPlacement(PlacementKind placement) const override {
-    return placement == PlacementKind::kFpgaNic;
+    return placement == PlacementKind::kFpgaNic || placement == PlacementKind::kSmartNic;
   }
 
   std::vector<ModulePowerSpec> PowerModules() const;
@@ -76,6 +76,10 @@ class P4xosFpgaApp : public App {
     profile.pipeline = PipelineSpec();
     profile.power_modules = PowerModules();
     profile.dynamic_watts_at_capacity = config_.dynamic_watts;
+    // SmartNIC firmware (§10): fixed-function ASIC engines lose some
+    // flexibility-dependent speed; SoC cores run the role logic slowly.
+    profile.smartnic.asic_mpps_fraction = 0.9;
+    profile.smartnic.soc_mpps_fraction = 0.6;
     return profile;
   }
 

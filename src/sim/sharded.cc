@@ -93,7 +93,7 @@ ShardedSimulation::ShardedSimulation(Options options)
     options_.num_threads = 1;
   }
   if (options_.mode == Mode::kSingleQueue) {
-    master_ = std::make_unique<Simulation>(options_.seed, options_.engine);
+    master_ = std::make_unique<Simulation>(options_.seed);
   }
   shards_.reserve(static_cast<size_t>(num_shards_));
   for (int i = 0; i < num_shards_; ++i) {
@@ -101,8 +101,7 @@ ShardedSimulation::ShardedSimulation(Options options)
     if (options_.mode == Mode::kSingleQueue) {
       state->sim = std::make_unique<Simulation>(master_.get(), ShardSeed(options_.seed, i));
     } else {
-      state->sim =
-          std::make_unique<Simulation>(ShardSeed(options_.seed, i), options_.engine);
+      state->sim = std::make_unique<Simulation>(ShardSeed(options_.seed, i));
       state->inbox.reserve(static_cast<size_t>(num_shards_));
       for (int src = 0; src < num_shards_; ++src) {
         state->inbox.push_back(std::make_unique<Mailbox>());

@@ -69,7 +69,6 @@ class ShardedSimulation {
     int num_threads = 1;  // Worker pool size in kParallel mode.
     Mode mode = Mode::kParallel;
     uint64_t seed = 1;
-    Simulation::EngineKind engine = Simulation::EngineKind::kCalendar;
   };
 
   // Handle for a cancellable cross-shard event (PostCrossShardCancellable).
@@ -88,7 +87,6 @@ class ShardedSimulation {
 
   int num_shards() const { return num_shards_; }
   Mode mode() const { return options_.mode; }
-  Simulation::EngineKind engine() const { return options_.engine; }
 
   // The Simulation components in shard `i` schedule into. In kParallel mode
   // a private queue; in kSingleQueue mode a view onto the shared master

@@ -3,15 +3,14 @@
 // state transfer, and the generic StateTransferMigrator paths.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
 #include <algorithm>
+#include <memory>
+#include <typeinfo>
+#include <vector>
 
 #include "src/app/app.h"
 #include "src/app/app_registry.h"
 #include "src/app/app_state.h"
-#include "src/app/smartnic_app.h"
 #include "src/app/switch_app.h"
 #include "src/dns/emu_dns.h"
 #include "src/dns/nsd_server.h"
@@ -275,9 +274,15 @@ TEST(AppRegistryTest, AllAppsBuildOnAllFourPlacements) {
         EXPECT_NE(dynamic_cast<SwitchProgram*>(app.get()), nullptr);
       }
       if (placement == PlacementKind::kSmartNic) {
+        // The same implementation class serves both offload substrates.
+        auto fpga_app = AppRegistry::Global().Create(family.name,
+                                                     PlacementKind::kFpgaNic, env);
+        const App& on_smartnic = *app;
+        const App& on_fpga = *fpga_app;
+        EXPECT_EQ(typeid(on_smartnic), typeid(on_fpga))
+            << typeid(on_smartnic).name() << " vs " << typeid(on_fpga).name();
+        EXPECT_TRUE(app->SupportsPlacement(PlacementKind::kFpgaNic));
         // SmartNIC-placement apps advertise a usable per-arch datapath.
-        auto* hosted = dynamic_cast<SmartNicHostedApp*>(app.get());
-        ASSERT_NE(hosted, nullptr);
         const SmartNicPlacementProfile profile = app->OffloadProfile().smartnic;
         for (SmartNicArch arch : {SmartNicArch::kFpga, SmartNicArch::kAsic,
                                   SmartNicArch::kAsicPlusFpga, SmartNicArch::kSoc}) {

@@ -3,7 +3,7 @@
 
 #include <memory>
 
-#include "src/app/smartnic_app.h"
+#include "src/app/app.h"
 #include "src/device/conventional_nic.h"
 #include "src/device/fpga_nic.h"
 #include "src/device/smartnic.h"
@@ -24,30 +24,31 @@ class CollectorSink : public PacketSink {
 };
 
 // Minimal FPGA app that consumes matching packets and echoes to network.
-class EchoFpgaApp : public FpgaApp {
+class EchoFpgaApp : public App {
  public:
   AppProto proto() const override { return AppProto::kKv; }
   std::string AppName() const override { return "echo-hw"; }
-  std::vector<ModulePowerSpec> PowerModules() const override {
-    return {MakeModuleSpec("logic", 2.0, 0.6, 1.0),
-            MakeModuleSpec("dram_if", 4.8, 1.0, 0.6)};
+  bool SupportsPlacement(PlacementKind placement) const override {
+    return placement == PlacementKind::kFpgaNic;
   }
-  double DynamicWattsAtCapacity() const override { return 1.0; }
-  FpgaPipelineSpec PipelineSpec() const override {
-    FpgaPipelineSpec spec;
-    spec.workers = 2;
-    spec.worker_service = Nanoseconds(500);
-    spec.pipeline_latency = Microseconds(1);
-    spec.input_queue_capacity = 8;
-    return spec;
+  OffloadPlacementProfile OffloadProfile() const override {
+    OffloadPlacementProfile profile;
+    profile.pipeline.workers = 2;
+    profile.pipeline.worker_service = Nanoseconds(500);
+    profile.pipeline.pipeline_latency = Microseconds(1);
+    profile.pipeline.input_queue_capacity = 8;
+    profile.power_modules = {MakeModuleSpec("logic", 2.0, 0.6, 1.0),
+                             MakeModuleSpec("dram_if", 4.8, 1.0, 0.6)};
+    profile.dynamic_watts_at_capacity = 1.0;
+    return profile;
   }
-  void Process(Packet packet) override {
+  void HandlePacket(AppContext& ctx, Packet packet) override {
     ++processed;
     Packet reply;
-    reply.src = nic()->config().device_node;
+    reply.src = ctx.self_node();
     reply.dst = packet.src;
     reply.proto = AppProto::kKv;
-    nic()->TransmitToNetwork(reply);
+    ctx.Reply(reply);
   }
   int processed = 0;
 };
@@ -386,6 +387,25 @@ TEST(SmartNicTest, OpsPerWattPinnedAgainstPaperFigures) {
 
 // ---- SmartNIC as an application substrate (§10 placement) ----
 
+// KV app that counts activations; runs at the board's full peak and
+// occupies `slots` engine slots (one by default).
+struct CountingApp : App {
+  AppProto proto() const override { return AppProto::kKv; }
+  std::string AppName() const override { return "counting"; }
+  bool SupportsPlacement(PlacementKind p) const override {
+    return p == PlacementKind::kSmartNic;
+  }
+  OffloadPlacementProfile OffloadProfile() const override {
+    OffloadPlacementProfile profile;
+    profile.smartnic.resource_slots = slots;
+    return profile;
+  }
+  void HandlePacket(AppContext&, Packet) override {}
+  void OnActivate() override { ++activations; }
+  int slots = 1;
+  int activations = 0;
+};
+
 struct SmartNicAppHarness {
   explicit SmartNicAppHarness(const std::string& preset_name = "accelnet-fpga")
       : nic(sim, SmartNicPresetByName(preset_name), Config()),
@@ -427,12 +447,9 @@ TEST(SmartNicHostingTest, HostedAppServesHitsAndPuntsMisses) {
   SmartNicAppHarness h;
   LakeConfig lake_config;
   lake_config.l1_entries = 64;
-  SmartNicHostedApp app(std::make_unique<LakeCache>(lake_config),
-                        SmartNicPlacementProfile{});
-  h.nic.InstallApp(&app);
-  auto* lake = app.inner_as<LakeCache>();
-  ASSERT_NE(lake, nullptr);
-  lake->WarmFill(0, 10, 64);
+  LakeCache lake(lake_config);
+  h.nic.InstallApp(&lake);
+  lake.WarmFill(0, 10, 64);
   h.nic.SetAppActive(true);
 
   h.nic.Receive(h.Get(3));    // Hit: answered by the engine.
@@ -452,9 +469,8 @@ TEST(SmartNicHostingTest, HostedAppServesHitsAndPuntsMisses) {
 
 TEST(SmartNicHostingTest, InactiveEnginePassesClaimedTrafficToHost) {
   SmartNicAppHarness h;
-  SmartNicHostedApp app(std::make_unique<LakeCache>(LakeConfig{}),
-                        SmartNicPlacementProfile{});
-  h.nic.InstallApp(&app);
+  LakeCache lake;
+  h.nic.InstallApp(&lake);
   h.nic.Receive(h.Get(1));
   h.sim.RunUntil(Milliseconds(1));
   EXPECT_EQ(h.network.packets.size(), 0u);
@@ -465,17 +481,17 @@ TEST(SmartNicHostingTest, InactiveEnginePassesClaimedTrafficToHost) {
 }
 
 TEST(SmartNicHostingTest, PerArchProfileScalesTheEngineCeiling) {
-  SmartNicPlacementProfile profile;
-  profile.asic_mpps_fraction = 0.5;
+  // LaKe's own SmartNIC profile: full speed in an FPGA region, 0.75 of an
+  // ASIC engine's peak.
   SmartNicAppHarness fpga_board("accelnet-fpga");
-  SmartNicHostedApp on_fpga(std::make_unique<LakeCache>(LakeConfig{}), profile);
+  LakeCache on_fpga;
   fpga_board.nic.InstallApp(&on_fpga);
   EXPECT_DOUBLE_EQ(fpga_board.nic.OffloadCapacityPps(), 72e6);
 
   SmartNicAppHarness asic_board("agilio-asic");
-  SmartNicHostedApp on_asic(std::make_unique<LakeCache>(LakeConfig{}), profile);
+  LakeCache on_asic;
   asic_board.nic.InstallApp(&on_asic);
-  EXPECT_DOUBLE_EQ(asic_board.nic.OffloadCapacityPps(), 0.5 * 120e6);
+  EXPECT_DOUBLE_EQ(asic_board.nic.OffloadCapacityPps(), 0.75 * 120e6);
 }
 
 TEST(SmartNicHostingTest, SocResourceWallCapsConcurrentApps) {
@@ -483,61 +499,50 @@ TEST(SmartNicHostingTest, SocResourceWallCapsConcurrentApps) {
   // board; the next app hits the §10 resource wall loudly.
   SmartNicAppHarness soc("bluefield-soc");
   EXPECT_EQ(soc.nic.AppSlotCapacity(), 2);
-  SmartNicPlacementProfile kvs_profile;
-  kvs_profile.resource_slots = 2;
-  SmartNicHostedApp kvs(std::make_unique<LakeCache>(LakeConfig{}), kvs_profile);
+  LakeCache kvs;
+  ASSERT_EQ(kvs.OffloadProfile().smartnic.resource_slots, 2);
   soc.nic.InstallApp(&kvs);
   EXPECT_EQ(soc.nic.app_slots_used(), 2);
-  SmartNicHostedApp second(std::make_unique<LakeCache>(LakeConfig{}),
-                           SmartNicPlacementProfile{});
+  CountingApp second;
   EXPECT_THROW(soc.nic.InstallApp(&second), std::invalid_argument);
 
   // A scalable board fits both firmwares side by side.
   SmartNicAppHarness fpga_board("accelnet-fpga");
-  SmartNicHostedApp kvs2(std::make_unique<LakeCache>(LakeConfig{}), kvs_profile);
-  SmartNicHostedApp extra(std::make_unique<LakeCache>(LakeConfig{}),
-                          SmartNicPlacementProfile{});
+  LakeCache kvs2;
+  CountingApp extra;
   fpga_board.nic.InstallApp(&kvs2);
   fpga_board.nic.InstallApp(&extra);
+  EXPECT_EQ(fpga_board.nic.app_count(), 2u);
+  // Firmware claiming no slot at all would slip past the wall: refused.
+  CountingApp slotless;
+  slotless.slots = 0;
+  EXPECT_THROW(fpga_board.nic.InstallApp(&slotless), std::invalid_argument);
   EXPECT_EQ(fpga_board.nic.app_count(), 2u);
 }
 
 TEST(SmartNicHostingTest, LateInstallOntoLiveEngineActivatesTheApp) {
   // An app installed after SetAppActive(true) must receive the same
   // activation its already-installed peers got with the transition.
-  struct CountingApp : App {
-    AppProto proto() const override { return AppProto::kKv; }
-    std::string AppName() const override { return "counting"; }
-    bool SupportsPlacement(PlacementKind p) const override {
-      return p == PlacementKind::kFpgaNic;
-    }
-    void HandlePacket(AppContext&, Packet) override {}
-    void OnActivate() override { ++activations; }
-    int activations = 0;
-  };
   SmartNicAppHarness h;
-  SmartNicHostedApp early(std::make_unique<CountingApp>(), SmartNicPlacementProfile{});
+  CountingApp early;
   h.nic.InstallApp(&early);
   h.nic.SetAppActive(true);
-  SmartNicHostedApp late(std::make_unique<CountingApp>(), SmartNicPlacementProfile{});
+  CountingApp late;
   h.nic.InstallApp(&late);
-  EXPECT_EQ(early.inner_as<CountingApp>()->activations, 1);
-  EXPECT_EQ(late.inner_as<CountingApp>()->activations, 1);
+  EXPECT_EQ(early.activations, 1);
+  EXPECT_EQ(late.activations, 1);
 }
 
 TEST(SmartNicHostingTest, ReprogramParkWipesOnBoardState) {
   SmartNicAppHarness h("accelnet-fpga");  // Reprogrammable arch.
-  LakeConfig lake_config;
-  SmartNicHostedApp app(std::make_unique<LakeCache>(lake_config),
-                        SmartNicPlacementProfile{});
-  h.nic.InstallApp(&app);
-  auto* lake = app.inner_as<LakeCache>();
-  lake->WarmFill(0, 16, 64);
-  ASSERT_GT(lake->l1().size(), 0u);
+  LakeCache lake;
+  h.nic.InstallApp(&lake);
+  lake.WarmFill(0, 16, 64);
+  ASSERT_GT(lake.l1().size(), 0u);
   h.nic.SetAppActive(false);
   h.nic.PowerGateParkedApp();  // Bitstream removed: on-board state is lost.
-  EXPECT_EQ(lake->l1().size(), 0u);
-  EXPECT_EQ(lake->l2()->size(), 0u);
+  EXPECT_EQ(lake.l1().size(), 0u);
+  EXPECT_EQ(lake.l2()->size(), 0u);
 }
 
 TEST(SmartNicHostingTest, GatedParkMemoryResetWipesOnBoardState) {
@@ -546,23 +551,21 @@ TEST(SmartNicHostingTest, GatedParkMemoryResetWipesOnBoardState) {
   // later cold shift really starts cold.
   SmartNicAppHarness h;
   EXPECT_TRUE(h.nic.Traits().supports_memory_reset);
-  SmartNicHostedApp app(std::make_unique<LakeCache>(LakeConfig{}),
-                        SmartNicPlacementProfile{});
-  h.nic.InstallApp(&app);
-  auto* lake = app.inner_as<LakeCache>();
-  lake->WarmFill(0, 16, 64);
+  LakeCache lake;
+  h.nic.InstallApp(&lake);
+  lake.WarmFill(0, 16, 64);
   h.nic.SetAppActive(false);
   h.nic.SetMemoryReset(true);
   EXPECT_TRUE(h.nic.memory_reset());
-  EXPECT_EQ(lake->l1().size(), 0u);
-  EXPECT_EQ(lake->l2()->size(), 0u);
+  EXPECT_EQ(lake.l1().size(), 0u);
+  EXPECT_EQ(lake.l2()->size(), 0u);
   // Re-entering reset without leaving it does not re-fire the wipe hook.
-  lake->WarmFill(0, 4, 64);
+  lake.WarmFill(0, 4, 64);
   h.nic.SetMemoryReset(true);
-  EXPECT_EQ(lake->l1().size(), 4u);
+  EXPECT_EQ(lake.l1().size(), 4u);
   h.nic.SetMemoryReset(false);
   h.nic.SetMemoryReset(true);
-  EXPECT_EQ(lake->l1().size(), 0u);
+  EXPECT_EQ(lake.l1().size(), 0u);
 }
 
 }  // namespace

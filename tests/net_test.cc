@@ -1,6 +1,8 @@
 // Tests for packets, links, the L2 switch, and topology assembly.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "src/net/link.h"
@@ -175,20 +177,18 @@ TEST(LinkTest, InServicePacketDoesNotOccupyQueue) {
   EXPECT_EQ(link.dropped_overflow(&b), 1u);
 }
 
-// Runs the same traffic through a coalescing and a non-coalescing link and
-// returns the delivered (id, arrival-time) sequence at the far end.
-std::vector<std::pair<uint64_t, SimTime>> DeliverSequence(bool coalesce) {
+// Bursts of tiny (zero-serialization) and larger packets on a fast link:
+// several packets share a deliver tick inside each burst, and each shared
+// tick is drained by one delivery event.
+TEST(LinkTest, SameTickDeliveriesMatchGoldenSequence) {
   Simulation sim(7);
   Link::Config config;
   config.gigabits_per_second = 1000.0;  // 64B ~ 0.5ns: rounds to same-tick.
   config.propagation_delay = Nanoseconds(20);
-  config.coalesce_same_tick_delivery = coalesce;
   Link link(sim, config, "batchy");
   CollectorSink a(&sim, "a");
   CollectorSink b(&sim, "b");
   link.Connect(&a, &b);
-  // Bursts of tiny (zero-serialization) and larger packets: several packets
-  // share a deliver tick inside each burst.
   uint64_t id = 0;
   for (int burst = 0; burst < 5; ++burst) {
     sim.ScheduleAt(burst * Nanoseconds(100), [&link, &a, &id] {
@@ -200,26 +200,31 @@ std::vector<std::pair<uint64_t, SimTime>> DeliverSequence(bool coalesce) {
     });
   }
   sim.Run();
-  std::vector<std::pair<uint64_t, SimTime>> sequence;
+  // Golden (id, ns) sequence, recorded from the one-event-per-packet
+  // delivery path: per burst, the first three packets arrive after
+  // propagation alone and the last three queue behind the 512B packet's
+  // ~4ns serialization. FIFO order is the send order.
+  const std::pair<uint64_t, SimTime> kGolden[] = {
+      {1, 20}, {2, 20}, {3, 20},
+      {4, 24}, {5, 24}, {6, 24},
+      {7, 120}, {8, 120}, {9, 120},
+      {10, 124}, {11, 124}, {12, 124},
+      {13, 220}, {14, 220}, {15, 220},
+      {16, 224}, {17, 224}, {18, 224},
+      {19, 320}, {20, 320}, {21, 320},
+      {22, 324}, {23, 324}, {24, 324},
+      {25, 420}, {26, 420}, {27, 420},
+      {28, 424}, {29, 424}, {30, 424},
+  };
+  ASSERT_EQ(b.packets.size(), std::size(kGolden));
   for (size_t i = 0; i < b.packets.size(); ++i) {
-    sequence.emplace_back(b.packets[i].id, b.arrival_times[i]);
+    EXPECT_EQ(b.packets[i].id, kGolden[i].first) << "order diverged at " << i;
+    EXPECT_EQ(b.arrival_times[i], Nanoseconds(kGolden[i].second))
+        << "time diverged at " << i;
   }
-  return sequence;
-}
-
-TEST(LinkTest, CoalescedDeliveryMatchesUnbatchedOrder) {
-  const auto batched = DeliverSequence(/*coalesce=*/true);
-  const auto unbatched = DeliverSequence(/*coalesce=*/false);
-  ASSERT_EQ(batched.size(), 30u);
-  ASSERT_EQ(batched.size(), unbatched.size());
-  for (size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].first, unbatched[i].first) << "order diverged at " << i;
-    EXPECT_EQ(batched[i].second, unbatched[i].second) << "time diverged at " << i;
-  }
-  // FIFO order must be the send order.
-  for (size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].first, i + 1);
-  }
+  // 5 burst events plus one delivery event per shared tick (2 per burst);
+  // one event per packet would run 35.
+  EXPECT_EQ(sim.events_executed(), 15u);
 }
 
 TEST(LinkTest, RejectsUnknownSender) {

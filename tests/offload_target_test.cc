@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/app/app.h"
 #include "src/device/fpga_nic.h"
 #include "src/device/offload_target.h"
 #include "src/device/smartnic.h"
@@ -33,6 +35,24 @@ struct Collector : PacketSink {
 
 SmartNicPreset AccelNetPreset() { return StandardSmartNicPresets()[0]; }
 
+// Minimal SmartNIC firmware: claims KV traffic and echoes each request back
+// to its sender.
+class EchoFirmware : public App {
+ public:
+  AppProto proto() const override { return AppProto::kKv; }
+  std::string AppName() const override { return "echo-fw"; }
+  bool SupportsPlacement(PlacementKind placement) const override {
+    return placement == PlacementKind::kSmartNic;
+  }
+  void HandlePacket(AppContext& ctx, Packet packet) override {
+    Packet reply;
+    reply.src = packet.dst;
+    reply.dst = packet.src;
+    reply.proto = packet.proto;
+    ctx.Reply(reply);
+  }
+};
+
 struct SmartNicHarness {
   SmartNicHarness()
       : sim(1),
@@ -42,11 +62,11 @@ struct SmartNicHarness {
     host_link = topo.Connect(&nic, &host);
     nic.SetNetworkLink(net_link);
     nic.SetHostLink(host_link);
+    nic.InstallApp(&firmware);
   }
   static SmartNicDeviceConfig Config() {
     SmartNicDeviceConfig config;
     config.host_node = 1;
-    config.offload_proto = AppProto::kKv;
     return config;
   }
   Packet KvPacket() {
@@ -58,6 +78,7 @@ struct SmartNicHarness {
   }
   Simulation sim;
   Topology topo;
+  EchoFirmware firmware;
   SmartNic nic;
   Collector client;
   Collector host;
@@ -74,15 +95,8 @@ TEST(SmartNicTest, InactivePassesThroughToHost) {
   EXPECT_EQ(h.nic.processed_in_hardware(), 0u);
 }
 
-TEST(SmartNicTest, ActiveHandlerRepliesInline) {
+TEST(SmartNicTest, ActiveFirmwareRepliesInline) {
   SmartNicHarness h;
-  h.nic.SetHandler([](const Packet& request) {
-    Packet reply;
-    reply.src = request.dst;
-    reply.dst = request.src;
-    reply.proto = request.proto;
-    return std::optional<Packet>(reply);
-  });
   h.nic.SetAppActive(true);
   h.nic.Receive(h.KvPacket());
   h.sim.Run();
@@ -93,7 +107,6 @@ TEST(SmartNicTest, ActiveHandlerRepliesInline) {
 
 TEST(SmartNicTest, NonMatchingTrafficNeverClaimed) {
   SmartNicHarness h;
-  h.nic.SetHandler([](const Packet&) { return std::optional<Packet>(Packet{}); });
   h.nic.SetAppActive(true);
   Packet raw = h.KvPacket();
   raw.proto = AppProto::kRaw;

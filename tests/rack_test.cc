@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 
-#include "src/app/smartnic_app.h"
 #include "src/kvs/lake.h"
 #include "src/kvs/memcached_server.h"
 #include "src/ondemand/energy_advisor.h"
@@ -600,13 +599,12 @@ TEST(RackWarmMigrationTest, ScenarioSpecRackWarmShiftsKvsOntoSmartNic) {
 
     ScenarioTestbed testbed(sim, std::move(spec));
     ScenarioMember& built = testbed.member("kvs");
-    auto* hosted = dynamic_cast<SmartNicHostedApp*>(built.offload_app.get());
-    if (built.smartnic == nullptr || hosted == nullptr) {
+    auto* lake = dynamic_cast<LakeCache*>(built.offload_app.get());
+    if (built.smartnic == nullptr || lake == nullptr) {
       throw std::logic_error("spec did not build a SmartNIC-hosted kvs");
     }
-    auto* lake = hosted->inner_as<LakeCache>();
     auto* memcached = dynamic_cast<MemcachedServer*>(built.host_apps.front().get());
-    if (lake == nullptr || memcached == nullptr) {
+    if (memcached == nullptr) {
       throw std::logic_error("unexpected concrete app types");
     }
 
@@ -634,7 +632,7 @@ TEST(RackWarmMigrationTest, ScenarioSpecRackWarmShiftsKvsOntoSmartNic) {
     // The advisor models the same firmware ceiling the board enforces: the
     // app's per-arch Mpps fraction on this preset's architecture.
     const double app_fraction =
-        hosted->OffloadProfile().smartnic.MppsFractionFor(board->preset().arch);
+        lake->OffloadProfile().smartnic.MppsFractionFor(board->preset().arch);
     rack_app.options.push_back(RackPlacementOption{
         board, &migrator,
         MakeSmartNicRatePower(/*host_idle_watts=*/35.0, board->preset(), app_fraction),
