@@ -35,6 +35,19 @@ NetworkControllerConfig FastController() {
   return config;
 }
 
+// Every point measures over the same window, after the controller settled.
+constexpr SimDuration kMeasureWindow = Milliseconds(200);
+
+// A sweep point whose achieved rate is the replies the client counted over
+// the measurement window.
+SweepPoint Measured(double rate_pps, uint64_t replies, double watts) {
+  SweepPoint point;
+  point.offered_pps = rate_pps;
+  point.achieved_pps = static_cast<double>(replies) / ToSeconds(kMeasureWindow);
+  point.watts = watts;
+  return point;
+}
+
 RequestFactory GetFactory(NodeId service, uint64_t keys) {
   return [service, keys](NodeId src, uint64_t id, SimTime now, Rng& rng) {
     const uint64_t key =
@@ -54,22 +67,21 @@ SweepPoint MeasureKvs(double rate_pps, bool on_demand) {
                                    std::make_unique<ConstantArrival>(rate_pps),
                                    GetFactory(testbed.ServiceNode(), 1000));
   std::unique_ptr<ClassifierMigrator> migrator;
-  std::unique_ptr<NetworkController> controller;
+  std::unique_ptr<OnDemandController> controller;
   if (on_demand) {
     migrator = std::make_unique<ClassifierMigrator>(sim, *testbed.fpga());
-    controller = std::make_unique<NetworkController>(sim, *testbed.fpga(), *migrator,
-                                                     FastController());
+    controller = std::make_unique<OnDemandController>(sim, *testbed.fpga(), *migrator,
+                                                      FastController());
     controller->Start();
   }
   client.Start();
   // Let the controller settle, then measure.
   sim.RunUntil(Seconds(1));
   const SimTime measure_start = sim.Now();
-  sim.RunUntil(measure_start + Milliseconds(200));
-  SweepPoint point;
-  point.offered_pps = rate_pps;
-  point.watts = testbed.meter().MeanWatts(measure_start, sim.Now());
-  return point;
+  const uint64_t replies_before = client.received();
+  sim.RunUntil(measure_start + kMeasureWindow);
+  return Measured(rate_pps, client.received() - replies_before,
+                  testbed.meter().MeanWatts(measure_start, sim.Now()));
 }
 
 SweepPoint MeasureDns(double rate_pps, bool on_demand) {
@@ -85,21 +97,20 @@ SweepPoint MeasureDns(double rate_pps, bool on_demand) {
                                    std::make_unique<ConstantArrival>(rate_pps),
                                    MakeDnsRequestFactory(workload));
   std::unique_ptr<ClassifierMigrator> migrator;
-  std::unique_ptr<NetworkController> controller;
+  std::unique_ptr<OnDemandController> controller;
   if (on_demand) {
     migrator = std::make_unique<ClassifierMigrator>(sim, *testbed.fpga());
-    controller = std::make_unique<NetworkController>(sim, *testbed.fpga(), *migrator,
-                                                     FastController());
+    controller = std::make_unique<OnDemandController>(sim, *testbed.fpga(), *migrator,
+                                                      FastController());
     controller->Start();
   }
   client.Start();
   sim.RunUntil(Seconds(1));
   const SimTime measure_start = sim.Now();
-  sim.RunUntil(measure_start + Milliseconds(200));
-  SweepPoint point;
-  point.offered_pps = rate_pps;
-  point.watts = testbed.meter().MeanWatts(measure_start, sim.Now());
-  return point;
+  const uint64_t replies_before = client.received();
+  sim.RunUntil(measure_start + kMeasureWindow);
+  return Measured(rate_pps, client.received() - replies_before,
+                  testbed.meter().MeanWatts(measure_start, sim.Now()));
 }
 
 SweepPoint MeasurePaxos(double rate_pps, bool on_demand) {
@@ -115,24 +126,23 @@ SweepPoint MeasurePaxos(double rate_pps, bool on_demand) {
   options.client.max_retries = 2;
   PaxosTestbed testbed(sim, options);
   std::unique_ptr<PaxosLeaderMigrator> migrator;
-  std::unique_ptr<NetworkController> controller;
+  std::unique_ptr<OnDemandController> controller;
   if (on_demand) {
     migrator = std::make_unique<PaxosLeaderMigrator>(
         sim, testbed.net_switch(), kPaxosLeaderService, *testbed.software_leader(),
         testbed.leader_port(), *testbed.sut_fpga(), *testbed.fpga_leader(),
         testbed.leader_port());
-    controller = std::make_unique<NetworkController>(sim, *testbed.sut_fpga(), *migrator,
-                                                     FastController());
+    controller = std::make_unique<OnDemandController>(sim, *testbed.sut_fpga(), *migrator,
+                                                      FastController());
     controller->Start();
   }
   testbed.client().Start();
   sim.RunUntil(Seconds(1));
   const SimTime measure_start = sim.Now();
-  sim.RunUntil(measure_start + Milliseconds(200));
-  SweepPoint point;
-  point.offered_pps = rate_pps;
-  point.watts = testbed.meter().MeanWatts(measure_start, sim.Now());
-  return point;
+  const uint64_t replies_before = testbed.client().completed();
+  sim.RunUntil(measure_start + kMeasureWindow);
+  return Measured(rate_pps, testbed.client().completed() - replies_before,
+                  testbed.meter().MeanWatts(measure_start, sim.Now()));
 }
 
 }  // namespace

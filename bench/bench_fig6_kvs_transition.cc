@@ -248,8 +248,8 @@ int RunTimeline() {
   controller_config.down_power_watts = 15.0;
   controller_config.down_window = Seconds(3);
   controller_config.min_dwell = Seconds(2);
-  HostController controller(sim, *testbed.server(), AppProto::kKv, rapl,
-                            *testbed.fpga(), migrator, controller_config);
+  OnDemandController controller(sim, *testbed.server(), AppProto::kKv, rapl, *testbed.fpga(),
+                                migrator, controller_config);
   controller.Start();
 
   // ChainerMN: 3 busy cores from t=5 s to t=20 s.

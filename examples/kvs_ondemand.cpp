@@ -61,8 +61,8 @@ int main() {
   controller_config.down_rate_pps = 60000;
   controller_config.down_power_watts = 15.0;
   controller_config.down_window = Seconds(2);
-  HostController controller(sim, *testbed.server(), AppProto::kKv, rapl,
-                            *testbed.fpga(), migrator, controller_config);
+  OnDemandController controller(sim, *testbed.server(), AppProto::kKv, rapl, *testbed.fpga(),
+                                migrator, controller_config);
   controller.Start();
 
   // Narrate status once a second.

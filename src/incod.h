@@ -72,7 +72,6 @@
 // On-demand computing (the paper's contribution).
 #include "src/ondemand/controller.h"
 #include "src/ondemand/energy_advisor.h"
-#include "src/ondemand/energy_controller.h"
 #include "src/ondemand/migrator.h"
 #include "src/ondemand/rack.h"
 

@@ -1,27 +1,35 @@
-// On-demand offload controllers (§9.1).
+// On-demand offload controller (§9.1).
 //
-// Two proof-of-concept controllers decide when to shift a workload between
-// host and network, each with a mirrored parameter pair for hysteresis:
+// The paper's two proof-of-concept controllers decide when to shift a
+// workload between host and network, each with a mirrored parameter pair
+// for hysteresis. They differ only in the signals they read, so one loop
+// runs both: every check it samples each signal into a windowed mean (one
+// mean per direction), enforces `min_dwell`, and shifts when every gate of
+// the current direction holds over a full window. A shift clears the other
+// direction's means.
 //
-//  * NetworkController — runs "within the FPGA's classifier" (40 lines in
+//  * Network-controlled — runs "within the FPGA's classifier" (40 lines in
 //    the paper's prototype). Signal: average application message rate over
 //    a sliding averaging window. Pros: reacts early, offloads the host.
 //    Cons: cannot see host power ("it only has access to the packet rate").
 //
-//  * HostController — runs on the host (204 lines, 0.3 % CPU in the paper,
+//  * Host-controlled — runs on the host (204 lines, 0.3 % CPU in the paper,
 //    "mainly for performing RAPL reads"). Signals: the application's CPU
 //    usage and RAPL package power, inspected over time to avoid "harsh
 //    decisions based on spikes and outliers"; shifting back additionally
 //    requires rate feedback from the network device.
 //
-// Both controllers read their device signals through the OffloadTarget
-// interface, so the same decision code runs against an FPGA NIC, a
-// SmartNIC, or a switch ASIC program.
+// Both read their device signals through the OffloadTarget interface, so
+// the same decision code runs against an FPGA NIC, a SmartNIC, or a switch
+// ASIC program. The §9.1 "more sophisticated algorithms" — placement by the
+// §8 predicted saving, across many apps, targets and a power budget — live
+// in RackOrchestrator, not here: these threshold rules read RAPL and per-app
+// CPU signals the orchestrator's app specs do not carry.
 #ifndef INCOD_SRC_ONDEMAND_CONTROLLER_H_
 #define INCOD_SRC_ONDEMAND_CONTROLLER_H_
 
+#include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "src/device/offload_target.h"
@@ -32,20 +40,6 @@
 #include "src/stats/timeseries.h"
 
 namespace incod {
-
-class OffloadController {
- public:
-  virtual ~OffloadController() = default;
-
-  virtual void Start() = 0;
-  virtual void Stop() { stopped_ = true; }
-  virtual std::string ControllerName() const = 0;
-
- protected:
-  bool stopped_ = false;
-};
-
-// ---------------------------------------------------------------------------
 
 struct NetworkControllerConfig {
   // Shift host -> network when the average app message rate over
@@ -60,35 +54,6 @@ struct NetworkControllerConfig {
   // Minimum dwell after any shift (additional back-and-forth damping).
   SimDuration min_dwell = Seconds(1);
 };
-
-class NetworkController : public OffloadController {
- public:
-  NetworkController(Simulation& sim, OffloadTarget& target, Migrator& migrator,
-                    NetworkControllerConfig config = {});
-
-  void Start() override;
-  std::string ControllerName() const override { return "network-controlled"; }
-
-  const NetworkControllerConfig& config() const { return config_; }
-  uint64_t decisions_evaluated() const { return decisions_; }
-
- private:
-  void Tick();
-
-  Simulation& sim_;
-  OffloadTarget& target_;
-  Migrator& migrator_;
-  NetworkControllerConfig config_;
-  SlidingWindowMean up_mean_;
-  SlidingWindowMean down_mean_;
-  uint64_t last_ingress_count_ = 0;
-  SimTime last_tick_ = 0;
-  SimTime last_shift_ = 0;
-  bool started_ = false;
-  uint64_t decisions_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 
 struct HostControllerConfig {
   // Shift host -> network when RAPL power exceeds `up_power_watts` AND the
@@ -107,36 +72,51 @@ struct HostControllerConfig {
   SimDuration min_dwell = Seconds(1);
 };
 
-class HostController : public OffloadController {
+class OnDemandController {
  public:
-  HostController(Simulation& sim, Server& server, AppProto app, RaplCounter& rapl,
-                 OffloadTarget& target, Migrator& migrator,
-                 HostControllerConfig config = {});
+  // Network-controlled: the target's classifier-visible message rate.
+  OnDemandController(Simulation& sim, OffloadTarget& target, Migrator& migrator,
+                     NetworkControllerConfig config = {});
+  // Host-controlled: RAPL package watts and `app`'s CPU usage going up; the
+  // target's processed rate and RAPL watts coming back down.
+  OnDemandController(Simulation& sim, Server& server, AppProto app, RaplCounter& rapl,
+                     OffloadTarget& target, Migrator& migrator,
+                     HostControllerConfig config = {});
+  // The periodic check holds `this`.
+  OnDemandController(const OnDemandController&) = delete;
+  OnDemandController& operator=(const OnDemandController&) = delete;
 
-  void Start() override;
-  std::string ControllerName() const override { return "host-controlled"; }
-
-  const HostControllerConfig& config() const { return config_; }
-  // Most recent RAPL-derived power reading (for the Fig 6 timeline).
-  double last_rapl_watts() const { return last_rapl_watts_; }
+  void Start();
 
  private:
+  // One threshold on one signal's windowed mean. The signal is either a
+  // cumulative `counter`, sampled as its per-second rate over the check
+  // interval in units of `counter_unit`, or an instantaneous `level`.
+  struct Gate {
+    std::function<uint64_t()> counter{};
+    double counter_unit = 1;
+    std::function<double()> level{};
+    bool at_least = true;  // Holds when mean >= threshold (else <=).
+    double threshold = 0;
+    SlidingWindowMean mean;
+    uint64_t last_count = 0;
+
+    // The signal's value for the `dt` since the previous check.
+    double Read(SimDuration dt);
+  };
+
+  OnDemandController(Simulation& sim, Migrator& migrator, SimDuration check_period,
+                     SimDuration min_dwell);
   void Tick();
 
   Simulation& sim_;
-  Server& server_;
-  AppProto app_;
-  RaplCounter& rapl_;
-  OffloadTarget& target_;
   Migrator& migrator_;
-  HostControllerConfig config_;
-  SlidingWindowMean power_mean_;
-  SlidingWindowMean cpu_mean_;
-  SlidingWindowMean rate_mean_;
-  uint64_t last_energy_uj_ = 0;
+  SimDuration check_period_;
+  SimDuration min_dwell_;
+  std::vector<Gate> up_;    // host -> network
+  std::vector<Gate> down_;  // network -> host
   SimTime last_tick_ = 0;
   SimTime last_shift_ = 0;
-  double last_rapl_watts_ = 0;
   bool started_ = false;
 };
 

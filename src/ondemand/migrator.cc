@@ -75,14 +75,6 @@ void StateTransferMigrator::TransferTo(Placement to) {
   ++state_transfers_;
 }
 
-std::string StateTransferMigrator::MigratorName() const {
-  return "state-transfer/" + target_.TargetName();
-}
-
-std::string ClassifierMigrator::MigratorName() const {
-  return "classifier/" + target().TargetName();
-}
-
 void StateTransferMigrator::ShiftToNetwork() {
   if (placement() == Placement::kNetwork) {
     return;
@@ -189,7 +181,8 @@ PaxosLeaderMigrator::PaxosLeaderMigrator(Simulation& sim, L2Switch& sw,
       software_port_(software_port),
       hardware_leader_(hardware_leader),
       hardware_port_(hardware_port),
-      leader_options_(options),
+      active_probe_(options.active_probe),
+      learning_timeout_(options.learning_timeout),
       ballot_(software_leader.state().ballot()) {
   // Initial placement: software leader serves the service address.
   RepointService(software_port_);
@@ -218,7 +211,7 @@ void PaxosLeaderMigrator::ShiftToNetwork() {
   if (placement() == Placement::kNetwork) {
     return;
   }
-  if (!leader_options_.transfer_state) {
+  if (!transfer_state()) {
     ++ballot_;
     // The new leader "starts with an initial sequence number of 1 and must
     // learn the next sequence number that it can use" (§9.2).
@@ -229,10 +222,10 @@ void PaxosLeaderMigrator::ShiftToNetwork() {
   StateTransferMigrator::ShiftToNetwork();
   software_leader_.SetActive(false);
   RepointService(hardware_port_);
-  if (!leader_options_.transfer_state) {
+  if (!transfer_state()) {
     // §9.2: the incoming leader learns the latest instance from the
     // acceptors before proposing (client requests are buffered meanwhile).
-    hardware_leader_.BeginSequenceLearning(leader_options_.active_probe);
+    hardware_leader_.BeginSequenceLearning(active_probe_);
     ArmLearningTimeout(Placement::kNetwork);
   }
 }
@@ -241,7 +234,7 @@ void PaxosLeaderMigrator::ArmLearningTimeout(Placement for_placement) {
   // Passive learning (the paper's mode) must not deadlock: after the
   // timeout, release buffered proposals; acceptor hints and client retries
   // then teach the sequence (§9.2, Fig 7's ~100 ms gap).
-  sim().Schedule(leader_options_.learning_timeout, [this, for_placement] {
+  sim().Schedule(learning_timeout_, [this, for_placement] {
     if (placement() != for_placement) {
       return;  // Another shift happened meanwhile.
     }
@@ -271,7 +264,7 @@ void PaxosLeaderMigrator::AbandonToHost() {
   StateTransferMigrator::AbandonToHost();
   software_leader_.SetActive(true);
   RepointService(software_port_);
-  software_leader_.BeginSequenceLearning(leader_options_.active_probe);
+  software_leader_.BeginSequenceLearning(active_probe_);
   ArmLearningTimeout(Placement::kHost);
 }
 
@@ -279,15 +272,15 @@ void PaxosLeaderMigrator::ShiftToHost() {
   if (placement() == Placement::kHost) {
     return;
   }
-  if (!leader_options_.transfer_state) {
+  if (!transfer_state()) {
     ++ballot_;
     software_leader_.state().Reset(ballot_);
   }
   StateTransferMigrator::ShiftToHost();
   software_leader_.SetActive(true);
   RepointService(software_port_);
-  if (!leader_options_.transfer_state) {
-    software_leader_.BeginSequenceLearning(leader_options_.active_probe);
+  if (!transfer_state()) {
+    software_leader_.BeginSequenceLearning(active_probe_);
     ArmLearningTimeout(Placement::kHost);
   }
 }

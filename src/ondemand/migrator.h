@@ -17,7 +17,6 @@
 #define INCOD_SRC_ONDEMAND_MIGRATOR_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/app/app.h"
@@ -45,7 +44,6 @@ class Migrator {
 
   virtual void ShiftToNetwork() = 0;
   virtual void ShiftToHost() = 0;
-  virtual std::string MigratorName() const = 0;
 
   Placement placement() const { return placement_; }
   const std::vector<TransitionEvent>& transitions() const { return transitions_; }
@@ -103,7 +101,6 @@ class StateTransferMigrator : public Migrator {
 
   void ShiftToNetwork() override;
   void ShiftToHost() override;
-  std::string MigratorName() const override;
 
   // Crash-recovery surface. AbandonToHost is ShiftToHost minus the state
   // transfer: the offload placement is dead, so nothing can be snapshotted
@@ -126,7 +123,7 @@ class StateTransferMigrator : public Migrator {
   // Warm/cold knob for subsequent shifts: on, every shift carries the typed
   // AppState snapshot; off, the paper's classifier-flip (caches re-warm).
   // The rack orchestrator applies each app's per-app policy through this.
-  virtual void SetTransferState(bool enabled) { options_.transfer_state = enabled; }
+  void SetTransferState(bool enabled) { options_.transfer_state = enabled; }
   bool transfer_state() const { return options_.transfer_state; }
   OffloadTarget& target() { return target_; }
   const OffloadTarget& target() const { return target_; }
@@ -173,8 +170,6 @@ class ClassifierMigrator : public StateTransferMigrator {
       : StateTransferMigrator(sim, target, options, host_app, offload_app) {}
   ClassifierMigrator(Simulation& sim, OffloadTarget& target)
       : ClassifierMigrator(sim, target, Options{}) {}
-
-  std::string MigratorName() const override;
 };
 
 // Paxos leader migrator (§9.2): "we use a centralized controller to initiate
@@ -216,17 +211,8 @@ class PaxosLeaderMigrator : public StateTransferMigrator {
   // carry — the software leader Reset()s to a fresh higher ballot and
   // re-learns (or a checkpoint restore follows and supersedes the learning).
   void AbandonToHost() override;
-  std::string MigratorName() const override { return "paxos-leader"; }
-
-  // Keeps the leader-election options in lockstep with the generic core's
-  // transfer knob (the orchestrator's warm/cold policy flows through here).
-  void SetTransferState(bool enabled) override {
-    StateTransferMigrator::SetTransferState(enabled);
-    leader_options_.transfer_state = enabled;
-  }
 
   uint16_t current_ballot() const { return ballot_; }
-  const Options& leader_options() const { return leader_options_; }
 
  protected:
   void MutateStateForTransfer(AppState& state, Placement to) override;
@@ -241,7 +227,8 @@ class PaxosLeaderMigrator : public StateTransferMigrator {
   int software_port_;
   P4xosFpgaApp& hardware_leader_;
   int hardware_port_;
-  Options leader_options_;
+  bool active_probe_;
+  SimDuration learning_timeout_;
   uint16_t ballot_;
 };
 

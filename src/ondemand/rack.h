@@ -1,15 +1,18 @@
 // Rack-scale on-demand orchestration.
 //
-// §9.1's controllers manage one (host, device, app) pair. A rack runs many:
-// several servers, a mix of offload targets (FPGA NICs, SmartNICs, the
-// programmable ToR switch), and a shared power budget at the PDU. The
-// orchestrator generalizes the paper's placement decision to that setting:
-// every decision period it reads each application's classifier-visible rate,
-// predicts both placements' power with the §8 models, and greedily places
-// each app on the cheapest *eligible* target — eligible meaning the target
-// has spare packet capacity, is not mid-reprogram, and the rack's shared
-// power ledger can absorb the predicted draw. Apps whose offload stops
-// paying for itself are shifted home and their budget released.
+// §9.1's threshold controller (OnDemandController) manages one (host,
+// device, app) pair. A rack runs many: several servers, a mix of offload
+// targets (FPGA NICs, SmartNICs, the programmable ToR switch), and a shared
+// power budget at the PDU. The orchestrator generalizes the paper's
+// placement decision to that setting: every decision period it reads each
+// application's classifier-visible rate, predicts both placements' power
+// with the §8 models, and greedily places each app on the cheapest
+// *eligible* target — eligible meaning the target has spare packet
+// capacity, is not mid-reprogram, and the rack's shared power ledger can
+// absorb the predicted draw. Apps whose offload stops paying for itself are
+// shifted home and their budget released. With one app and one option this
+// is the §8 energy-aware rule: shift when the predicted saving clears
+// min_saving_watts, in either direction, subject to min_dwell.
 #ifndef INCOD_SRC_ONDEMAND_RACK_H_
 #define INCOD_SRC_ONDEMAND_RACK_H_
 
@@ -130,7 +133,7 @@ struct RackOrchestratorConfig {
   // Shared offload power budget (<= 0: unlimited).
   double power_budget_watts = 0;
   // Shift only when the predicted saving exceeds this margin (hysteresis
-  // falls out of applying it in both directions, like EnergyAwareController).
+  // falls out of applying it in both directions).
   double min_saving_watts = 2.0;
   // Predicted-watts penalty for choosing a reprogram-parked target.
   double reprogram_penalty_watts = 1.0;

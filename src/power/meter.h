@@ -74,8 +74,7 @@ class RaplCounter {
   // Monotonic energy counter in microjoules (as of the last update tick).
   uint64_t EnergyMicrojoules() const { return energy_uj_; }
 
-  // Average watts between two counter reads taken `interval` apart:
-  // convenience wrapper the host controller uses.
+  // Average watts between two counter reads taken `interval` apart.
   double AverageWattsSince(uint64_t prior_energy_uj, SimDuration interval) const;
 
  private:

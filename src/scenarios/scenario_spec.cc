@@ -73,11 +73,6 @@ void ScenarioTestbed::Build() {
   if (spec_.tor.present) {
     // Switch-centric scenario: members hang off the ToR; the single-chain
     // host/target sections are ignored.
-    if (spec_.controller.present) {
-      throw std::invalid_argument(
-          "ScenarioSpec: the single-chain controller does not apply to a "
-          "switch-centric scenario (drive members via migrators/orchestrator)");
-    }
     BuildTor();
     BuildMembers();
     builder_.StartMeter();
@@ -94,7 +89,6 @@ void ScenarioTestbed::Build() {
   BuildHost();
   BuildTarget();
   builder_.StartMeter();
-  BuildController();
   BuildWorkload();
   BuildFaults();
 }
@@ -402,27 +396,6 @@ void ScenarioTestbed::BuildTarget() {
       return;
     }
   }
-}
-
-void ScenarioTestbed::BuildController() {
-  if (!spec_.controller.present) {
-    return;
-  }
-  // The classifier flip works against any offload-capable ingress device.
-  OffloadTarget* target = fpga_ != nullptr ? static_cast<OffloadTarget*>(fpga_)
-                                           : static_cast<OffloadTarget*>(smartnic_);
-  if (target == nullptr || offload_app_ == nullptr) {
-    throw std::invalid_argument("ScenarioSpec: controller needs an offloaded app");
-  }
-  ClassifierMigrator::Options options =
-      ClassifierMigrator::Options::FromPolicy(spec_.controller.park_policy);
-  options.transfer_state = spec_.controller.transfer_state;
-  migrator_ = std::make_unique<ClassifierMigrator>(
-      sim_, *target, options, host_apps_.empty() ? nullptr : host_apps_.front().get(),
-      offload_app_.get());
-  controller_ = std::make_unique<NetworkController>(sim_, *target, *migrator_,
-                                                    spec_.controller.network);
-  controller_->Start();
 }
 
 NodeId ScenarioTestbed::ServiceNode() const {

@@ -2,7 +2,7 @@
 //
 // A ScenarioSpec is a struct literal naming *what* a testbed contains —
 // host node, offload target, applications by registry name, workload,
-// controller policy — and ScenarioTestbed turns it into a wired topology:
+// faults, flow control — and ScenarioTestbed turns it into a wired topology:
 //
 //   ScenarioSpec spec;
 //   spec.host.apps = {"kvs"};
@@ -25,8 +25,6 @@
 #include "src/app/app_registry.h"
 #include "src/device/switch_offload.h"
 #include "src/fault/fault_injector.h"
-#include "src/ondemand/controller.h"
-#include "src/ondemand/migrator.h"
 #include "src/scenarios/testbed_builder.h"
 
 namespace incod {
@@ -112,15 +110,6 @@ struct ScenarioWorkloadSpec {
   LoadClientConfig client;
 };
 
-// Declarative on-demand policy: a §9.1 network controller driving a
-// classifier migrator with the chosen §9.2 park policy.
-struct ScenarioControllerSpec {
-  bool present = false;
-  ParkPolicy park_policy = ParkPolicy::kGatedPark;
-  bool transfer_state = false;  // Generic state transfer on each shift.
-  NetworkControllerConfig network;
-};
-
 // Rack-wide congestion-control knobs, applied to the spec at Build(). When
 // `enabled`, every built link (client uplinks, member ToR links, PCIe hops)
 // gets the PFC/ECN template below, every built server pauses its uplink at
@@ -167,7 +156,6 @@ struct ScenarioSpec {
   ScenarioFlowSpec flow;
   ScenarioHostNicSpec hostnic;
   ScenarioWorkloadSpec workload;
-  ScenarioControllerSpec controller;
   // Shared factory resources/knobs (zone, paxos group, per-family configs).
   AppFactoryEnv env;
   // Switch-centric topology: when tor.present, `members` are built hanging
@@ -207,8 +195,9 @@ struct ScenarioMember {
 RequestFactory MakeScenarioRequestFactory(const ScenarioWorkloadSpec& workload,
                                           NodeId service, const Zone* zone);
 
-// A testbed built from a spec. Owns the registry-created apps, the
-// migrator/controller when requested, and everything TestbedBuilder owns.
+// A testbed built from a spec. Owns the registry-created apps and
+// everything TestbedBuilder owns; on-demand control (migrators, controllers,
+// orchestrators) is wired by the caller against the built components.
 class ScenarioTestbed {
  public:
   ScenarioTestbed(Simulation& sim, ScenarioSpec spec);
@@ -228,8 +217,6 @@ class ScenarioTestbed {
   ConventionalNic* nic() { return nic_; }
   SmartNic* smartnic() { return smartnic_; }
   LoadClient* client() { return client_; }
-  ClassifierMigrator* migrator() { return migrator_.get(); }
-  NetworkController* controller() { return controller_.get(); }
   // Always present: the spec's fault plan was armed against it at Build();
   // callers may register more entities (or a power-cap handler) afterwards.
   FaultInjector& faults() { return *faults_; }
@@ -292,7 +279,6 @@ class ScenarioTestbed {
   void BuildHost();
   void BuildTarget();
   void BuildWorkload();
-  void BuildController();
   void BuildTor();
   void BuildMembers();
   void BuildMember(const ScenarioMemberSpec& member_spec);
@@ -315,8 +301,6 @@ class ScenarioTestbed {
   std::vector<ScenarioMember> members_;
   std::vector<std::unique_ptr<App>> host_apps_;
   std::unique_ptr<App> offload_app_;
-  std::unique_ptr<ClassifierMigrator> migrator_;
-  std::unique_ptr<NetworkController> controller_;
   std::unique_ptr<FaultInjector> faults_;
 };
 

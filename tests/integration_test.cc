@@ -166,8 +166,8 @@ TEST(KvsIntegrationTest, Fig6StyleHostControlledTransition) {
   controller_config.up_window = Seconds(3);
   controller_config.down_rate_pps = 1000000.0;  // Don't shift back here.
   controller_config.down_power_watts = 0.0;
-  HostController controller(sim, *testbed.server(), AppProto::kKv, rapl,
-                            *testbed.fpga(), migrator, controller_config);
+  OnDemandController controller(sim, *testbed.server(), AppProto::kKv, rapl, *testbed.fpga(),
+                                migrator, controller_config);
   controller.Start();
 
   BackgroundLoad chainer(sim, *testbed.server(), 3.0);
@@ -182,6 +182,8 @@ TEST(KvsIntegrationTest, Fig6StyleHostControlledTransition) {
   // sustained window filled — not before, and not instantly.
   EXPECT_GT(migrator.transitions()[0].at, Seconds(3));
   EXPECT_LT(migrator.transitions()[0].at, Seconds(8));
+  // Exact tick: the sustained window fills at 3.7 s.
+  EXPECT_EQ(migrator.transitions()[0].at, Milliseconds(3700));
   // Throughput maintained: client keeps completing ~100 K/s after the shift.
   const double rate_after = client.completion_rate().MeanValueBetween(
       Seconds(8), Seconds(10));
@@ -260,11 +262,14 @@ TEST(DnsIntegrationTest, NetworkControlledShift) {
   controller_config.up_rate_pps = 150000;
   controller_config.up_window = Seconds(1);
   controller_config.down_rate_pps = 50000;
-  NetworkController controller(sim, *testbed.fpga(), migrator, controller_config);
+  OnDemandController controller(sim, *testbed.fpga(), migrator, controller_config);
   controller.Start();
   client.Start();
   sim.RunUntil(Seconds(3));
   EXPECT_EQ(migrator.placement(), Placement::kNetwork);
+  // Shifts once the 1 s rate window is full, at the 1.1 s check.
+  ASSERT_EQ(migrator.transitions().size(), 1u);
+  EXPECT_EQ(migrator.transitions()[0].at, Milliseconds(1100));
   EXPECT_GT(testbed.emu()->answered(), 0u);
 }
 

@@ -325,7 +325,7 @@ TEST(ControllerPortabilityTest, NetworkControllerDrivesSwitchTarget) {
   config.down_rate_pps = 10000;
   config.down_window = Milliseconds(500);
   config.min_dwell = Milliseconds(100);
-  NetworkController controller(h.sim, *h.target, migrator, config);
+  OnDemandController controller(h.sim, *h.target, migrator, config);
   controller.Start();
 
   // 100 kqps for one second: the controller must load the program.

@@ -91,7 +91,6 @@ class FakeMigrator : public Migrator {
  public:
   void ShiftToNetwork() override { RecordTransition(0, Placement::kNetwork); }
   void ShiftToHost() override { RecordTransition(0, Placement::kHost); }
-  std::string MigratorName() const override { return "fake"; }
 };
 
 struct NetworkControllerHarness {
@@ -128,7 +127,7 @@ TEST(NetworkControllerTest, ShiftsUpWhenRateSustained) {
   config.down_rate_pps = 20000;
   config.down_window = Seconds(1);
   config.min_dwell = Milliseconds(100);
-  NetworkController controller(h.sim, h.fpga, h.migrator, config);
+  OnDemandController controller(h.sim, h.fpga, h.migrator, config);
   controller.Start();
   h.OfferTraffic(200000, Seconds(2));
   h.sim.RunUntil(Seconds(2));
@@ -142,7 +141,7 @@ TEST(NetworkControllerTest, StaysOnHostBelowThreshold) {
   NetworkControllerConfig config;
   config.up_rate_pps = 100000;
   config.up_window = Milliseconds(500);
-  NetworkController controller(h.sim, h.fpga, h.migrator, config);
+  OnDemandController controller(h.sim, h.fpga, h.migrator, config);
   controller.Start();
   h.OfferTraffic(30000, Seconds(2));
   h.sim.RunUntil(Seconds(2));
@@ -158,7 +157,7 @@ TEST(NetworkControllerTest, ShiftsBackWhenLoadDrops) {
   config.down_rate_pps = 20000;
   config.down_window = Milliseconds(500);
   config.min_dwell = Milliseconds(100);
-  NetworkController controller(h.sim, h.fpga, h.migrator, config);
+  OnDemandController controller(h.sim, h.fpga, h.migrator, config);
   controller.Start();
   h.OfferTraffic(200000, Seconds(1));
   h.sim.RunUntil(Seconds(1));
@@ -178,7 +177,7 @@ TEST(NetworkControllerTest, HysteresisPreventsOscillation) {
   config.down_rate_pps = 50000;
   config.down_window = Milliseconds(500);
   config.min_dwell = Milliseconds(100);
-  NetworkController controller(h.sim, h.fpga, h.migrator, config);
+  OnDemandController controller(h.sim, h.fpga, h.migrator, config);
   controller.Start();
   h.OfferTraffic(100000, Seconds(4));  // Between down (50K) and up (150K).
   h.sim.RunUntil(Seconds(4));
@@ -215,8 +214,7 @@ TEST(HostControllerTest, ShiftsWhenPowerAndCpuSustained) {
   config.up_cpu_usage = -1.0;  // CPU gate disabled for this test.
   config.up_window = Seconds(1);
   config.min_dwell = Milliseconds(100);
-  HostController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, h.migrator,
-                            config);
+  OnDemandController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, h.migrator, config);
   controller.Start();
   h.server.SetBackgroundUtilization(3.5);  // Pushes RAPL well above 25 W.
   h.sim.RunUntil(Seconds(3));
@@ -228,8 +226,7 @@ TEST(HostControllerTest, NoShiftWhenPowerLow) {
   HostControllerConfig config;
   config.up_power_watts = 25.0;
   config.up_cpu_usage = 0.0;
-  HostController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, h.migrator,
-                            config);
+  OnDemandController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, h.migrator, config);
   controller.Start();
   h.sim.RunUntil(Seconds(3));  // Idle server: RAPL ~8 W.
   EXPECT_EQ(h.migrator.placement(), Placement::kHost);
@@ -243,8 +240,7 @@ TEST(HostControllerTest, RequiresSustainedWindowNotSpike) {
   config.up_power_watts = 25.0;
   config.up_cpu_usage = -1.0;
   config.up_window = Seconds(3);
-  HostController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, h.migrator,
-                            config);
+  OnDemandController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, h.migrator, config);
   controller.Start();
   // A 500 ms spike, then idle.
   h.server.SetBackgroundUtilization(4.0);
@@ -263,8 +259,7 @@ TEST(HostControllerTest, ShiftsBackOnLowDeviceRate) {
   config.down_power_watts = 200.0;
   config.down_window = Milliseconds(500);
   config.min_dwell = Milliseconds(100);
-  HostController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, h.migrator,
-                            config);
+  OnDemandController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, h.migrator, config);
   controller.Start();
   h.server.SetBackgroundUtilization(3.5);
   h.sim.RunUntil(Seconds(2));
@@ -349,7 +344,6 @@ class TimedFakeMigrator : public Migrator {
   explicit TimedFakeMigrator(Simulation& sim) : sim_(sim) {}
   void ShiftToNetwork() override { RecordTransition(sim_.Now(), Placement::kNetwork); }
   void ShiftToHost() override { RecordTransition(sim_.Now(), Placement::kHost); }
-  std::string MigratorName() const override { return "timed-fake"; }
 
  private:
   Simulation& sim_;
@@ -375,7 +369,7 @@ TEST(NetworkControllerTest, OscillatingRateShiftsAtMostOncePerDwell) {
   config.down_rate_pps = 90000;  // Narrow band: both thresholds crossable.
   config.down_window = Milliseconds(200);
   config.min_dwell = Seconds(1);
-  NetworkController controller(h.sim, h.fpga, migrator, config);
+  OnDemandController controller(h.sim, h.fpga, migrator, config);
   controller.Start();
   // 250 ms bursts of 150 kpps alternating with 250 ms of ~20 kpps.
   for (int cycle = 0; cycle < 16; ++cycle) {
@@ -391,6 +385,29 @@ TEST(NetworkControllerTest, OscillatingRateShiftsAtMostOncePerDwell) {
   EXPECT_LE(migrator.transitions().size(), 9u);
 }
 
+TEST(NetworkControllerTest, ShiftBackWaitsForAFullWindowAfterShift) {
+  // A shift clears the other direction's means, so the way back needs a
+  // full down_window of post-shift samples. Without the clear, the quiet
+  // samples from before a short burst would send the app home one dwell
+  // after it arrived.
+  NetworkControllerHarness h;
+  TimedFakeMigrator migrator(h.sim);
+  NetworkControllerConfig config;
+  config.up_rate_pps = 100000;
+  config.up_window = Milliseconds(200);
+  config.down_rate_pps = 80000;
+  config.down_window = Seconds(1);
+  config.min_dwell = Milliseconds(100);
+  OnDemandController controller(h.sim, h.fpga, migrator, config);
+  controller.Start();
+  h.sim.ScheduleAt(Seconds(2), [&h] { h.OfferTraffic(200000, Milliseconds(300)); });
+  h.sim.RunUntil(Seconds(5));
+  ASSERT_EQ(migrator.transitions().size(), 2u);
+  EXPECT_EQ(migrator.transitions()[0].to, Placement::kNetwork);
+  EXPECT_EQ(migrator.transitions()[1].to, Placement::kHost);
+  EXPECT_GE(migrator.transitions()[1].at - migrator.transitions()[0].at, config.down_window);
+}
+
 TEST(HostControllerTest, OscillatingPowerShiftsAtMostOncePerDwell) {
   HostControllerHarness h;
   TimedFakeMigrator migrator(h.sim);
@@ -402,8 +419,7 @@ TEST(HostControllerTest, OscillatingPowerShiftsAtMostOncePerDwell) {
   config.down_power_watts = 25.0;
   config.down_window = Milliseconds(200);
   config.min_dwell = Seconds(1);
-  HostController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, migrator,
-                            config);
+  OnDemandController controller(h.sim, h.server, AppProto::kKv, h.rapl, h.fpga, migrator, config);
   controller.Start();
   // RAPL square wave straddling the 25 W threshold every 300 ms.
   for (int cycle = 0; cycle < 14; ++cycle) {

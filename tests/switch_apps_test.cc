@@ -1,6 +1,6 @@
 // Tests for the in-switch applications (NetCache-style KVS, switch DNS,
-// P4xos on the ASIC), the §9.2 park policies, and the energy-aware
-// controller extension.
+// P4xos on the ASIC), the §9.2 park policies, and energy-aware placement
+// on a one-app rack orchestrator.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,8 +13,9 @@
 #include "src/kvs/memcached_server.h"
 #include "src/kvs/netcache.h"
 #include "src/net/topology.h"
-#include "src/ondemand/energy_controller.h"
+#include "src/ondemand/energy_advisor.h"
 #include "src/ondemand/migrator.h"
+#include "src/ondemand/rack.h"
 #include "src/paxos/p4xos.h"
 #include "src/paxos/roles.h"
 #include "src/power/cpu_power.h"
@@ -404,11 +405,36 @@ TEST(ParkPolicyTest, ReprogramHaltsTraffic) {
   EXPECT_TRUE(h.fpga.app_active());
 }
 
-// ---- Energy-aware controller ----
+// ---- Energy-aware placement ----
+//
+// §9.1's "more sophisticated algorithms": shift when the §8 models predict
+// a saving of at least min_saving_watts, in either direction. That rule is
+// RackOrchestrator's; here it runs on a one-app, one-option rack.
 
-struct EnergyControllerHarness {
-  EnergyControllerHarness() : sim(1), fpga(sim, ParkHarness::Config()) {
+RatePowerFn KvsSoftwareWatts() {
+  auto server = MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4);
+  return [server](double r) { return server(r) + 4.0; };
+}
+
+RatePowerFn LakeWatts() { return MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6); }
+
+struct EnergyPlacementHarness {
+  explicit EnergyPlacementHarness(SimDuration min_dwell = Seconds(1))
+      : sim(1), fpga(sim, ParkHarness::Config()), orchestrator(sim, Config(min_dwell)) {
     fpga.InstallApp(&lake);
+  }
+  static RackOrchestratorConfig Config(SimDuration min_dwell) {
+    RackOrchestratorConfig config;
+    config.min_dwell = min_dwell;
+    return config;
+  }
+  RackAppSpec Spec() {
+    RackAppSpec spec;
+    spec.name = "kvs";
+    spec.software_watts = KvsSoftwareWatts();
+    spec.measured_rate_pps = [this] { return fpga.AppIngressRatePerSecond(); };
+    spec.options.push_back(RackPlacementOption{&fpga, &migrator, LakeWatts()});
+    return spec;
   }
   void OfferTraffic(double rate_pps, SimDuration duration) {
     const auto gap = static_cast<SimDuration>(1e9 / rate_pps);
@@ -425,60 +451,39 @@ struct EnergyControllerHarness {
       });
     }
   }
-  struct FakeLikeMigrator : Migrator {
-    void ShiftToNetwork() override { RecordTransition(0, Placement::kNetwork); }
-    void ShiftToHost() override { RecordTransition(0, Placement::kHost); }
-    std::string MigratorName() const override { return "fake"; }
-  };
 
   Simulation sim;
   LakeCache lake{LakeConfig{}};
   FpgaNic fpga;
-  FakeLikeMigrator migrator;
+  ClassifierMigrator migrator{sim, fpga};
+  RackOrchestrator orchestrator;
 };
 
-TEST(EnergyAwareControllerTest, ShiftsWhenModelPredictsSaving) {
-  EnergyControllerHarness h;
-  EnergyAwareControllerConfig config;
-  config.window = Milliseconds(500);
-  config.min_dwell = Milliseconds(100);
-  EnergyAwareController controller(
-      h.sim, h.fpga, h.migrator,
-      [](double r) { return MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4)(r) + 4.0; },
-      MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6), config);
-  controller.Start();
+TEST(EnergyAwarePlacementTest, ShiftsWhenModelPredictsSaving) {
+  EnergyPlacementHarness h(Milliseconds(100));
+  h.orchestrator.AddApp(h.Spec());
+  h.orchestrator.Start();
   // 400 kpps: software would draw ~85 W vs LaKe's ~59 W -> shift.
   h.OfferTraffic(400000, Seconds(2));
   h.sim.RunUntil(Seconds(2));
   EXPECT_EQ(h.migrator.placement(), Placement::kNetwork);
-  EXPECT_GT(controller.last_predicted_saving_watts(), 10.0);
+  EXPECT_GT(KvsSoftwareWatts()(400000) - LakeWatts()(400000), 10.0);
 }
 
-TEST(EnergyAwareControllerTest, StaysOnHostWhenSoftwareCheaper) {
-  EnergyControllerHarness h;
-  EnergyAwareControllerConfig config;
-  config.window = Milliseconds(500);
-  EnergyAwareController controller(
-      h.sim, h.fpga, h.migrator,
-      [](double r) { return MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4)(r) + 4.0; },
-      MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6), config);
-  controller.Start();
+TEST(EnergyAwarePlacementTest, StaysOnHostWhenSoftwareCheaper) {
+  EnergyPlacementHarness h;
+  h.orchestrator.AddApp(h.Spec());
+  h.orchestrator.Start();
   h.OfferTraffic(20000, Seconds(2));  // Far below the ~86 kpps tipping point.
   h.sim.RunUntil(Seconds(2));
   EXPECT_EQ(h.migrator.placement(), Placement::kHost);
-  EXPECT_LT(controller.last_predicted_saving_watts(), 0.0);
+  EXPECT_LT(KvsSoftwareWatts()(20000) - LakeWatts()(20000), 0.0);
 }
 
-TEST(EnergyAwareControllerTest, ShiftsBackWhenLoadDrops) {
-  EnergyControllerHarness h;
-  EnergyAwareControllerConfig config;
-  config.window = Milliseconds(500);
-  config.min_dwell = Milliseconds(100);
-  EnergyAwareController controller(
-      h.sim, h.fpga, h.migrator,
-      [](double r) { return MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4)(r) + 4.0; },
-      MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6), config);
-  controller.Start();
+TEST(EnergyAwarePlacementTest, ShiftsBackWhenLoadDrops) {
+  EnergyPlacementHarness h(Milliseconds(100));
+  h.orchestrator.AddApp(h.Spec());
+  h.orchestrator.Start();
   h.OfferTraffic(400000, Seconds(1));
   h.sim.RunUntil(Seconds(1));
   EXPECT_EQ(h.migrator.placement(), Placement::kNetwork);
@@ -486,11 +491,14 @@ TEST(EnergyAwareControllerTest, ShiftsBackWhenLoadDrops) {
   EXPECT_EQ(h.migrator.placement(), Placement::kHost);
 }
 
-TEST(EnergyAwareControllerTest, RejectsNullModels) {
-  EnergyControllerHarness h;
-  EXPECT_THROW(EnergyAwareController(h.sim, h.fpga, h.migrator, nullptr,
-                                     MakeFpgaRatePower(35, 24, 1, 13e6)),
-               std::invalid_argument);
+TEST(EnergyAwarePlacementTest, RejectsNullModels) {
+  EnergyPlacementHarness h;
+  RackAppSpec no_software = h.Spec();
+  no_software.software_watts = nullptr;
+  EXPECT_THROW(h.orchestrator.AddApp(std::move(no_software)), std::invalid_argument);
+  RackAppSpec no_network = h.Spec();
+  no_network.options[0].network_watts = nullptr;
+  EXPECT_THROW(h.orchestrator.AddApp(std::move(no_network)), std::invalid_argument);
 }
 
 }  // namespace
