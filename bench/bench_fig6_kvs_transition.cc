@@ -137,20 +137,22 @@ TransitionResult RunTransition(bool warm) {
 // the store through the generic state-transfer path.
 TransitionResult RunSmartNicTransition(bool warm) {
   Simulation sim(23);
+  ScenarioMemberSpec kvs;
+  kvs.host.config.name = "kvs-host";
+  kvs.host.config.node = 1;
+  kvs.host.apps = {"kvs"};
+  kvs.target.kind = ScenarioTargetKind::kSmartNic;
+  kvs.target.name = "kvs-smartnic";
+  kvs.target.smartnic_preset = "accelnet-fpga";
+  kvs.target.device_node = 50;
+  kvs.target.app = "kvs";
+  kvs.target.initially_active = false;
   ScenarioSpec spec;
   spec.name = "fig6-smartnic";
-  spec.host.config.name = "kvs-host";
-  spec.host.config.node = 1;
-  spec.host.apps = {"kvs"};
-  spec.target.kind = ScenarioTargetKind::kSmartNic;
-  spec.target.name = "kvs-smartnic";
-  spec.target.smartnic_preset = "accelnet-fpga";
-  spec.target.device_node = 50;
-  spec.target.app = "kvs";
-  spec.target.initially_active = false;
+  spec.members = {kvs};
   ScenarioTestbed testbed(sim, std::move(spec));
-  auto* memcached = testbed.host_app_as<MemcachedServer>(0);
-  auto* lake = testbed.offload_app_as<LakeCache>();
+  auto* memcached = testbed.member_host_app_as<MemcachedServer>(0);
+  auto* lake = testbed.member_offload_app_as<LakeCache>(0);
 
   for (uint64_t k = 0; k < kTransitionKeys; ++k) {
     memcached->store().Set(k, 64);
@@ -163,8 +165,8 @@ TransitionResult RunSmartNicTransition(bool warm) {
   ClassifierMigrator::Options migrate_options =
       ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
   migrate_options.transfer_state = warm;
-  ClassifierMigrator migrator(sim, *testbed.smartnic(), migrate_options, memcached,
-                              testbed.offload_app());
+  ClassifierMigrator migrator(sim, *testbed.member(0).smartnic, migrate_options,
+                              memcached, lake);
   return MeasureTransition(sim, migrator, *lake, client);
 }
 

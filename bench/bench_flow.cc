@@ -76,7 +76,7 @@ ScenarioSpec OverloadSpec(bool offload, bool flow_on) {
   ScenarioSpec spec = MakeKvsScenarioSpec(options);
   spec.name = std::string(offload ? "lake" : "host") +
               (flow_on ? "-flow" : "-droptail");
-  spec.host.config.num_cores = 1;
+  spec.members[0].host.config.num_cores = 1;
   spec.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
   spec.workload.rate_per_second = kOfferedPps;
   spec.workload.keyspace = kKeyspace;
@@ -108,11 +108,11 @@ struct FlowRun {
 FlowRun RunChain(bool offload, bool flow_on, bool quick) {
   Simulation sim(kSeed);
   ScenarioTestbed testbed(sim, OverloadSpec(offload, flow_on));
-  auto* memcached = testbed.host_app_as<MemcachedServer>();
+  auto* memcached = testbed.member_host_app_as<MemcachedServer>(0);
   for (uint64_t k = 0; k < kKeyspace; ++k) {
     memcached->store().Set(k, 64);
   }
-  if (auto* lake = testbed.offload_app_as<LakeCache>()) {
+  if (auto* lake = testbed.member_offload_app_as<LakeCache>(0)) {
     lake->WarmFill(0, kKeyspace, 64);
   }
   const SimDuration window = RunWindow(quick);
@@ -120,7 +120,7 @@ FlowRun RunChain(bool offload, bool flow_on, bool quick) {
 
   FlowRun run;
   LoadClient* client = testbed.client();
-  Server* server = testbed.server();
+  Server* server = testbed.member(0).server;
   run.sent = client->sent();
   run.received = client->received();
   run.achieved_pps = static_cast<double>(run.received) / ToSeconds(window);

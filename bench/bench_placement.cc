@@ -114,7 +114,7 @@ ScenarioSpec ShapeSpec(HostNicProfile profile) {
 ShapeRun RunShape(uint32_t value_bytes, HostNicProfile profile, bool quick) {
   Simulation sim(kSeed);
   ScenarioTestbed testbed(sim, ShapeSpec(profile));
-  auto* memcached = testbed.host_app_as<MemcachedServer>();
+  auto* memcached = testbed.member_host_app_as<MemcachedServer>(0);
   for (uint64_t k = 0; k < kKeyspace; ++k) {
     memcached->store().Set(k, value_bytes);
   }
@@ -122,12 +122,12 @@ ShapeRun RunShape(uint32_t value_bytes, HostNicProfile profile, bool quick) {
   sim.RunUntil(window);
 
   ShapeRun run;
-  Server* server = testbed.server();
+  Server* server = testbed.member(0).server;
   run.capacity_kpps =
       static_cast<double>(server->requests_completed()) / ToSeconds(window) / 1000.0;
   run.server_overflow = server->dropped_overflow();
   run.host_interrupts = server->interrupts_serviced();
-  if (ConventionalNic* nic = testbed.nic()) {
+  if (ConventionalNic* nic = testbed.member(0).nic) {
     run.ring_drops = nic->ring_drops();
     run.nic_interrupts = nic->interrupts_raised();
   }

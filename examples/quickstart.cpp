@@ -31,27 +31,30 @@ Result Run(bool offload, double offered_pps) {
   // 1. A deterministic simulation.
   Simulation sim(/*seed=*/42);
 
-  // 2. The scenario, declaratively: nodes, target, app by registry name,
-  //    and the workload. ScenarioTestbed wires the topology and attaches a
-  //    wall power meter exactly as in the paper's setup.
+  // 2. The scenario, declaratively: one deployment (host, ingress device,
+  //    app by registry name) and the workload. With no ToR the spec is the
+  //    paper's client -- device -- host chain; ScenarioTestbed wires it and
+  //    attaches a wall power meter exactly as in the paper's setup.
+  ScenarioMemberSpec kvs;
+  kvs.host.config.name = "i7-server";
+  kvs.host.config.node = 1;
+  kvs.host.config.num_cores = 4;
+  kvs.host.config.power_curve = I7MemcachedCurve();
+  kvs.host.apps = {"kvs"};  // memcached, via the AppRegistry.
+  // The paper's link calibration (same as the KVS testbed).
+  kvs.target.pcie = TestbedBuilder::PcieLink(Nanoseconds(2500));
+  if (offload) {
+    kvs.target.kind = ScenarioTargetKind::kFpgaNic;
+    kvs.target.name = "netfpga-lake";
+    kvs.target.device_node = 50;
+    kvs.target.app = "kvs";  // Same name, FPGA placement: LaKe.
+  } else {
+    kvs.target.kind = ScenarioTargetKind::kConventionalNic;
+  }
   ScenarioSpec spec;
   spec.name = offload ? "kvs-lake" : "kvs-software";
-  spec.host.config.name = "i7-server";
-  spec.host.config.node = 1;
-  spec.host.config.num_cores = 4;
-  spec.host.config.power_curve = I7MemcachedCurve();
-  spec.host.apps = {"kvs"};  // memcached, via the AppRegistry.
-  // The paper's link calibration (same as the KVS testbed).
+  spec.members = {kvs};
   spec.client_link = TestbedBuilder::TenGigLink(Nanoseconds(100));
-  spec.target.pcie = TestbedBuilder::PcieLink(Nanoseconds(2500));
-  if (offload) {
-    spec.target.kind = ScenarioTargetKind::kFpgaNic;
-    spec.target.name = "netfpga-lake";
-    spec.target.device_node = 50;
-    spec.target.app = "kvs";  // Same name, FPGA placement: LaKe.
-  } else {
-    spec.target.kind = ScenarioTargetKind::kConventionalNic;
-  }
   spec.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
   spec.workload.rate_per_second = offered_pps;
   spec.workload.keyspace = 1000;
@@ -59,12 +62,12 @@ Result Run(bool offload, double offered_pps) {
   ScenarioTestbed testbed(sim, spec);
 
   // 3. Warm stores so GETs hit (the workload client is already running).
-  if (auto* memcached = testbed.host_app_as<MemcachedServer>()) {
+  if (auto* memcached = testbed.member_host_app_as<MemcachedServer>(0)) {
     for (uint64_t k = 0; k < 1000; ++k) {
       memcached->store().Set(k, 64);
     }
   }
-  if (auto* lake = testbed.offload_app_as<LakeCache>()) {
+  if (auto* lake = testbed.member_offload_app_as<LakeCache>(0)) {
     lake->WarmFill(0, 1000, 64);
   }
 

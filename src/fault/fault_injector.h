@@ -84,8 +84,9 @@ class FaultInjector {
     power_cap_handler_ = std::move(handler);
   }
 
-  // Schedules every event in the plan. Call once, at setup, before the
-  // simulation runs; throws std::invalid_argument on an unresolvable name.
+  // Schedules every event in the plan. Call at setup, before the simulation
+  // runs (a testbed arms its spec's plan; callers may arm more plans);
+  // throws std::invalid_argument on an unresolvable name.
   void Arm(const FaultPlanSpec& plan);
 
   // --- Audit surface ---

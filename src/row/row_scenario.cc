@@ -96,8 +96,8 @@ void RowScenario::BuildRack(int r) {
   const RowRackSpec& rack_spec = spec_.racks[static_cast<size_t>(r)];
   ScenarioSpec scenario = rack_spec.scenario;
   scenario.shard = r;
-  if (scenario.env.zone == nullptr) {
-    scenario.env.zone = &zone_;
+  if (scenario.zone == nullptr) {
+    scenario.zone = &zone_;
   }
   // Fold the row plan's rack-scoped faults into this rack's own plan; the
   // testbed's injector arms them with its locally-registered names.
@@ -113,7 +113,7 @@ void RowScenario::BuildRack(int r) {
     fault.at = event.at;
     scenario.faults.events.push_back(fault);
   }
-  const Zone* zone = scenario.env.zone;
+  const Zone* zone = scenario.zone;
 
   BuiltRack built;
   built.testbed = std::make_unique<ScenarioTestbed>(sharded_, std::move(scenario));

@@ -34,10 +34,10 @@ ScenarioSpec MakeDnsScenarioSpec(const DnsTestbedOptions& options, const Zone* z
 
 class DnsTestbed {
  public:
-  DnsTestbed(Simulation& sim, DnsTestbedOptions options);
+  DnsTestbed(Simulation& sim, const DnsTestbedOptions& options);
 
-  Server* server() { return testbed_->server(); }
-  FpgaNic* fpga() { return testbed_->fpga(); }
+  Server* server() { return testbed_->member(0).server; }
+  FpgaNic* fpga() { return testbed_->member(0).fpga; }
   EmuDns* emu() { return emu_; }
   NsdServer* nsd() { return nsd_; }
   Zone& zone() { return zone_; }
@@ -54,7 +54,6 @@ class DnsTestbed {
 
  private:
   Simulation& sim_;
-  DnsTestbedOptions options_;
   Zone zone_;
   std::unique_ptr<ScenarioTestbed> testbed_;
   NsdServer* nsd_ = nullptr;

@@ -8,49 +8,49 @@
 namespace incod {
 
 ScenarioSpec MakeKvsScenarioSpec(const KvsTestbedOptions& options) {
-  ScenarioSpec spec;
-  spec.name = "kvs";
-  spec.meter_period = options.meter_period;
-  spec.env.memcached = options.memcached;
-  spec.env.lake = options.lake;
-  spec.client_link = TestbedBuilder::TenGigLink(Nanoseconds(100));
-
-  spec.host.present = options.mode != KvsMode::kLakeStandalone;
-  spec.host.config.name = "i7-server";
-  spec.host.config.node = kTestbedServerNode;
-  spec.host.config.num_cores = 4;
-  spec.host.config.power_curve = I7MemcachedCurve();
-  if (spec.host.present) {
-    spec.host.apps = {"kvs"};
+  ScenarioMemberSpec kvs;
+  kvs.name = "kvs";
+  kvs.env.memcached = options.memcached;
+  kvs.env.lake = options.lake;
+  kvs.host.present = options.mode != KvsMode::kLakeStandalone;
+  kvs.host.config.name = "i7-server";
+  kvs.host.config.node = kTestbedServerNode;
+  kvs.host.config.num_cores = 4;
+  kvs.host.config.power_curve = I7MemcachedCurve();
+  if (kvs.host.present) {
+    kvs.host.apps = {"kvs"};
   }
-
+  kvs.target.pcie = TestbedBuilder::PcieLink(Nanoseconds(2500));
   switch (options.mode) {
     case KvsMode::kSoftwareOnly:
-      spec.target.kind = ScenarioTargetKind::kConventionalNic;
-      spec.target.name = "";  // Preset name (Mellanox / Intel).
-      spec.target.intel_nic = options.intel_nic;
-      spec.target.pcie = TestbedBuilder::PcieLink(Nanoseconds(2500));
+      kvs.target.kind = ScenarioTargetKind::kConventionalNic;
+      kvs.target.name = "";  // Preset name (Mellanox / Intel).
+      kvs.target.intel_nic = options.intel_nic;
       break;
     case KvsMode::kLake:
     case KvsMode::kLakeStandalone:
-      spec.target.kind = ScenarioTargetKind::kFpgaNic;
-      spec.target.name = "netfpga-lake";
-      spec.target.device_node = kTestbedDeviceNode;
-      spec.target.standalone = options.mode == KvsMode::kLakeStandalone;
-      spec.target.app = "kvs";
-      spec.target.initially_active = options.lake_initially_active;
-      spec.target.pcie = TestbedBuilder::PcieLink(Nanoseconds(2500));
+      kvs.target.kind = ScenarioTargetKind::kFpgaNic;
+      kvs.target.name = "netfpga-lake";
+      kvs.target.device_node = kTestbedDeviceNode;
+      kvs.target.standalone = options.mode == KvsMode::kLakeStandalone;
+      kvs.target.app = "kvs";
+      kvs.target.initially_active = options.lake_initially_active;
       break;
   }
+
+  ScenarioSpec spec;
+  spec.name = "kvs";
+  spec.meter_period = options.meter_period;
+  spec.client_link = TestbedBuilder::TenGigLink(Nanoseconds(100));
+  spec.members.push_back(std::move(kvs));
   return spec;
 }
 
-KvsTestbed::KvsTestbed(Simulation& sim, KvsTestbedOptions options)
-    : sim_(sim), options_(std::move(options)) {
-  testbed_ = std::make_unique<ScenarioTestbed>(sim, MakeKvsScenarioSpec(options_));
-  memcached_ = testbed_->host_app_as<MemcachedServer>();
-  lake_ = testbed_->offload_app_as<LakeCache>();
-}
+KvsTestbed::KvsTestbed(Simulation& sim, const KvsTestbedOptions& options)
+    : sim_(sim),
+      testbed_(std::make_unique<ScenarioTestbed>(sim, MakeKvsScenarioSpec(options))),
+      memcached_(testbed_->member_host_app_as<MemcachedServer>(0)),
+      lake_(testbed_->member_offload_app_as<LakeCache>(0)) {}
 
 LoadClient& KvsTestbed::AddClient(LoadClientConfig config,
                                   std::unique_ptr<ArrivalProcess> arrival,

@@ -42,13 +42,13 @@ ScenarioSpec MakeKvsScenarioSpec(const KvsTestbedOptions& options);
 
 class KvsTestbed {
  public:
-  KvsTestbed(Simulation& sim, KvsTestbedOptions options);
+  KvsTestbed(Simulation& sim, const KvsTestbedOptions& options);
 
   // Null when the mode lacks the component.
-  Server* server() { return testbed_->server(); }
-  FpgaNic* fpga() { return testbed_->fpga(); }
+  Server* server() { return testbed_->member(0).server; }
+  FpgaNic* fpga() { return testbed_->member(0).fpga; }
   LakeCache* lake() { return lake_; }
-  ConventionalNic* nic() { return testbed_->nic(); }
+  ConventionalNic* nic() { return testbed_->member(0).nic; }
   MemcachedServer* memcached() { return memcached_; }
   WallPowerMeter& meter() { return testbed_->meter(); }
   Simulation& sim() { return sim_; }
@@ -69,7 +69,6 @@ class KvsTestbed {
 
  private:
   Simulation& sim_;
-  KvsTestbedOptions options_;
   std::unique_ptr<ScenarioTestbed> testbed_;
   MemcachedServer* memcached_ = nullptr;
   LakeCache* lake_ = nullptr;

@@ -21,8 +21,6 @@ RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options) {
     ScenarioSpec& spec = rack.scenario;
     spec.name = "rack-" + std::to_string(r);
     spec.meter_period = options.meter_period;
-    spec.host.present = false;
-    spec.target.kind = ScenarioTargetKind::kNone;
     spec.tor.present = true;
     spec.tor.asic = false;  // Plain L2 ToR; the spine handles inter-rack.
     spec.tor.name = "tor-" + std::to_string(r);

@@ -209,8 +209,6 @@ ScenarioSpec MakePaxosGroupSpec(const PaxosTestbedOptions& options) {
   ScenarioSpec spec;
   spec.name = "paxos-group";
   spec.meter_period = options.meter_period;
-  spec.host.present = false;  // Switch-centric: everything is a member.
-  spec.target.kind = ScenarioTargetKind::kNone;
   spec.tor.present = true;
   spec.tor.name = "tor-switch";
 

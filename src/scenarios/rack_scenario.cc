@@ -20,9 +20,7 @@ ScenarioSpec MakeMixedRackSpec(const MixedRackOptions& options, const Zone* zone
   spec.meter_period = options.meter_period;
   spec.flow = options.flow;
   spec.hostnic = options.hostnic;
-  spec.host.present = false;  // Switch-centric: everything is a member.
-  spec.target.kind = ScenarioTargetKind::kNone;
-  spec.env.zone = zone;
+  spec.zone = zone;
 
   // Rack ToR: a Tofino-class ASIC forwarding everything at line rate.
   spec.tor.present = true;

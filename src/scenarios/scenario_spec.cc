@@ -11,14 +11,15 @@
 namespace incod {
 
 ScenarioTestbed::ScenarioTestbed(Simulation& sim, ScenarioSpec spec)
-    : sim_(sim), spec_(std::move(spec)), builder_(sim, spec_.meter_period) {
+    : sim_(sim), spec_(std::move(spec)), builder_(sim, spec_.meter_period), faults_(sim_) {
   Build();
 }
 
 ScenarioTestbed::ScenarioTestbed(ShardedSimulation& sharded, ScenarioSpec spec)
     : sim_(sharded.shard(spec.shard)),
       spec_(std::move(spec)),
-      builder_(sharded, spec_.shard, spec_.meter_period) {
+      builder_(sharded, spec_.shard, spec_.meter_period),
+      faults_(sim_) {
   Build();
 }
 
@@ -33,8 +34,6 @@ void ScenarioTestbed::ApplyFlowSpec() {
   host_flow.pfc = true;
   host_flow.cnp = spec_.flow.dcqcn;
   spec_.client_link.flow = link_flow;
-  spec_.target.pcie.flow = link_flow;
-  spec_.host.config.flow = host_flow;
   for (auto& member : spec_.members) {
     member.switch_link.flow = link_flow;
     member.target.pcie.flow = link_flow;
@@ -50,13 +49,9 @@ void ScenarioTestbed::ApplyHostNicSpec() {
   if (!spec_.hostnic.enabled) {
     return;
   }
-  const auto stamp = [this](ServerConfig& config) {
-    config.dispatch = spec_.hostnic.dispatch;
-    config.interrupt_cpu_cost = spec_.hostnic.interrupt_cpu_cost;
-  };
-  stamp(spec_.host.config);
   for (ScenarioMemberSpec& member : spec_.members) {
-    stamp(member.host.config);
+    member.host.config.dispatch = spec_.hostnic.dispatch;
+    member.host.config.interrupt_cpu_cost = spec_.hostnic.interrupt_cpu_cost;
   }
 }
 
@@ -68,41 +63,65 @@ HostNicSpec ScenarioTestbed::ResolveHostNic(const ServerConfig& host_config) con
 }
 
 void ScenarioTestbed::Build() {
+  ValidateShape();
   ApplyFlowSpec();
   ApplyHostNicSpec();
   if (spec_.tor.present) {
-    // Switch-centric scenario: members hang off the ToR; the single-chain
-    // host/target sections are ignored.
     BuildTor();
-    BuildMembers();
-    builder_.StartMeter();
-    BuildWorkload();
-    BuildFaults();
-    return;
   }
-  if (!spec_.members.empty()) {
-    throw std::invalid_argument("ScenarioSpec: members need tor.present");
-  }
-  if (!spec_.host.present && spec_.target.kind != ScenarioTargetKind::kFpgaNic) {
-    throw std::invalid_argument("ScenarioSpec: a hostless scenario needs an FPGA NIC");
-  }
-  BuildHost();
-  BuildTarget();
+  BuildMembers();
   builder_.StartMeter();
   BuildWorkload();
   BuildFaults();
 }
 
+void ScenarioTestbed::ValidateShape() const {
+  const auto reject = [](const std::string& why) {
+    throw std::invalid_argument("ScenarioSpec: " + why);
+  };
+  const bool tor = spec_.tor.present;
+  if (!tor && spec_.members.size() != 1) {
+    reject("a spec without a ToR is one chain: exactly one member");
+  }
+  if (tor && spec_.workload.kind != ScenarioWorkloadSpec::Kind::kNone) {
+    reject("declarative workloads target the chain's service; attach clients "
+           "to a switch-centric scenario via AddTorClient");
+  }
+  for (const ScenarioMemberSpec& m : spec_.members) {
+    const ScenarioTargetKind kind = m.target.kind;
+    if (m.aux) {
+      if (kind != ScenarioTargetKind::kNone || !m.switch_app.empty() || !tor) {
+        reject("aux member " + m.name + " needs a ToR and no target or switch app");
+      }
+      continue;
+    }
+    if (kind == ScenarioTargetKind::kNone && (m.host.present || !tor)) {
+      reject("member " + m.name + " needs an ingress device (or aux)");
+    }
+    if ((kind == ScenarioTargetKind::kConventionalNic ||
+         kind == ScenarioTargetKind::kSmartNic) &&
+        !m.host.present) {
+      reject("member " + m.name + " NIC needs a host (only an FPGA NIC runs hostless)");
+    }
+    if (!m.switch_app.empty() && !(tor && spec_.tor.asic)) {
+      reject("member " + m.name + " switch app needs an ASIC ToR");
+    }
+  }
+}
+
 AppFactoryEnv ScenarioTestbed::ResolveEnv(const AppFactoryEnv& env) const {
   AppFactoryEnv resolved = env;
   if (resolved.zone == nullptr) {
-    resolved.zone = spec_.env.zone;
+    resolved.zone = spec_.zone;
   }
-  if (resolved.paxos_group == nullptr) {
-    resolved.paxos_group =
-        spec_.paxos_group.has_value() ? &*spec_.paxos_group : spec_.env.paxos_group;
+  if (resolved.paxos_group == nullptr && spec_.paxos_group.has_value()) {
+    resolved.paxos_group = &*spec_.paxos_group;
   }
   return resolved;
+}
+
+std::string ScenarioTestbed::PcieLinkName(const ScenarioMemberSpec& member_spec) const {
+  return spec_.tor.present ? member_spec.link_name + "-pcie" : "pcie";
 }
 
 void ScenarioTestbed::BuildTor() {
@@ -129,11 +148,6 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
   built.name = member_spec.name;
 
   if (member_spec.aux) {
-    if (member_spec.target.kind != ScenarioTargetKind::kNone ||
-        !member_spec.switch_app.empty()) {
-      throw std::invalid_argument("ScenarioSpec: aux member " + member_spec.name +
-                                  " cannot carry a target or switch app");
-    }
     built.server = builder_.AddAuxServer(tor_, member_spec.host.config.node,
                                          member_spec.host.config.name,
                                          member_spec.aux_cores);
@@ -148,18 +162,23 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
     }
   }
 
+  // Ingress device wiring: a ToR port (behind a ToR; a chain's client plugs
+  // in at AddClient instead), then the PCIe hop to the host.
+  const auto wire = [&](auto* device) {
+    if (tor_ != nullptr) {
+      built.port = builder_.ConnectToSwitchPort(tor_, device, member_spec.switch_routes,
+                                                member_spec.switch_link,
+                                                member_spec.link_name);
+    }
+    if (built.server != nullptr) {
+      builder_.ConnectPcie(device, built.server, member_spec.target.pcie,
+                           PcieLinkName(member_spec));
+    }
+  };
   switch (member_spec.target.kind) {
     case ScenarioTargetKind::kNone:
-      if (built.server != nullptr && !member_spec.aux) {
-        throw std::invalid_argument("ScenarioSpec: member " + member_spec.name +
-                                    " host needs an ingress device (or aux)");
-      }
       break;
     case ScenarioTargetKind::kConventionalNic: {
-      if (built.server == nullptr) {
-        throw std::invalid_argument("ScenarioSpec: member " + member_spec.name +
-                                    " conventional NIC needs a host");
-      }
       ConventionalNicConfig nic_config =
           member_spec.target.intel_nic
               ? IntelX520Config(member_spec.host.config.node)
@@ -171,12 +190,7 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
         nic_config.hostnic = ResolveHostNic(member_spec.host.config);
       }
       built.nic = builder_.AddConventionalNic(nic_config, member_spec.target.metered);
-      built.port = builder_.ConnectToSwitchPort(tor_, built.nic,
-                                                member_spec.switch_routes,
-                                                member_spec.switch_link,
-                                                member_spec.link_name);
-      builder_.ConnectPcie(built.nic, built.server, member_spec.target.pcie,
-                           member_spec.link_name + "-pcie");
+      wire(built.nic);
       break;
     }
     case ScenarioTargetKind::kFpgaNic: {
@@ -195,21 +209,10 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
       if (built.offload_app != nullptr) {
         built.fpga->SetAppActive(member_spec.target.initially_active);
       }
-      built.port = builder_.ConnectToSwitchPort(tor_, built.fpga,
-                                                member_spec.switch_routes,
-                                                member_spec.switch_link,
-                                                member_spec.link_name);
-      if (built.server != nullptr) {
-        builder_.ConnectPcie(built.fpga, built.server, member_spec.target.pcie,
-                             member_spec.link_name + "-pcie");
-      }
+      wire(built.fpga);
       break;
     }
     case ScenarioTargetKind::kSmartNic: {
-      if (built.server == nullptr) {
-        throw std::invalid_argument("ScenarioSpec: member " + member_spec.name +
-                                    " SmartNIC needs a host");
-      }
       SmartNicDeviceConfig nic_config;
       nic_config.name = member_spec.target.name.empty() ? "smartnic"
                                                         : member_spec.target.name;
@@ -226,21 +229,12 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
         built.smartnic->InstallApp(built.offload_app.get());
         built.smartnic->SetAppActive(member_spec.target.initially_active);
       }
-      built.port = builder_.ConnectToSwitchPort(tor_, built.smartnic,
-                                                member_spec.switch_routes,
-                                                member_spec.switch_link,
-                                                member_spec.link_name);
-      builder_.ConnectPcie(built.smartnic, built.server, member_spec.target.pcie,
-                           member_spec.link_name + "-pcie");
+      wire(built.smartnic);
       break;
     }
   }
 
   if (!member_spec.switch_app.empty()) {
-    if (tor_asic_ == nullptr) {
-      throw std::invalid_argument("ScenarioSpec: member " + member_spec.name +
-                                  " switch app needs an ASIC ToR");
-    }
     built.switch_program_app = AppRegistry::Global().Create(
         member_spec.switch_app, PlacementKind::kSwitchAsic, env);
     auto* program = dynamic_cast<SwitchProgram*>(built.switch_program_app.get());
@@ -256,60 +250,43 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
 }
 
 void ScenarioTestbed::BuildFaults() {
-  faults_ = std::make_unique<FaultInjector>(sim_);
   const auto register_link = [this](const std::string& name) {
     if (name.empty()) {
       return;
     }
     if (Link* link = builder_.topology().FindLink(name)) {
-      faults_->RegisterLink(name, link);
+      faults_.RegisterLink(name, link);
     }
   };
   if (tor_ != nullptr) {
-    faults_->RegisterNode(tor_->SinkName(), tor_);
+    faults_.RegisterNode(tor_->SinkName(), tor_);
   }
-  if (server_ != nullptr) {
-    faults_->RegisterNode(server_->SinkName(), server_);
-  }
-  if (fpga_ != nullptr) {
-    // Both names mean engine death: TargetName ("netfpga/app") is what the
-    // orchestrator logs, SinkName ("netfpga") is what specs naturally say.
-    faults_->RegisterTarget(fpga_->TargetName(), fpga_);
-    faults_->RegisterTarget(fpga_->SinkName(), fpga_);
-  }
-  if (smartnic_ != nullptr) {
-    faults_->RegisterTarget(smartnic_->TargetName(), smartnic_);
-    faults_->RegisterTarget(smartnic_->SinkName(), smartnic_);
-  }
-  if (nic_ != nullptr) {
-    faults_->RegisterNode(nic_->SinkName(), nic_);
-  }
-  register_link("pcie");
-  register_link("client-10ge");
   for (size_t i = 0; i < members_.size(); ++i) {
     ScenarioMember& m = members_[i];
     const ScenarioMemberSpec& member_spec = spec_.members[i];
     if (m.server != nullptr) {
-      faults_->RegisterNode(m.server->SinkName(), m.server);
+      faults_.RegisterNode(m.server->SinkName(), m.server);
     }
+    // Both device names mean engine death: TargetName ("netfpga/app") is
+    // what the orchestrator logs, SinkName ("netfpga") is what specs say.
     if (m.fpga != nullptr) {
-      faults_->RegisterTarget(m.fpga->TargetName(), m.fpga);
-      faults_->RegisterTarget(m.fpga->SinkName(), m.fpga);
+      faults_.RegisterTarget(m.fpga->TargetName(), m.fpga);
+      faults_.RegisterTarget(m.fpga->SinkName(), m.fpga);
     }
     if (m.smartnic != nullptr) {
-      faults_->RegisterTarget(m.smartnic->TargetName(), m.smartnic);
-      faults_->RegisterTarget(m.smartnic->SinkName(), m.smartnic);
+      faults_.RegisterTarget(m.smartnic->TargetName(), m.smartnic);
+      faults_.RegisterTarget(m.smartnic->SinkName(), m.smartnic);
     }
     if (m.nic != nullptr) {
-      faults_->RegisterNode(m.nic->SinkName(), m.nic);
+      faults_.RegisterNode(m.nic->SinkName(), m.nic);
     }
     if (m.switch_target != nullptr) {
-      faults_->RegisterTarget(m.switch_target->TargetName(), m.switch_target.get());
+      faults_.RegisterTarget(m.switch_target->TargetName(), m.switch_target.get());
     }
     register_link(member_spec.link_name);
-    register_link(member_spec.link_name + "-pcie");
+    register_link(PcieLinkName(member_spec));
   }
-  faults_->Arm(spec_.faults);
+  faults_.Arm(spec_.faults);
 }
 
 ScenarioMember& ScenarioTestbed::member(const std::string& name) {
@@ -321,97 +298,17 @@ ScenarioMember& ScenarioTestbed::member(const std::string& name) {
   throw std::invalid_argument("ScenarioTestbed: no member named " + name);
 }
 
-void ScenarioTestbed::BuildHost() {
-  if (!spec_.host.present) {
-    return;
-  }
-  server_ = builder_.AddServer(spec_.host.config, spec_.host.metered);
-  for (const std::string& name : spec_.host.apps) {
-    auto app = AppRegistry::Global().Create(name, PlacementKind::kHost, spec_.env);
-    server_->BindApp(app.get());
-    host_apps_.push_back(std::move(app));
-  }
-}
-
-void ScenarioTestbed::BuildTarget() {
-  switch (spec_.target.kind) {
-    case ScenarioTargetKind::kNone:
-      return;
-    case ScenarioTargetKind::kConventionalNic: {
-      if (server_ == nullptr) {
-        throw std::invalid_argument("ScenarioSpec: conventional NIC needs a host");
-      }
-      ConventionalNicConfig nic_config =
-          spec_.target.intel_nic ? IntelX520Config(spec_.host.config.node)
-                                 : MellanoxConnectX3Config(spec_.host.config.node);
-      if (!spec_.target.name.empty()) {
-        nic_config.name = spec_.target.name;
-      }
-      if (spec_.hostnic.enabled) {
-        nic_config.hostnic = ResolveHostNic(spec_.host.config);
-      }
-      nic_ = builder_.AddConventionalNic(nic_config, spec_.target.metered);
-      builder_.ConnectPcie(nic_, server_, spec_.target.pcie);
-      return;
-    }
-    case ScenarioTargetKind::kFpgaNic: {
-      FpgaNicConfig fpga_config;
-      fpga_config.name = spec_.target.name.empty() ? "netfpga" : spec_.target.name;
-      fpga_config.host_node = spec_.host.config.node;
-      fpga_config.device_node = spec_.target.device_node;
-      fpga_config.standalone = spec_.target.standalone;
-      if (!spec_.target.app.empty()) {
-        offload_app_ = AppRegistry::Global().Create(spec_.target.app,
-                                                    PlacementKind::kFpgaNic, spec_.env);
-      }
-      fpga_ = builder_.AddFpgaNic(fpga_config, offload_app_.get(), spec_.target.metered);
-      if (server_ != nullptr) {
-        builder_.ConnectPcie(fpga_, server_, spec_.target.pcie);
-      }
-      if (offload_app_ != nullptr) {
-        fpga_->SetAppActive(spec_.target.initially_active);
-      }
-      return;
-    }
-    case ScenarioTargetKind::kSmartNic: {
-      if (server_ == nullptr) {
-        throw std::invalid_argument("ScenarioSpec: a SmartNIC needs a host");
-      }
-      SmartNicDeviceConfig nic_config;
-      nic_config.name = spec_.target.name.empty() ? "smartnic" : spec_.target.name;
-      nic_config.host_node = spec_.host.config.node;
-      nic_config.device_node = spec_.target.device_node;
-      if (!spec_.target.app.empty()) {
-        offload_app_ = AppRegistry::Global().Create(spec_.target.app,
-                                                    PlacementKind::kSmartNic, spec_.env);
-      }
-      smartnic_ = builder_.AddSmartNic(
-          SmartNicPresetByName(spec_.target.smartnic_preset), nic_config,
-          spec_.target.metered);
-      builder_.ConnectPcie(smartnic_, server_, spec_.target.pcie);
-      if (offload_app_ != nullptr) {
-        smartnic_->InstallApp(offload_app_.get());
-        smartnic_->SetAppActive(spec_.target.initially_active);
-      }
-      return;
-    }
-  }
-}
-
 NodeId ScenarioTestbed::ServiceNode() const {
-  if (spec_.host.present) {
-    return spec_.host.config.node;
-  }
-  return spec_.target.device_node;
-}
-
-App* ScenarioTestbed::host_app(size_t index) {
-  return index < host_apps_.size() ? host_apps_[index].get() : nullptr;
+  const ScenarioMemberSpec& chain = spec_.members.at(0);
+  return chain.host.present ? chain.host.config.node : chain.target.device_node;
 }
 
 LoadClient& ScenarioTestbed::AddClient(LoadClientConfig config,
                                        std::unique_ptr<ArrivalProcess> arrival,
                                        RequestFactory factory) {
+  if (tor_ != nullptr) {
+    throw std::logic_error("ScenarioTestbed: AddClient wires a chain; use AddTorClient");
+  }
   if (client_ != nullptr) {
     throw std::logic_error("ScenarioTestbed: client already attached");
   }
@@ -421,15 +318,16 @@ LoadClient& ScenarioTestbed::AddClient(LoadClientConfig config,
   }
   client_ = builder_.AddLoadClient(std::move(config), std::move(arrival),
                                    std::move(factory));
-  if (fpga_ != nullptr) {
-    builder_.ConnectClient(client_, fpga_, spec_.client_link);
-  } else if (smartnic_ != nullptr) {
-    builder_.ConnectClient(client_, smartnic_, spec_.client_link);
-  } else if (nic_ != nullptr) {
-    builder_.ConnectClient(client_, nic_, spec_.client_link);
+  const ScenarioMember& chain = members_.front();
+  Link* link = nullptr;
+  if (chain.fpga != nullptr) {
+    link = builder_.ConnectClient(client_, chain.fpga, spec_.client_link);
+  } else if (chain.smartnic != nullptr) {
+    link = builder_.ConnectClient(client_, chain.smartnic, spec_.client_link);
   } else {
-    throw std::logic_error("ScenarioTestbed: no ingress device for the client");
+    link = builder_.ConnectClient(client_, chain.nic, spec_.client_link);
   }
+  faults_.RegisterLink(link->name(), link);
   return *client_;
 }
 
@@ -496,13 +394,8 @@ void ScenarioTestbed::BuildWorkload() {
   if (spec_.workload.kind == Kind::kNone) {
     return;
   }
-  if (tor_ != nullptr) {
-    throw std::invalid_argument(
-        "ScenarioSpec: declarative workloads target the single-chain service; "
-        "attach clients to a switch-centric scenario via AddTorClient");
-  }
   RequestFactory factory =
-      MakeScenarioRequestFactory(spec_.workload, ServiceNode(), spec_.env.zone);
+      MakeScenarioRequestFactory(spec_.workload, ServiceNode(), spec_.zone);
   if (factory == nullptr) {
     return;
   }

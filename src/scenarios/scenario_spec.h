@@ -1,19 +1,25 @@
-// Declarative scenario description, consumed by TestbedBuilder.
+// Declarative scenario description, built by ScenarioTestbed.
 //
 // A ScenarioSpec is a struct literal naming *what* a testbed contains —
-// host node, offload target, applications by registry name, workload,
-// faults, flow control — and ScenarioTestbed turns it into a wired topology:
+// deployments (host, ingress device, applications by registry name), an
+// optional ToR, workload, faults, flow control — and ScenarioTestbed turns
+// it into a wired topology. Every deployment is a ScenarioMemberSpec. The
+// paper's §4.1 chain (client -- device -- host) is a spec with no ToR and
+// exactly one member, whose ingress device the client plugs into:
 //
+//   ScenarioMemberSpec kvs;
+//   kvs.host.apps = {"kvs"};
+//   kvs.target.kind = ScenarioTargetKind::kFpgaNic;
+//   kvs.target.app = "kvs";                   // LaKe, via the AppRegistry
 //   ScenarioSpec spec;
-//   spec.host.apps = {"kvs"};
-//   spec.target.kind = ScenarioTargetKind::kFpgaNic;
-//   spec.target.app = "kvs";                  // LaKe, via the AppRegistry
+//   spec.members = {kvs};
 //   ScenarioTestbed testbed(sim, spec);
 //
-// covers the paper's §4.1 chain family (client -- device -- host) that the
-// KVS and DNS testbeds, the Fig 3/4/6 benches, and the §9.1 controller
-// experiments all share. Apps are created through AppRegistry, so a new
-// application reaches every spec-built scenario by registering one factory.
+// A rack is the same deployment repeated behind a ToR (spec.tor). The KVS
+// and DNS testbeds and the Fig 3/4/6 benches build chains; the mixed rack,
+// trace rack, Paxos group and rows build racks. Apps are created through
+// AppRegistry, so a new application reaches every spec-built scenario by
+// registering one factory.
 #ifndef INCOD_SRC_SCENARIOS_SCENARIO_SPEC_H_
 #define INCOD_SRC_SCENARIOS_SCENARIO_SPEC_H_
 
@@ -65,12 +71,14 @@ struct ScenarioTorSpec {
   bool metered = false;          // ASIC only; an L2 switch draws no modeled power.
 };
 
-// One deployment hanging off the scenario ToR: an optional host with
-// registry apps, an optional ingress device (conventional NIC, FPGA NIC, or
-// SmartNIC, possibly carrying an offload placement of the same app), and
-// optionally a switch-hosted placement loaded into the ASIC pipeline. Dual deployments
-// (Fig 7's software + P4xos leader on one host/NIC pair) are expressed by
-// filling both host.apps and target.app with target.initially_active=false.
+// One deployment: an optional host with registry apps, an optional ingress
+// device (conventional NIC, FPGA NIC, or SmartNIC, possibly carrying an
+// offload placement of the same app), and optionally a switch-hosted
+// placement loaded into the ASIC pipeline. Behind a ToR it hangs off a
+// switch port; in a ToR-less spec it is the whole §4.1 chain, its links
+// named "client-10ge" and "pcie". Dual deployments (Fig 7's software +
+// P4xos leader on one host/NIC pair) are expressed by filling both
+// host.apps and target.app with target.initially_active=false.
 struct ScenarioMemberSpec {
   std::string name;      // Diagnostics / member lookup.
   ScenarioHostSpec host;
@@ -83,12 +91,12 @@ struct ScenarioMemberSpec {
   // service addresses). Aux members route their host node automatically.
   std::vector<NodeId> switch_routes;
   Link::Config switch_link = TestbedBuilder::TenGigLink();
-  std::string link_name = "10ge";
+  std::string link_name = "10ge";  // ToR link; its PCIe hop is "<link_name>-pcie".
   // Registry app loaded into the ASIC pipeline (kSwitchAsic placement),
   // wrapped in a SwitchOffloadTarget for migrators/orchestrators.
   std::string switch_app;
   // Per-member factory resources/knobs (role ids, per-app configs). A null
-  // zone/paxos_group inherits the spec-level resource.
+  // zone/paxos_group inherits the spec-level zone / paxos_group.
   AppFactoryEnv env;
 };
 
@@ -126,7 +134,7 @@ struct ScenarioFlowSpec {
 };
 
 // Opt-in mechanistic host-NIC datapath, applied at Build(). When `enabled`,
-// every conventional-NIC target/member gets the HostNicSpec datapath (RSS
+// every conventional-NIC member gets the HostNicSpec datapath (RSS
 // rx rings, interrupt moderation toward kernel hosts / poll draining toward
 // DPDK hosts, tx doorbell batching — host_interrupts is derived from each
 // host's NetStackType), and every built server switches to the `dispatch`
@@ -150,16 +158,16 @@ struct ScenarioSpec {
   // and any migrators live here. Clients may be placed in other shards via
   // AddTorClient's shard argument. Ignored for plain Simulation builds.
   int shard = 0;
-  ScenarioHostSpec host;
-  ScenarioTargetSpec target;
+  // The chain's client link ("client-10ge"), and every AddTorClient link.
   Link::Config client_link = TestbedBuilder::TenGigLink();
   ScenarioFlowSpec flow;
   ScenarioHostNicSpec hostnic;
   ScenarioWorkloadSpec workload;
-  // Shared factory resources/knobs (zone, paxos group, per-family configs).
-  AppFactoryEnv env;
-  // Switch-centric topology: when tor.present, `members` are built hanging
-  // off the ToR (the single-chain host/target above may stay empty).
+  // Shared read-only DNS zone: member envs with a null zone resolve against
+  // it, and a declarative kDnsQueries workload sizes its names from it.
+  const Zone* zone = nullptr;
+  // When tor.present, `members` hang off the ToR; without one the spec is
+  // the §4.1 chain and holds exactly one member.
   ScenarioTorSpec tor;
   std::vector<ScenarioMemberSpec> members;
   // Owned Paxos group, so switch-centric specs are self-contained literals:
@@ -169,8 +177,8 @@ struct ScenarioSpec {
   // against what the testbed registered: every built server / ToR by its
   // SinkName (whole-node death), every offload-capable device by both its
   // TargetName ("device/app") and bare device name (engine death — the
-  // device keeps forwarding), every link by the spec's link name (plus
-  // "<link>-pcie" for the member PCIe hops).
+  // device keeps forwarding), every link by name (a member's link_name and
+  // "<link_name>-pcie" behind a ToR; "client-10ge" and "pcie" in a chain).
   FaultPlanSpec faults;
 };
 
@@ -182,7 +190,7 @@ struct ScenarioMember {
   FpgaNic* fpga = nullptr;
   ConventionalNic* nic = nullptr;
   SmartNic* smartnic = nullptr;
-  int port = -1;  // ToR port of the member's ingress device (-1: aux-wired).
+  int port = -1;  // ToR port of the member's ingress device (-1: aux or chain).
   std::vector<std::unique_ptr<App>> host_apps;
   std::unique_ptr<App> offload_app;
   // Switch-hosted placement (when spec.switch_app was set).
@@ -211,17 +219,13 @@ class ScenarioTestbed {
   TestbedBuilder& builder() { return builder_; }
   WallPowerMeter& meter() { return builder_.meter(); }
 
-  // Null when the spec lacks the component.
-  Server* server() { return server_; }
-  FpgaNic* fpga() { return fpga_; }
-  ConventionalNic* nic() { return nic_; }
-  SmartNic* smartnic() { return smartnic_; }
+  // The chain's client (null until AddClient or a declarative workload).
   LoadClient* client() { return client_; }
   // Always present: the spec's fault plan was armed against it at Build();
   // callers may register more entities (or a power-cap handler) afterwards.
-  FaultInjector& faults() { return *faults_; }
+  FaultInjector& faults() { return faults_; }
 
-  // --- Switch-centric topology (spec.tor / spec.members) ---
+  // --- Built topology. A chain's deployment is member 0. ---
   L2Switch* tor() { return tor_; }
   SwitchAsic* tor_asic() { return tor_asic_; }  // Null for a plain L2 ToR.
   size_t member_count() const { return members_.size(); }
@@ -238,24 +242,13 @@ class ScenarioTestbed {
     return dynamic_cast<T*>(members_.at(index).offload_app.get());
   }
 
-  // Registry-built applications. Index follows spec order.
-  App* host_app(size_t index = 0);
-  App* offload_app() { return offload_app_.get(); }
-  template <typename T>
-  T* host_app_as(size_t index = 0) {
-    return dynamic_cast<T*>(host_app(index));
-  }
-  template <typename T>
-  T* offload_app_as() {
-    return dynamic_cast<T*>(offload_app_.get());
-  }
-
-  // Address clients should target (the host node, or the device when
-  // standalone).
+  // Address a chain's clients should target: member 0's host node, or its
+  // device when hostless.
   NodeId ServiceNode() const;
 
-  // Attaches the (single) open-loop client to the testbed ingress. The
-  // spec's workload (if any) was already attached at construction.
+  // Attaches the chain's (single) open-loop client to member 0's ingress
+  // device over "client-10ge", registered with faults(). The spec's
+  // workload (if any) was already attached at construction.
   LoadClient& AddClient(LoadClientConfig config, std::unique_ptr<ArrivalProcess> arrival,
                         RequestFactory factory);
   // Switch-centric scenarios: attaches an open-loop client to the ToR
@@ -268,16 +261,18 @@ class ScenarioTestbed {
 
  private:
   void Build();
+  // Rejects a malformed spec before anything is built.
+  void ValidateShape() const;
   // Stamps spec_.flow onto every link/host/client config before building.
   void ApplyFlowSpec();
   // Stamps spec_.hostnic onto every host config before building (the NIC
-  // side is resolved per conventional-NIC target in BuildTarget/BuildMember,
-  // where the host's stack type is known).
+  // side is resolved per conventional-NIC member in BuildMember, where the
+  // host's stack type is known).
   void ApplyHostNicSpec();
   // spec_.hostnic resolved against one host's stack type.
   HostNicSpec ResolveHostNic(const ServerConfig& host_config) const;
-  void BuildHost();
-  void BuildTarget();
+  // The member's PCIe hop: "pcie" in a chain, "<link_name>-pcie" behind a ToR.
+  std::string PcieLinkName(const ScenarioMemberSpec& member_spec) const;
   void BuildWorkload();
   void BuildTor();
   void BuildMembers();
@@ -291,17 +286,11 @@ class ScenarioTestbed {
   Simulation& sim_;
   ScenarioSpec spec_;
   TestbedBuilder builder_;
-  Server* server_ = nullptr;
-  FpgaNic* fpga_ = nullptr;
-  ConventionalNic* nic_ = nullptr;
-  SmartNic* smartnic_ = nullptr;
+  FaultInjector faults_;
   LoadClient* client_ = nullptr;
   L2Switch* tor_ = nullptr;
   SwitchAsic* tor_asic_ = nullptr;
   std::vector<ScenarioMember> members_;
-  std::vector<std::unique_ptr<App>> host_apps_;
-  std::unique_ptr<App> offload_app_;
-  std::unique_ptr<FaultInjector> faults_;
 };
 
 }  // namespace incod

@@ -53,9 +53,7 @@ void TraceRackScenario::Init() {
   ScenarioSpec spec;
   spec.name = "trace-rack";
   spec.meter_period = options_.meter_period;
-  spec.host.present = false;
-  spec.target.kind = ScenarioTargetKind::kNone;
-  spec.env.zone = &zone_;
+  spec.zone = &zone_;
   spec.tor.present = true;
   spec.tor.asic = true;
   spec.tor.name = "trace-tor";

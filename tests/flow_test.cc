@@ -169,14 +169,16 @@ TEST(DcqcnTest, PacerCapacityDropsExcessSubmissions) {
 // link, ECN-marked arrivals trigger CNPs, and the client's DCQCN machine
 // slows down — drops convert to backpressure.
 ScenarioSpec OverloadedKvsSpec(bool flow_on) {
+  ScenarioMemberSpec kvs;
+  kvs.host.config.name = "kvs-host";
+  kvs.host.config.node = 1;
+  kvs.host.config.num_cores = 1;
+  kvs.host.apps = {"kvs"};
+  kvs.target.kind = ScenarioTargetKind::kConventionalNic;
+  kvs.target.device_node = 50;
   ScenarioSpec spec;
   spec.name = flow_on ? "overload-flow" : "overload-drop";
-  spec.host.config.name = "kvs-host";
-  spec.host.config.node = 1;
-  spec.host.config.num_cores = 1;
-  spec.host.apps = {"kvs"};
-  spec.target.kind = ScenarioTargetKind::kConventionalNic;
-  spec.target.device_node = 50;
+  spec.members = {kvs};
   spec.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
   spec.workload.rate_per_second = 2.0e6;
   spec.workload.keyspace = 64;
@@ -193,13 +195,14 @@ TEST(FlowScenarioTest, OverloadDropsWithoutFlowControl) {
   Simulation sim(42);
   ScenarioTestbed testbed(sim, OverloadedKvsSpec(false));
   sim.RunUntil(Milliseconds(20));
-  ASSERT_NE(testbed.server(), nullptr);
+  Server* server = testbed.member(0).server;
+  ASSERT_NE(server, nullptr);
   ASSERT_NE(testbed.client(), nullptr);
   EXPECT_GT(testbed.client()->received(), 0u);
   // Drop-tail regime: the 1-core host cannot absorb 2M req/s and sheds load.
-  EXPECT_GT(testbed.server()->requests_dropped(), 0u);
-  EXPECT_EQ(testbed.server()->pause_frames_sent(), 0u);
-  EXPECT_EQ(testbed.server()->cnps_sent(), 0u);
+  EXPECT_GT(server->requests_dropped(), 0u);
+  EXPECT_EQ(server->pause_frames_sent(), 0u);
+  EXPECT_EQ(server->cnps_sent(), 0u);
   EXPECT_EQ(testbed.client()->dcqcn(), nullptr);
 }
 
@@ -207,7 +210,7 @@ TEST(FlowScenarioTest, OverloadBackpressuresWithFlowControl) {
   Simulation sim(42);
   ScenarioTestbed testbed(sim, OverloadedKvsSpec(true));
   sim.RunUntil(Milliseconds(20));
-  Server* server = testbed.server();
+  Server* server = testbed.member(0).server;
   LoadClient* client = testbed.client();
   ASSERT_NE(server, nullptr);
   ASSERT_NE(client, nullptr);
@@ -226,8 +229,9 @@ TEST(FlowScenarioTest, OverloadBackpressuresWithFlowControl) {
   // machine below line rate.
   EXPECT_GT(server->pause_frames_sent(), 0u);
   EXPECT_GT(pcie->paused_deferred(server), 0u);
-  ASSERT_NE(testbed.nic(), nullptr);
-  EXPECT_GT(testbed.nic()->pause_propagations(), 0u);
+  ConventionalNic* nic = testbed.member(0).nic;
+  ASSERT_NE(nic, nullptr);
+  EXPECT_GT(nic->pause_propagations(), 0u);
   EXPECT_GT(server->cnps_sent(), 0u);
   ASSERT_NE(client->dcqcn(), nullptr);
   EXPECT_GT(client->dcqcn()->cnps_received(), 0u);

@@ -580,8 +580,6 @@ TEST(RackWarmMigrationTest, ScenarioSpecRackWarmShiftsKvsOntoSmartNic) {
 
     ScenarioSpec spec;
     spec.name = "smartnic-rack";
-    spec.host.present = false;
-    spec.target.kind = ScenarioTargetKind::kNone;
     spec.tor.present = true;
     ScenarioMemberSpec member;
     member.name = "kvs";

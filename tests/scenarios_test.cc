@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/dns/zone.h"
+#include "src/fault/fault_injector.h"
 #include "src/kvs/kv_protocol.h"
 #include "src/kvs/lake.h"
 #include "src/kvs/memcached_server.h"
@@ -193,6 +194,127 @@ TEST(KvsTestbedTest, RegistryBuiltTestbedMatchesHandWiredResults) {
   EXPECT_EQ(spec_result.misses, hand_result.misses);
   EXPECT_DOUBLE_EQ(spec_result.p50, hand_result.p50);
   EXPECT_DOUBLE_EQ(spec_result.watts, hand_result.watts);
+}
+
+// The chain's client link is a fault target like any other link: a flap
+// armed after AddClient refuses the client's sends while it is down.
+TEST(KvsTestbedTest, ClientLinkFlapDropsTraffic) {
+  Simulation sim(1);
+  KvsTestbed testbed(sim, KvsTestbedOptions{});
+  testbed.Prefill(1000, 64);
+  LoadClient& client = testbed.AddClient(
+      LoadClientConfig{}, std::make_unique<ConstantArrival>(100000.0),
+      [](NodeId src, uint64_t id, SimTime now, Rng& rng) {
+        const uint64_t key = static_cast<uint64_t>(rng.UniformInt(0, 999));
+        return MakeKvRequestPacket(src, kTestbedServerNode,
+                                   KvRequest{KvOp::kGet, key, 0}, id, now);
+      });
+  FaultPlanSpec plan;
+  plan.events.push_back({FaultKind::kLinkDown, Milliseconds(2), "client-10ge", 0});
+  plan.events.push_back({FaultKind::kLinkUp, Milliseconds(4), "client-10ge", 0});
+  testbed.scenario().faults().Arm(plan);
+  client.Start();
+  sim.RunUntil(Milliseconds(10));
+
+  Link* link = testbed.builder().topology().FindLink("client-10ge");
+  ASSERT_NE(link, nullptr);
+  EXPECT_GT(link->dropped_link_down(testbed.fpga()), 0u);
+  EXPECT_EQ(testbed.scenario().faults().link_down_events(), 1u);
+  EXPECT_EQ(testbed.scenario().faults().link_up_events(), 1u);
+  EXPECT_GT(client.received(), 0u);
+}
+
+// --- ScenarioSpec shape checks: a malformed spec throws at construction ---
+
+ScenarioMemberSpec ShapeMember(const std::string& name, NodeId host_node) {
+  ScenarioMemberSpec member;
+  member.name = name;
+  member.link_name = name + "-10ge";
+  member.host.config.name = name + "-host";
+  member.host.config.node = host_node;
+  member.host.apps = {"kvs"};
+  member.target.kind = ScenarioTargetKind::kConventionalNic;
+  member.target.name = name + "-nic";
+  member.switch_routes = {host_node};
+  return member;
+}
+
+ScenarioSpec ShapeRack(bool asic) {
+  ScenarioSpec spec;
+  spec.tor.present = true;
+  spec.tor.asic = asic;
+  return spec;
+}
+
+TEST(ScenarioShapeTest, HostlessChainOnConventionalNicRejected) {
+  Simulation sim(1);
+  ScenarioSpec spec;
+  ScenarioMemberSpec chain = ShapeMember("kvs", 1);
+  chain.host.present = false;
+  chain.host.apps.clear();
+  spec.members = {chain};
+  EXPECT_THROW(ScenarioTestbed(sim, spec), std::invalid_argument);
+}
+
+TEST(ScenarioShapeTest, HostlessChainOnSmartNicRejected) {
+  Simulation sim(1);
+  ScenarioSpec spec;
+  ScenarioMemberSpec chain = ShapeMember("kvs", 1);
+  chain.host.present = false;
+  chain.host.apps.clear();
+  chain.target.kind = ScenarioTargetKind::kSmartNic;
+  spec.members = {chain};
+  EXPECT_THROW(ScenarioTestbed(sim, spec), std::invalid_argument);
+}
+
+// A spec without a ToR is one chain: exactly one member.
+TEST(ScenarioShapeTest, MembersWithoutTorRejected) {
+  Simulation sim(1);
+  ScenarioSpec spec;
+  spec.members = {ShapeMember("a", 1), ShapeMember("b", 2)};
+  EXPECT_THROW(ScenarioTestbed(sim, spec), std::invalid_argument);
+  EXPECT_THROW(ScenarioTestbed(sim, ScenarioSpec{}), std::invalid_argument);
+}
+
+TEST(ScenarioShapeTest, AuxMemberWithTargetRejected) {
+  Simulation sim(1);
+  ScenarioSpec spec = ShapeRack(/*asic=*/false);
+  ScenarioMemberSpec aux = ShapeMember("aux", 1);
+  aux.aux = true;
+  aux.host.apps.clear();
+  aux.target.kind = ScenarioTargetKind::kFpgaNic;
+  aux.target.app.clear();
+  spec.members = {aux};
+  EXPECT_THROW(ScenarioTestbed(sim, spec), std::invalid_argument);
+}
+
+TEST(ScenarioShapeTest, HostWithoutIngressDeviceRejected) {
+  Simulation sim(1);
+  ScenarioSpec spec = ShapeRack(/*asic=*/false);
+  ScenarioMemberSpec member = ShapeMember("kvs", 1);
+  member.target.kind = ScenarioTargetKind::kNone;
+  spec.members = {member};
+  EXPECT_THROW(ScenarioTestbed(sim, spec), std::invalid_argument);
+}
+
+TEST(ScenarioShapeTest, ConventionalNicMemberWithoutHostRejected) {
+  Simulation sim(1);
+  ScenarioSpec spec = ShapeRack(/*asic=*/false);
+  ScenarioMemberSpec member = ShapeMember("kvs", 1);
+  member.host.present = false;
+  member.host.apps.clear();
+  spec.members = {member};
+  EXPECT_THROW(ScenarioTestbed(sim, spec), std::invalid_argument);
+}
+
+TEST(ScenarioShapeTest, SwitchAppOnPlainL2TorRejected) {
+  Simulation sim(1);
+  ScenarioSpec spec = ShapeRack(/*asic=*/false);
+  ScenarioMemberSpec member = ShapeMember("kvs", 1);
+  member.switch_app = "kvs";
+  member.env.service = 1;
+  spec.members = {member};
+  EXPECT_THROW(ScenarioTestbed(sim, spec), std::invalid_argument);
 }
 
 TEST(DnsTestbedTest, ModesAndZoneSharing) {
@@ -490,9 +612,7 @@ MultiRackRunResult RunHandWiredMultiRack(ShardedSimulation::Mode mode, int threa
     spec.name = "rack-" + std::to_string(r);
     spec.shard = r;
     spec.meter_period = options.meter_period;
-    spec.host.present = false;
-    spec.target.kind = ScenarioTargetKind::kNone;
-    spec.env.zone = &zone;
+    spec.zone = &zone;
     spec.tor.present = true;
     spec.tor.asic = false;
     spec.tor.name = "tor-" + std::to_string(r);
