@@ -37,8 +37,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/kvs/lake.h"
-#include "src/kvs/memcached_server.h"
 #include "src/kvs/netcache.h"
 #include "src/row/row_scenario.h"
 #include "src/row/row_spec.h"
@@ -74,7 +72,6 @@ RowSpec OrchestratedRow(double budget_watts) {
     // One fault name shared across racks so the correlated wave can address
     // "lake" in every rack at once.
     rack.scenario.members[0].target.name = "lake";
-    rack.orchestrate = true;
     rack.orchestrator.check_period = Milliseconds(2);
     rack.orchestrator.min_dwell = Seconds(30);
     rack.orchestrator.sample_period = Milliseconds(2);
@@ -97,18 +94,6 @@ ShardedSimulation::Options ShardOptions(uint64_t seed) {
   options.mode = ShardedSimulation::Mode::kSingleQueue;
   options.seed = seed;
   return options;
-}
-
-void PrefillRacks(RowScenario& row) {
-  const MultiRackOptions options = RowBenchOptions();
-  for (int r = 0; r < row.num_racks(); ++r) {
-    auto* memcached = row.rack(r).member_host_app_as<MemcachedServer>(0);
-    auto* lake = row.rack(r).member_offload_app_as<LakeCache>(0);
-    for (uint64_t k = 0; k < options.prefill; ++k) {
-      memcached->store().Set(k, options.value_bytes);
-    }
-    lake->WarmFill(0, options.prefill, options.value_bytes);
-  }
 }
 
 void ForceOffloads(RowScenario& row) {
@@ -142,7 +127,7 @@ WaveResult RunWave() {
   brownout.watts = kBrownoutWatts;
   spec.faults.events.push_back(brownout);
   RowScenario row(ssim, std::move(spec));
-  PrefillRacks(row);
+  PrefillMultiRack(row, RowBenchOptions());
   row.Start();
   ForceOffloads(row);
 
@@ -206,7 +191,7 @@ CadencePoint RunCadence(const std::string& label, SimDuration checkpoint_period,
     rack.scenario.tor.asic = true;
     ScenarioMemberSpec& kvs = rack.scenario.members[0];
     kvs.switch_app = "kvs";
-    kvs.env.service = MultiRackScenario::KvsHostNode(r);
+    kvs.env.service = KvsHostNode(r);
     rack.orchestrator.heartbeat_period = Milliseconds(1);
     rack.orchestrator.failure_threshold = 2;
     rack.orchestrator.checkpoint_period = checkpoint_period;
@@ -214,7 +199,7 @@ CadencePoint RunCadence(const std::string& label, SimDuration checkpoint_period,
   }
   AppendDeviceDeathWave(spec.faults, {0, 1, 2, 3}, "lake", kEventAt);
   RowScenario row(ssim, std::move(spec));
-  PrefillRacks(row);
+  PrefillMultiRack(row, RowBenchOptions());
   row.Start();
   ForceOffloads(row);
 

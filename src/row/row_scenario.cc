@@ -32,7 +32,7 @@ RowScenario::RowScenario(ShardedSimulation& sharded, RowSpec spec)
     ConnectRackToSpine(r);
   }
   for (int r = 0; r < num_racks(); ++r) {
-    if (spec_.racks[static_cast<size_t>(r)].orchestrate) {
+    if (!spec_.racks[static_cast<size_t>(r)].apps.empty()) {
       BuildOrchestration(r);
     }
   }
@@ -71,12 +71,22 @@ void RowScenario::Validate() const {
     }
   }
   if (spec_.power.global_budget_watts > 0) {
-    const bool any_orchestrated =
+    const bool any_apps =
         std::any_of(spec_.racks.begin(), spec_.racks.end(),
-                    [](const RowRackSpec& rack) { return rack.orchestrate; });
-    if (!any_orchestrated) {
+                    [](const RowRackSpec& rack) { return !rack.apps.empty(); });
+    if (!any_apps) {
       throw std::invalid_argument(
-          "RowScenario: a global budget needs at least one orchestrated rack");
+          "RowScenario: a global budget needs at least one rack with apps");
+    }
+  }
+  for (int r = 0; r < n; ++r) {
+    const RowRackSpec& rack = spec_.racks[static_cast<size_t>(r)];
+    for (const RowAppSpec& app : rack.apps) {
+      if (app.member >= rack.scenario.members.size()) {
+        throw std::invalid_argument("RowScenario: rack " + std::to_string(r) +
+                                    " app member " + std::to_string(app.member) +
+                                    " out of range");
+      }
     }
   }
 }

@@ -2,15 +2,17 @@
 //
 // One shard per rack plus a spine shard; each rack is an unmodified
 // ScenarioTestbed whose ToR uplinks to the spine (the uplink fiber is the
-// engine lookahead). Orchestrated racks get a RackOrchestrator +
-// StateTransferMigrators built from their RowAppSpecs, all reporting to a
+// engine lookahead). Racks with RowAppSpecs get a RackOrchestrator +
+// StateTransferMigrators built from them, all reporting to a
 // RowOrchestrator in the spine shard that apportions the global power
-// budget. Row fault plans arm as ordinary setup-time events (uplink flaps,
-// global/rack brownouts, fanned-out rack faults), and the optional diurnal
-// Google trace plays back phase-shifted per rack, modulating member hosts'
-// background draw. Runs identically under Mode::kSingleQueue and
-// Mode::kParallel — every row construct posts through the same
-// deterministic cross-shard paths packets use.
+// budget. This is the one place orchestration is wired from specs. Row
+// fault plans arm as ordinary setup-time events (uplink flaps, global/rack
+// brownouts, fanned-out rack faults), and the optional diurnal Google trace
+// plays back phase-shifted per rack, modulating member hosts' background
+// draw — a one-rack row with a trace is the §9.3 trace-driven rack. Runs
+// identically under Mode::kSingleQueue and Mode::kParallel — every row
+// construct posts through the same deterministic cross-shard paths packets
+// use.
 #ifndef INCOD_SRC_ROW_ROW_SCENARIO_H_
 #define INCOD_SRC_ROW_ROW_SCENARIO_H_
 
@@ -49,7 +51,7 @@ class RowScenario {
     return *racks_.at(static_cast<size_t>(r)).clients.at(i);
   }
 
-  // Null when the rack is not orchestrated / the row has no global budget.
+  // Null when the rack has no apps / the row has no global budget.
   RackOrchestrator* rack_orchestrator(int r) {
     return racks_.at(static_cast<size_t>(r)).orchestrator.get();
   }
@@ -107,7 +109,7 @@ class RowScenario {
 
   ShardedSimulation& sharded_;
   RowSpec spec_;
-  // One synthetic zone shared by every rack whose spec leaves env.zone null.
+  // One synthetic zone shared by every rack whose spec leaves zone null.
   // Filled once at construction and read-only afterwards, so cross-shard
   // sharing is safe.
   Zone zone_;

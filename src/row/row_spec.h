@@ -55,14 +55,14 @@ struct RowAppSpec {
 
 struct RowRackSpec {
   // The rack itself, verbatim; the row assigns scenario.shard = rack index,
-  // resolves a null env.zone to the row's shared zone, and appends
+  // resolves a null scenario.zone to the row's shared zone, and appends
   // rack-scoped row fault events to scenario.faults before building.
   ScenarioSpec scenario;
   std::vector<RowClientSpec> clients;
-  // Build a RackOrchestrator (+ StateTransferMigrators per RowAppSpec) in
-  // the rack's shard. Its power budget is the row's initial apportionment
-  // when the row has a global budget, else orchestrator.power_budget_watts.
-  bool orchestrate = false;
+  // A rack with apps is orchestrated: the row builds a RackOrchestrator
+  // (+ StateTransferMigrators per RowAppSpec) in the rack's shard. Its power
+  // budget is the row's initial apportionment when the row has a global
+  // budget, else orchestrator.power_budget_watts.
   RackOrchestratorConfig orchestrator;
   std::vector<RowAppSpec> apps;
   // Watts one trace background core adds to a member host (§9.3 decision
@@ -158,7 +158,7 @@ struct RowSpec {
   // sharded engine's conservative lookahead. Must be > 0.
   SimDuration inter_rack_propagation = Microseconds(5);
   double uplink_gigabits_per_second = 40.0;
-  // One synthetic zone shared by every rack whose spec leaves env.zone null.
+  // One synthetic zone shared by every rack whose spec leaves zone null.
   size_t zone_size = 2000;
   RowPowerSpec power;
   RowTraceSpec trace;

@@ -30,16 +30,15 @@ RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options) {
       kvs.name = "kvs";
       kvs.link_name = "kvs-10ge";
       kvs.host.config.name = spec.name + "-kvs-host";
-      kvs.host.config.node = MultiRackScenario::KvsHostNode(r);
+      kvs.host.config.node = KvsHostNode(r);
       kvs.host.config.num_cores = 4;
       kvs.host.config.power_curve = I7MemcachedCurve();
       kvs.host.apps = {"kvs"};
       kvs.target.kind = ScenarioTargetKind::kFpgaNic;
       kvs.target.name = spec.name + "-lake";
-      kvs.target.device_node = MultiRackScenario::KvsDeviceNode(r);
+      kvs.target.device_node = KvsDeviceNode(r);
       kvs.target.app = "kvs";
-      kvs.switch_routes = {MultiRackScenario::KvsHostNode(r),
-                           MultiRackScenario::KvsDeviceNode(r)};
+      kvs.switch_routes = {KvsHostNode(r), KvsDeviceNode(r)};
       spec.members.push_back(std::move(kvs));
     }
     {
@@ -47,13 +46,13 @@ RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options) {
       dns.name = "dns";
       dns.link_name = "dns-10ge";
       dns.host.config.name = spec.name + "-dns-host";
-      dns.host.config.node = MultiRackScenario::DnsHostNode(r);
+      dns.host.config.node = DnsHostNode(r);
       dns.host.config.num_cores = 4;
       dns.host.config.power_curve = I7NsdCurve();
       dns.host.apps = {"dns"};
       dns.target.kind = ScenarioTargetKind::kConventionalNic;
-      dns.switch_routes = {MultiRackScenario::DnsHostNode(r)};
-      dns.env.service = MultiRackScenario::DnsHostNode(r);
+      dns.switch_routes = {DnsHostNode(r)};
+      dns.env.service = DnsHostNode(r);
       spec.members.push_back(std::move(dns));
     }
 
@@ -63,22 +62,21 @@ RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options) {
       // in *every* mode, so sharded and single-queue runs stay
       // stream-identical.
       RowClientSpec kvs_client;
-      kvs_client.client.node = MultiRackScenario::KvsClientNode(r);
+      kvs_client.client.node = KvsClientNode(r);
       kvs_client.rate_per_second = options.kvs_rate_per_second;
       kvs_client.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
       kvs_client.workload.keyspace = options.keyspace;
-      kvs_client.workload.cross_service =
-          MultiRackScenario::KvsHostNode((r + 1) % options.num_racks);
+      kvs_client.workload.cross_service = KvsHostNode((r + 1) % options.num_racks);
       kvs_client.workload.cross_fraction = options.cross_rack_fraction;
-      kvs_client.service = MultiRackScenario::KvsHostNode(r);
+      kvs_client.service = KvsHostNode(r);
       rack.clients.push_back(std::move(kvs_client));
     }
     {
       RowClientSpec dns_client;
-      dns_client.client.node = MultiRackScenario::DnsClientNode(r);
+      dns_client.client.node = DnsClientNode(r);
       dns_client.rate_per_second = options.dns_rate_per_second;
       dns_client.workload.kind = ScenarioWorkloadSpec::Kind::kDnsQueries;
-      dns_client.service = MultiRackScenario::DnsHostNode(r);
+      dns_client.service = DnsHostNode(r);
       rack.clients.push_back(std::move(dns_client));
     }
 
@@ -87,29 +85,14 @@ RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options) {
   return row;
 }
 
-MultiRackScenario::MultiRackScenario(ShardedSimulation& sharded,
-                                     MultiRackOptions options)
-    : options_(options), row_(sharded, MakeMultiRackRowSpec(options)) {
-  for (int r = 0; r < num_racks(); ++r) {
-    PrefillRack(r);
-  }
-}
-
-void MultiRackScenario::PrefillRack(int r) {
-  auto* memcached = rack(r).member_host_app_as<MemcachedServer>(0);
-  auto* lake = rack(r).member_offload_app_as<LakeCache>(0);
-  for (uint64_t k = 0; k < options_.prefill; ++k) {
-    memcached->store().Set(k, options_.value_bytes);
-  }
-  lake->WarmFill(0, options_.prefill, options_.value_bytes);
-}
-
-void MultiRackScenario::Start() {
-  for (int r = 0; r < num_racks(); ++r) {
-    kvs_client(r).Start();
-  }
-  for (int r = 0; r < num_racks(); ++r) {
-    dns_client(r).Start();
+void PrefillMultiRack(RowScenario& row, const MultiRackOptions& options) {
+  for (int r = 0; r < row.num_racks(); ++r) {
+    auto* memcached = row.rack(r).member_host_app_as<MemcachedServer>(0);
+    auto* lake = row.rack(r).member_offload_app_as<LakeCache>(0);
+    for (uint64_t k = 0; k < options.prefill; ++k) {
+      memcached->store().Set(k, options.value_bytes);
+    }
+    lake->WarmFill(0, options.prefill, options.value_bytes);
   }
 }
 

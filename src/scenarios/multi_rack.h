@@ -14,18 +14,19 @@
 // the shards genuinely exchange events rather than running N disjoint
 // simulations.
 //
-// Since the row subsystem landed, this scenario is a thin veneer:
-// MakeMultiRackRowSpec builds the declarative RowSpec and RowScenario does
-// all the wiring. Only the KVS prefill and the legacy client start order
-// (all KVS clients, then all DNS clients) live here.
+// MakeMultiRackRowSpec builds the declarative RowSpec; RowScenario does all
+// the wiring (over options.num_racks + 1 shards: one per rack plus the
+// spine) and PrefillMultiRack loads the KVS members:
+//
+//   RowScenario row(sharded, MakeMultiRackRowSpec(options));
+//   PrefillMultiRack(row, options);
+//   row.Start();
 #ifndef INCOD_SRC_SCENARIOS_MULTI_RACK_H_
 #define INCOD_SRC_SCENARIOS_MULTI_RACK_H_
 
-#include "src/net/switch.h"
 #include "src/row/row_scenario.h"
 #include "src/row/row_spec.h"
 #include "src/scenarios/scenario_spec.h"
-#include "src/sim/sharded.h"
 
 namespace incod {
 
@@ -46,48 +47,23 @@ struct MultiRackOptions {
   SimDuration meter_period = Milliseconds(1);
 };
 
-class MultiRackScenario {
- public:
-  // Rack node addresses: rack r owns [1000r, 1000r + 999].
-  static constexpr NodeId KvsHostNode(int rack) { return 1000 * rack + 1; }
-  static constexpr NodeId DnsHostNode(int rack) { return 1000 * rack + 2; }
-  static constexpr NodeId KvsDeviceNode(int rack) { return 1000 * rack + 50; }
-  static constexpr NodeId KvsClientNode(int rack) { return 1000 * rack + 100; }
-  static constexpr NodeId DnsClientNode(int rack) { return 1000 * rack + 101; }
-
-  // Requires sharded.num_shards() == options.num_racks + 1 (one shard per
-  // rack plus the spine shard).
-  explicit MultiRackScenario(ShardedSimulation& sharded, MultiRackOptions options = {});
-
-  int num_racks() const { return row_.num_racks(); }
-  ScenarioTestbed& rack(int r) { return row_.rack(r); }
-  L2Switch& spine() { return row_.spine(); }
-  LoadClient& kvs_client(int r) { return row_.client(r, 0); }
-  LoadClient& dns_client(int r) { return row_.client(r, 1); }
-  // The RowScenario doing the actual wiring.
-  RowScenario& row() { return row_; }
-
-  // Starts every rack's clients (all KVS clients first, then all DNS
-  // clients — the order the hand-wired scenario always used).
-  void Start();
-
-  uint64_t TotalSent() const { return row_.TotalSent(); }
-  uint64_t TotalReceived() const { return row_.TotalReceived(); }
-
- private:
-  void PrefillRack(int r);
-
-  MultiRackOptions options_;
-  RowScenario row_;
-};
+// Rack node addresses: rack r owns [1000r, 1000r + 999].
+constexpr NodeId KvsHostNode(int rack) { return 1000 * rack + 1; }
+constexpr NodeId DnsHostNode(int rack) { return 1000 * rack + 2; }
+constexpr NodeId KvsDeviceNode(int rack) { return 1000 * rack + 50; }
+constexpr NodeId KvsClientNode(int rack) { return 1000 * rack + 100; }
+constexpr NodeId DnsClientNode(int rack) { return 1000 * rack + 101; }
 
 // The declarative form of the scenario above: N rack ScenarioSpecs (KVS
 // member with an active LaKe FPGA, DNS member on a conventional NIC) plus
 // per-rack KVS/DNS clients, with each KVS client's workload sending
-// cross_rack_fraction of its gets to the next rack's server. Exposed so
-// tests can diff the veneer against hand-wired construction and so row
-// scenarios can start from the same racks.
+// cross_rack_fraction of its gets to the next rack's server. Callers
+// customise the racks (orchestration, faults, ToR programs) before building.
 RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options);
+
+// Fills every rack's KVS member (member 0): keys [0, options.prefill) of
+// options.value_bytes in the memcached store and warm in the LaKe cache.
+void PrefillMultiRack(RowScenario& row, const MultiRackOptions& options);
 
 }  // namespace incod
 

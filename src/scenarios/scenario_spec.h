@@ -17,7 +17,8 @@
 //
 // A rack is the same deployment repeated behind a ToR (spec.tor). The KVS
 // and DNS testbeds and the Fig 3/4/6 benches build chains; the mixed rack,
-// trace rack, Paxos group and rows build racks. Apps are created through
+// the Paxos group and RowScenario's racks (a one-rack row is the §9.3
+// trace-driven rack) build racks. Apps are created through
 // AppRegistry, so a new application reaches every spec-built scenario by
 // registering one factory.
 #ifndef INCOD_SRC_SCENARIOS_SCENARIO_SPEC_H_

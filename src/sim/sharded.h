@@ -48,6 +48,8 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -90,8 +92,15 @@ class ShardedSimulation {
 
   // The Simulation components in shard `i` schedule into. In kParallel mode
   // a private queue; in kSingleQueue mode a view onto the shared master
-  // queue. Either way it owns shard i's RNG root.
-  Simulation& shard(int i) { return *shards_[static_cast<size_t>(i)]->sim; }
+  // queue. Either way it owns shard i's RNG root. Throws std::out_of_range
+  // outside [0, num_shards()).
+  Simulation& shard(int i) {
+    if (i < 0 || i >= num_shards_) {
+      throw std::out_of_range("ShardedSimulation: shard " + std::to_string(i) +
+                              " outside [0, " + std::to_string(num_shards_) + ")");
+    }
+    return *shards_[static_cast<size_t>(i)]->sim;
+  }
 
   // Declares a cross-shard latency (e.g. a Link's propagation delay whose
   // endpoints live in different shards). The lookahead is the minimum of all

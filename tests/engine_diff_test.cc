@@ -13,12 +13,12 @@
 #include "src/scenarios/kvs_testbed.h"
 #include "src/scenarios/multi_rack.h"
 #include "src/scenarios/rack_scenario.h"
-#include "src/scenarios/trace_rack.h"
 #include "src/sim/sharded.h"
 #include "src/sim/simulation.h"
 #include "src/workload/arrival.h"
 #include "src/workload/client.h"
 #include "src/workload/dns_workload.h"
+#include "tests/row_specs.h"
 
 namespace incod {
 namespace {
@@ -372,32 +372,38 @@ TEST(EngineDiffTest, ShardedHostNicRackIdenticalToSingleQueue) {
   }
 }
 
-ShardedScenarioResult RunShardedTraceRack(Mode mode, int threads, uint64_t seed) {
-  ShardedSimulation ssim(ShardOptions(mode, 3, threads, seed));
-  TraceRackOptions options;
-  options.trace = {.num_tasks = 500, .num_nodes = 2};
-  options.sim_horizon = Milliseconds(20);
-  options.trace_seed = seed;
-  TraceRackScenario rack(ssim, TraceRackShardPlan{}, options);
-  rack.Start();
+// The §9.3 trace-driven rack as a one-rack row, clients on the spine shard
+// so their ToR links cross shards alongside the uplink.
+ShardedScenarioResult RunShardedTraceRow(Mode mode, int threads, uint64_t seed) {
+  ShardedSimulation ssim(ShardOptions(mode, 2, threads, seed));
+  RowSpec spec = TraceRowSpec();
+  spec.trace.trace.num_tasks = 500;
+  spec.trace.sim_horizon = Milliseconds(20);
+  spec.trace.seed = seed;
+  spec.racks[0].scenario.client_link.propagation_delay = Microseconds(2);
+  for (RowClientSpec& client : spec.racks[0].clients) {
+    client.shard = 1;
+  }
+  RowScenario row(ssim, std::move(spec));
+  row.Start();
   ssim.RunUntil(Milliseconds(15));
 
   ShardedScenarioResult result;
   result.events = ssim.events_executed();
-  for (size_t i = 0; i < rack.app_count(); ++i) {
-    AppendClient(&result, rack.client(i));
+  for (size_t i = 0; i < row.client_count(0); ++i) {
+    AppendClient(&result, row.client(0, i));
   }
-  result.watts = rack.meter().MeanWatts(0, Milliseconds(15));
+  result.watts = row.rack(0).meter().MeanWatts(0, Milliseconds(15));
   return result;
 }
 
-TEST(EngineDiffTest, ShardedTraceRackIdenticalToSingleQueue) {
+TEST(EngineDiffTest, ShardedTraceRowIdenticalToSingleQueue) {
   for (const uint64_t seed : {7u, 11u, 13u}) {
     const ShardedScenarioResult reference =
-        RunShardedTraceRack(Mode::kSingleQueue, 1, seed);
+        RunShardedTraceRow(Mode::kSingleQueue, 1, seed);
     EXPECT_GT(reference.events, 20000u);
     const ShardedScenarioResult parallel =
-        RunShardedTraceRack(Mode::kParallel, 4, seed);
+        RunShardedTraceRow(Mode::kParallel, 4, seed);
     ExpectIdentical(reference, parallel, seed);
   }
 }
@@ -410,16 +416,17 @@ ShardedScenarioResult RunShardedMultiRack(Mode mode, int threads, uint64_t seed)
   options.dns_rate_per_second = 100000;
   options.prefill = 1000;
   options.keyspace = 1000;
-  MultiRackScenario fabric(ssim, options);
-  fabric.Start();
+  RowScenario row(ssim, MakeMultiRackRowSpec(options));
+  PrefillMultiRack(row, options);
+  row.Start();
   ssim.RunUntil(Milliseconds(15));
 
   ShardedScenarioResult result;
   result.events = ssim.events_executed();
-  for (int r = 0; r < fabric.num_racks(); ++r) {
-    AppendClient(&result, fabric.kvs_client(r));
-    AppendClient(&result, fabric.dns_client(r));
-    result.watts += fabric.rack(r).meter().MeanWatts(0, Milliseconds(15));
+  for (int r = 0; r < row.num_racks(); ++r) {
+    AppendClient(&result, row.client(r, 0));  // KVS.
+    AppendClient(&result, row.client(r, 1));  // DNS.
+    result.watts += row.rack(r).meter().MeanWatts(0, Milliseconds(15));
   }
   return result;
 }
@@ -511,31 +518,7 @@ TEST(EngineDiffTest, ShardedSaturatedFlowRackIdenticalToSingleQueue) {
 // orchestrator decisions, row ledger history — must stay event-identical.
 ShardedScenarioResult RunShardedPowerRow(Mode mode, int threads, uint64_t seed) {
   const int kRacks = 4;
-  MultiRackOptions fabric_options;
-  fabric_options.num_racks = kRacks;
-  fabric_options.kvs_rate_per_second = 150000;
-  fabric_options.dns_rate_per_second = 75000;
-  fabric_options.prefill = 1000;
-  fabric_options.keyspace = 1000;
-  RowSpec spec = MakeMultiRackRowSpec(fabric_options);
-  for (RowRackSpec& rack : spec.racks) {
-    rack.scenario.members[0].target.initially_active = false;
-    rack.scenario.members[0].target.name = "lake";
-    rack.orchestrate = true;
-    rack.orchestrator.check_period = Milliseconds(2);
-    rack.orchestrator.min_dwell = Milliseconds(2);
-    rack.orchestrator.sample_period = Milliseconds(2);
-    rack.orchestrator.heartbeat_period = Milliseconds(1);
-    rack.orchestrator.checkpoint_period = Milliseconds(2);
-    RowAppSpec app;
-    app.member = 0;
-    rack.apps.push_back(app);
-  }
-  spec.power.global_budget_watts = 120;
-  spec.power.report_period = Milliseconds(2);
-  spec.power.apportion_period = Milliseconds(5);
-  spec.power.sample_period = Milliseconds(2);
-  spec.power.min_rack_watts = 5;
+  RowSpec spec = OrchestratedRowSpec(kRacks, 120);
   AppendUplinkFlapWave(spec.faults, {0, 1, 2}, Milliseconds(6), Milliseconds(3),
                        /*stagger=*/Microseconds(500));
   AppendDeviceDeathWave(spec.faults, {0, 1, 2, 3}, "lake", Milliseconds(10),

@@ -14,7 +14,6 @@
 #include "src/scenarios/paxos_testbed.h"
 #include "src/scenarios/rack_scenario.h"
 #include "src/scenarios/scenario_spec.h"
-#include "src/scenarios/trace_rack.h"
 #include "src/sim/simulation.h"
 #include "src/workload/arrival.h"
 #include "src/workload/etc_workload.h"
@@ -769,32 +768,6 @@ TEST(RackWarmMigrationTest, WarmShiftPreservesPaxosBallotAndSequence) {
   // No service gap on the warm path; the cold path burned client retries.
   EXPECT_EQ(warm.client_retries, 0u);
   EXPECT_GT(cold.client_retries, 0u);
-}
-
-// The trace-driven rack: registry-name-only apps under the orchestrator,
-// with the Google-trace background load driving the placement decisions.
-TEST(TraceRackScenarioTest, TraceLoadDrivesGenericWarmShifts) {
-  Simulation sim(/*seed=*/13);
-  TraceRackOptions options;
-  options.sim_horizon = Seconds(2);
-  options.trace.num_tasks = 400;
-  options.orchestrator.min_dwell = Milliseconds(300);
-  TraceRackScenario rack(sim, options);
-  ASSERT_EQ(rack.app_count(), 2u);
-  for (size_t i = 0; i < rack.app_count(); ++i) {
-    rack.migrator(i);  // Generic core only; apps are plain incod::App.
-    EXPECT_NE(rack.host_app(i), nullptr);
-    EXPECT_NE(rack.offload_app(i), nullptr);
-  }
-  rack.Start();
-  sim.RunUntil(Seconds(2));
-  // The compressed 24 h trace kept the hosts busy enough that at least one
-  // app was pushed into the network at some point.
-  EXPECT_GT(rack.orchestrator().total_shifts(), 0u);
-  for (size_t i = 0; i < rack.app_count(); ++i) {
-    EXPECT_GT(rack.client(i).received(), 0u);
-  }
-  EXPECT_GT(rack.trace_tasks().size(), 0u);
 }
 
 // ---- Acceptance: one rack, FPGA NIC + switch ASIC, shared ledger ----

@@ -1,9 +1,10 @@
 // Row subsystem tests: the global power ledger and apportionment kernel,
-// RowOrchestrator wiring/validation, and the property suite proving the
-// row-level ledger invariants the rack suite proves one level down —
-// sampled apportionment never exceeds the budget, per-rack apportionments
-// sum to the global cap, and the aggregate counters reconcile with the
-// row's decision log, across seeds.
+// RowOrchestrator/RowScenario wiring and validation, the one-rack §9.3
+// trace row, and the property suite proving the row-level ledger
+// invariants the rack suite proves one level down — sampled apportionment
+// never exceeds the budget, per-rack apportionments sum to the global cap,
+// and the aggregate counters reconcile with the row's decision log, across
+// seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "src/row/row_spec.h"
 #include "src/scenarios/multi_rack.h"
 #include "src/sim/sharded.h"
+#include "tests/row_specs.h"
 
 namespace incod {
 namespace {
@@ -292,38 +294,6 @@ TEST(RowOrchestratorTest, GlobalBrownoutShrinksEveryCap) {
 
 // --- RowScenario validation -------------------------------------------------
 
-RowSpec OrchestratedRowSpec(int num_racks, double budget_watts) {
-  MultiRackOptions options;
-  options.num_racks = num_racks;
-  options.kvs_rate_per_second = 150000;
-  options.dns_rate_per_second = 75000;
-  options.prefill = 1000;
-  options.keyspace = 1000;
-  RowSpec row = MakeMultiRackRowSpec(options);
-  for (RowRackSpec& rack : row.racks) {
-    // The orchestrator decides placement; the spec's FPGA starts parked and
-    // gets a rack-local fault name shared across racks so correlated waves
-    // can address "lake/kvs" in every rack at once.
-    rack.scenario.members[0].target.initially_active = false;
-    rack.scenario.members[0].target.name = "lake";
-    rack.orchestrate = true;
-    rack.orchestrator.check_period = Milliseconds(2);
-    rack.orchestrator.min_dwell = Milliseconds(2);
-    rack.orchestrator.sample_period = Milliseconds(2);
-    rack.orchestrator.heartbeat_period = Milliseconds(1);
-    rack.orchestrator.checkpoint_period = Milliseconds(2);
-    RowAppSpec app;
-    app.member = 0;
-    rack.apps.push_back(app);
-  }
-  row.power.global_budget_watts = budget_watts;
-  row.power.report_period = Milliseconds(2);
-  row.power.apportion_period = Milliseconds(5);
-  row.power.sample_period = Milliseconds(2);
-  row.power.min_rack_watts = 5;
-  return row;
-}
-
 ShardedSimulation::Options RowShardOptions(int num_racks, uint64_t seed) {
   ShardedSimulation::Options options;
   options.num_shards = num_racks + 1;
@@ -357,10 +327,18 @@ TEST(RowScenarioTest, ValidatesSpec) {
     EXPECT_THROW(RowScenario(ssim, std::move(spec)), std::invalid_argument);
   }
   {
-    // A global budget needs at least one orchestrated rack.
+    // A global budget needs at least one rack with apps.
     ShardedSimulation ssim(RowShardOptions(2, 1));
     RowSpec spec = MakeMultiRackRowSpec(MultiRackOptions{.num_racks = 2});
     spec.power.global_budget_watts = 100;
+    EXPECT_THROW(RowScenario(ssim, std::move(spec)), std::invalid_argument);
+  }
+  {
+    // An app's member index must name one of the rack's members, rejected
+    // before anything is built.
+    ShardedSimulation ssim(RowShardOptions(2, 1));
+    RowSpec spec = OrchestratedRowSpec(2, 100);
+    spec.racks[1].apps[0].member = spec.racks[1].scenario.members.size();
     EXPECT_THROW(RowScenario(ssim, std::move(spec)), std::invalid_argument);
   }
   {
@@ -414,6 +392,41 @@ TEST(RowScenarioTest, DiurnalTracePhaseShiftsAcrossRacks) {
   ssim.RunUntil(Milliseconds(25));
   EXPECT_NEAR(row.background_cores(0, 0), 0.0, 1e-6);
   EXPECT_NEAR(row.background_cores(1, 0), 0.0, 1e-6);
+}
+
+// The §9.3 trace-driven rack as a one-rack row: registry-name-only apps
+// under the rack orchestrator, with the Google-trace background load driving
+// the placement decisions.
+TEST(RowScenarioTest, TraceLoadDrivesGenericWarmShifts) {
+  RowSpec spec = TraceRowSpec();
+  spec.trace.sim_horizon = Seconds(2);
+  spec.trace.trace.num_tasks = 400;
+  spec.racks[0].orchestrator.min_dwell = Milliseconds(300);
+  ShardedSimulation ssim(RowShardOptions(1, 13));
+  RowScenario row(ssim, std::move(spec));
+  ASSERT_EQ(row.app_count(0), 2u);
+  for (size_t i = 0; i < row.app_count(0); ++i) {
+    row.migrator(0, i);  // Generic core only; apps are plain incod::App.
+    EXPECT_NE(row.rack(0).member_host_app_as<App>(i), nullptr);
+    EXPECT_NE(row.rack(0).member_offload_app_as<App>(i), nullptr);
+  }
+  row.Start();
+  ssim.RunUntil(Seconds(2));
+  // The compressed 24 h trace kept the hosts busy enough that at least one
+  // app was pushed into the network at some point.
+  EXPECT_GT(row.rack_orchestrator(0)->total_shifts(), 0u);
+  ASSERT_EQ(row.client_count(0), 2u);
+  for (size_t i = 0; i < row.client_count(0); ++i) {
+    EXPECT_GT(row.client(0, i).received(), 0u);
+  }
+  EXPECT_GT(row.trace_tasks().size(), 0u);
+}
+
+TEST(RowScenarioTest, ClientShardOutOfRangeThrows) {
+  ShardedSimulation ssim(RowShardOptions(2, 1));
+  RowSpec spec = MakeMultiRackRowSpec(MultiRackOptions{.num_racks = 2});
+  spec.racks[0].clients[0].shard = 3;  // racks + 1: one past the spine.
+  EXPECT_THROW(RowScenario(ssim, std::move(spec)), std::out_of_range);
 }
 
 // --- Row ledger property suite ----------------------------------------------

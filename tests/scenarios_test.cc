@@ -16,6 +16,7 @@
 #include "src/net/topology.h"
 #include "src/ondemand/migrator.h"
 #include "src/power/cpu_power.h"
+#include "src/row/row_scenario.h"
 #include "src/scenarios/dns_testbed.h"
 #include "src/scenarios/kvs_testbed.h"
 #include "src/scenarios/multi_rack.h"
@@ -548,7 +549,7 @@ TEST(PaxosTestbedTest, AcceptorSutUsesHardwareLeader) {
   EXPECT_NE(testbed.sut_server(), nullptr);
 }
 
-// --- MultiRackScenario: veneer over RowSpec vs hand-wired construction ---
+// --- Multi-rack row: RowScenario over MakeMultiRackRowSpec vs hand-wired ---
 
 struct MultiRackRunResult {
   uint64_t events = 0;
@@ -605,7 +606,6 @@ MultiRackRunResult RunHandWiredMultiRack(ShardedSimulation::Mode mode, int threa
   std::vector<std::unique_ptr<ScenarioTestbed>> racks;
   std::vector<LoadClient*> kvs_clients;
   std::vector<LoadClient*> dns_clients;
-  const auto kvs_host = [](int r) { return MultiRackScenario::KvsHostNode(r); };
 
   for (int r = 0; r < num_racks; ++r) {
     ScenarioSpec spec;
@@ -621,15 +621,15 @@ MultiRackRunResult RunHandWiredMultiRack(ShardedSimulation::Mode mode, int threa
       kvs.name = "kvs";
       kvs.link_name = "kvs-10ge";
       kvs.host.config.name = spec.name + "-kvs-host";
-      kvs.host.config.node = kvs_host(r);
+      kvs.host.config.node = KvsHostNode(r);
       kvs.host.config.num_cores = 4;
       kvs.host.config.power_curve = I7MemcachedCurve();
       kvs.host.apps = {"kvs"};
       kvs.target.kind = ScenarioTargetKind::kFpgaNic;
       kvs.target.name = spec.name + "-lake";
-      kvs.target.device_node = MultiRackScenario::KvsDeviceNode(r);
+      kvs.target.device_node = KvsDeviceNode(r);
       kvs.target.app = "kvs";
-      kvs.switch_routes = {kvs_host(r), MultiRackScenario::KvsDeviceNode(r)};
+      kvs.switch_routes = {KvsHostNode(r), KvsDeviceNode(r)};
       spec.members.push_back(std::move(kvs));
     }
     {
@@ -637,22 +637,22 @@ MultiRackRunResult RunHandWiredMultiRack(ShardedSimulation::Mode mode, int threa
       dns.name = "dns";
       dns.link_name = "dns-10ge";
       dns.host.config.name = spec.name + "-dns-host";
-      dns.host.config.node = MultiRackScenario::DnsHostNode(r);
+      dns.host.config.node = DnsHostNode(r);
       dns.host.config.num_cores = 4;
       dns.host.config.power_curve = I7NsdCurve();
       dns.host.apps = {"dns"};
       dns.target.kind = ScenarioTargetKind::kConventionalNic;
-      dns.switch_routes = {MultiRackScenario::DnsHostNode(r)};
-      dns.env.service = MultiRackScenario::DnsHostNode(r);
+      dns.switch_routes = {DnsHostNode(r)};
+      dns.env.service = DnsHostNode(r);
       spec.members.push_back(std::move(dns));
     }
     racks.push_back(std::make_unique<ScenarioTestbed>(ssim, std::move(spec)));
     ScenarioTestbed& rack = *racks.back();
 
     LoadClientConfig kvs_client;
-    kvs_client.node = MultiRackScenario::KvsClientNode(r);
-    const NodeId local = kvs_host(r);
-    const NodeId remote = kvs_host((r + 1) % num_racks);
+    kvs_client.node = KvsClientNode(r);
+    const NodeId local = KvsHostNode(r);
+    const NodeId remote = KvsHostNode((r + 1) % num_racks);
     const int64_t max_key =
         std::max<int64_t>(0, static_cast<int64_t>(options.keyspace) - 1);
     const double cross_fraction = options.cross_rack_fraction;
@@ -667,13 +667,12 @@ MultiRackRunResult RunHandWiredMultiRack(ShardedSimulation::Mode mode, int threa
         }));
 
     LoadClientConfig dns_client;
-    dns_client.node = MultiRackScenario::DnsClientNode(r);
+    dns_client.node = DnsClientNode(r);
     ScenarioWorkloadSpec dns_workload;
     dns_workload.kind = ScenarioWorkloadSpec::Kind::kDnsQueries;
     dns_clients.push_back(&rack.AddTorClient(
         dns_client, std::make_unique<PoissonArrival>(options.dns_rate_per_second),
-        MakeScenarioRequestFactory(dns_workload, MultiRackScenario::DnsHostNode(r),
-                                   &zone)));
+        MakeScenarioRequestFactory(dns_workload, DnsHostNode(r), &zone)));
   }
 
   for (int r = 0; r < num_racks; ++r) {
@@ -689,9 +688,8 @@ MultiRackRunResult RunHandWiredMultiRack(ShardedSimulation::Mode mode, int threa
     tor->SetDefaultRoute(tor_port);
     const int spine_port = spine->AttachLink(link);
     for (NodeId node :
-         {kvs_host(r), MultiRackScenario::DnsHostNode(r),
-          MultiRackScenario::KvsDeviceNode(r), MultiRackScenario::KvsClientNode(r),
-          MultiRackScenario::DnsClientNode(r)}) {
+         {KvsHostNode(r), DnsHostNode(r), KvsDeviceNode(r), KvsClientNode(r),
+          DnsClientNode(r)}) {
       spine->AddRoute(node, spine_port);
     }
 
@@ -727,23 +725,26 @@ MultiRackRunResult RunVeneerMultiRack(ShardedSimulation::Mode mode, int threads,
   const MultiRackOptions options = SmallMultiRackOptions();
   ShardedSimulation ssim(
       MultiRackShardOptions(mode, options.num_racks + 1, threads, seed));
-  MultiRackScenario fabric(ssim, options);
-  fabric.Start();
+  RowScenario row(ssim, MakeMultiRackRowSpec(options));
+  PrefillMultiRack(row, options);
+  row.Start();
   ssim.RunUntil(Milliseconds(15));
 
   MultiRackRunResult result;
   result.events = ssim.events_executed();
-  for (int r = 0; r < fabric.num_racks(); ++r) {
-    AppendClientCounters(&result, fabric.kvs_client(r));
-    AppendClientCounters(&result, fabric.dns_client(r));
-    result.watts += fabric.rack(r).meter().MeanWatts(0, Milliseconds(15));
+  for (int r = 0; r < row.num_racks(); ++r) {
+    AppendClientCounters(&result, row.client(r, 0));  // KVS.
+    AppendClientCounters(&result, row.client(r, 1));  // DNS.
+    result.watts += row.rack(r).meter().MeanWatts(0, Milliseconds(15));
   }
   return result;
 }
 
-// The RowSpec veneer must be event-identical to the pre-row hand-wired
-// construction — in the single-queue engine *and* when the veneer runs
-// sharded-parallel against the hand-wired single-queue reference.
+// RowScenario over the multi-rack RowSpec (the "veneer") must be
+// event-identical to the pre-row hand-wired construction — in the
+// single-queue engine *and* when the row runs sharded-parallel against the
+// hand-wired single-queue reference. The row starts its clients rack by
+// rack; the reference starts all KVS clients, then all DNS clients.
 TEST(MultiRackTest, VeneerMatchesHandWiredEventStream) {
   for (const uint64_t seed : {7u, 21u}) {
     const MultiRackRunResult hand =
@@ -770,13 +771,12 @@ TEST(MultiRackTest, VeneerExposesRowWiring) {
   MultiRackOptions options = SmallMultiRackOptions();
   ShardedSimulation ssim(MultiRackShardOptions(
       ShardedSimulation::Mode::kSingleQueue, options.num_racks + 1, 1, 7));
-  MultiRackScenario fabric(ssim, options);
-  EXPECT_EQ(fabric.num_racks(), 2);
-  EXPECT_EQ(fabric.row().num_racks(), 2);
-  EXPECT_EQ(fabric.row().spine_shard(), 2);
+  RowScenario row(ssim, MakeMultiRackRowSpec(options));
+  EXPECT_EQ(row.num_racks(), 2);
+  EXPECT_EQ(row.spine_shard(), 2);
   // Plain fabric: no orchestration, no global budget.
-  EXPECT_EQ(fabric.row().rack_orchestrator(0), nullptr);
-  EXPECT_EQ(fabric.row().row_orchestrator(), nullptr);
+  EXPECT_EQ(row.rack_orchestrator(0), nullptr);
+  EXPECT_EQ(row.row_orchestrator(), nullptr);
   // The spec builder names racks and uplinks the way the fabric always has.
   const RowSpec spec = MakeMultiRackRowSpec(options);
   ASSERT_EQ(spec.racks.size(), 2u);
@@ -784,9 +784,9 @@ TEST(MultiRackTest, VeneerExposesRowWiring) {
   EXPECT_EQ(spec.racks[1].scenario.name, "rack-1");
   EXPECT_EQ(spec.racks[0].clients.size(), 2u);
   EXPECT_EQ(spec.racks[0].clients[0].workload.cross_service,
-            MultiRackScenario::KvsHostNode(1));
+            KvsHostNode(1));
   EXPECT_EQ(spec.racks[1].clients[0].workload.cross_service,
-            MultiRackScenario::KvsHostNode(0));
+            KvsHostNode(0));
 }
 
 }  // namespace

@@ -138,6 +138,15 @@ TEST(ShardedSimTest, LookaheadViolationThrows) {
   ssim.Run();
 }
 
+TEST(ShardedSimTest, ShardIndexOutOfRangeThrows) {
+  for (const auto mode : {Mode::kSingleQueue, Mode::kParallel}) {
+    ShardedSimulation ssim(MakeOptions(mode, 3, 2));
+    EXPECT_THROW(ssim.shard(-1), std::out_of_range);
+    EXPECT_THROW(ssim.shard(3), std::out_of_range);
+    EXPECT_NO_THROW(ssim.shard(2));  // The last valid index.
+  }
+}
+
 struct CancelOutcome {
   bool first = false;
   bool second = false;
