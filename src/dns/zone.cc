@@ -1,6 +1,7 @@
 #include "src/dns/zone.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "src/dns/dns_message.h"
@@ -55,7 +56,10 @@ int Zone::LoadZoneText(const std::string& text) {
     std::string type = second;
     // Optional TTL between name and type.
     if (!second.empty() && second.find_first_not_of("0123456789") == std::string::npos) {
-      ttl = static_cast<uint32_t>(std::stoul(second));
+      const auto parsed = std::from_chars(second.data(), second.data() + second.size(), ttl);
+      if (parsed.ec != std::errc()) {
+        return -1;  // TTL beyond 32 bits.
+      }
       if (!(fields >> type)) {
         return -1;
       }

@@ -36,8 +36,9 @@ class Zone {
 
   // Parses a minimal zone-file format, one record per line:
   //   <name> [ttl] A <dotted-ipv4>
-  // '#' or ';' begin comments; blank lines are skipped. Returns the number
-  // of records loaded, or -1 on a malformed line (loading stops there).
+  // with a decimal ttl that fits in 32 bits. '#' or ';' begin comments;
+  // blank lines are skipped. Returns the number of records loaded, or -1 on
+  // a malformed line (loading stops there).
   int LoadZoneText(const std::string& text);
 
   // Populates `count` synthetic records host0.<suffix> ... for benchmarks.

@@ -201,10 +201,12 @@ void AcceptorState::SaveTo(PaxosAppState& state) const {
   state.acceptor_id = acceptor_id_;
   state.last_voted_instance = last_voted_instance_;
   state.slots.clear();
-  state.slots.reserve(slots_.size());
-  for (const auto& [instance, slot] : slots_) {
-    state.slots.push_back(
-        PaxosAcceptorSlot{instance, slot.rnd, slot.vrnd, slot.value, slot.client});
+  state.slots.reserve(stored_);
+  for (const Slot& cell : ring_) {
+    if (cell.instance != 0) {
+      state.slots.push_back(
+          PaxosAcceptorSlot{cell.instance, cell.rnd, cell.vrnd, cell.value, cell.client});
+    }
   }
   std::sort(state.slots.begin(), state.slots.end(),
             [](const PaxosAcceptorSlot& a, const PaxosAcceptorSlot& b) {
@@ -214,10 +216,35 @@ void AcceptorState::SaveTo(PaxosAppState& state) const {
 
 void AcceptorState::RestoreFrom(const PaxosAppState& state) {
   last_voted_instance_ = state.last_voted_instance;
-  slots_.clear();
+  ring_.clear();
+  stored_ = 0;
   for (const PaxosAcceptorSlot& s : state.slots) {
-    slots_[s.instance] = Slot{s.rnd, s.vrnd, s.value, s.client};
+    if (s.instance == 0) {
+      continue;
+    }
+    if (Slot* cell = Cell(s.instance)) {
+      *cell = Slot{s.instance, s.rnd, s.vrnd, s.value, s.client};
+    }
   }
+}
+
+AcceptorState::Slot* AcceptorState::Cell(uint32_t instance) {
+  if (ring_.empty()) {
+    ring_.resize(kWindow);
+  }
+  Slot& cell = ring_[instance & (kWindow - 1)];
+  if (cell.instance == instance) {
+    return &cell;
+  }
+  if (cell.instance > instance) {
+    return nullptr;  // Below the window.
+  }
+  if (cell.instance == 0) {
+    ++stored_;
+  }
+  cell = Slot{};
+  cell.instance = instance;
+  return &cell;
 }
 
 PaxosMessage AcceptorState::MakePhase1b(uint32_t instance, const Slot& slot) const {
@@ -234,9 +261,21 @@ PaxosMessage AcceptorState::MakePhase1b(uint32_t instance, const Slot& slot) con
 }
 
 std::vector<PaxosOut> AcceptorState::HandleMessage(const PaxosMessage& msg) {
+  if (msg.instance == 0 ||
+      (msg.type != PaxosMsgType::kPhase1a && msg.type != PaxosMsgType::kPhase2a)) {
+    return {};
+  }
+  Slot* cell = Cell(msg.instance);
+  if (cell == nullptr) {
+    // The trim rule (roles.h): no promise, no vote, just the sequence hint.
+    ++trimmed_requests_;
+    Slot hint;
+    hint.rnd = msg.round;
+    return {PaxosOut{config_.leader_service, MakePhase1b(msg.instance, hint)}};
+  }
+  Slot& slot = *cell;
   switch (msg.type) {
     case PaxosMsgType::kPhase1a: {
-      Slot& slot = slots_[msg.instance];
       if (msg.round >= slot.rnd) {
         slot.rnd = msg.round;
       }
@@ -245,7 +284,6 @@ std::vector<PaxosOut> AcceptorState::HandleMessage(const PaxosMessage& msg) {
       return {PaxosOut{config_.leader_service, MakePhase1b(msg.instance, slot)}};
     }
     case PaxosMsgType::kPhase2a: {
-      Slot& slot = slots_[msg.instance];
       if (msg.round < slot.rnd) {
         // NACK to the leader service with our state (sequence hints ride
         // along, §9.2).
@@ -275,8 +313,7 @@ std::vector<PaxosOut> AcceptorState::HandleMessage(const PaxosMessage& msg) {
         out.push_back(PaxosOut{learner, vote});
       }
       if (stale_reuse) {
-        out.push_back(
-            PaxosOut{config_.leader_service, MakePhase1b(msg.instance, slots_[msg.instance])});
+        out.push_back(PaxosOut{config_.leader_service, MakePhase1b(msg.instance, slot)});
       }
       return out;
     }
@@ -296,13 +333,6 @@ LearnerState::LearnerState(PaxosGroupConfig config) : config_(std::move(config))
 std::vector<PaxosOut> LearnerState::Deliver(uint32_t instance, Slot& slot) {
   slot.delivered = true;
   ++delivered_count_;
-  while (true) {
-    auto next = slots_.find(highest_contiguous_ + 1);
-    if (next == slots_.end() || !next->second.delivered) {
-      break;
-    }
-    ++highest_contiguous_;
-  }
   std::vector<PaxosOut> out;
   if (slot.value == kPaxosNoop) {
     ++noop_count_;
@@ -314,6 +344,13 @@ std::vector<PaxosOut> LearnerState::Deliver(uint32_t instance, Slot& slot) {
     resp.client = slot.client;
     out.push_back(PaxosOut{slot.client, resp});
   }
+  // Advance the contiguous cut and drop the delivered prefix behind it.
+  auto next = slots_.begin();
+  while (next != slots_.end() && next->first == highest_contiguous_ + 1 &&
+         next->second.delivered) {
+    ++highest_contiguous_;
+    next = slots_.erase(next);
+  }
   return out;
 }
 
@@ -323,19 +360,29 @@ std::vector<PaxosOut> LearnerState::HandleMessage(const PaxosMessage& msg, SimTi
     return {};
   }
   highest_seen_ = std::max(highest_seen_, msg.instance);
+  if (msg.instance <= highest_contiguous_) {
+    return {};  // Delivered and trimmed.
+  }
   Slot& slot = slots_[msg.instance];
   if (slot.delivered) {
     return {};
   }
-  slot.votes[msg.sender_id] = {msg.round, msg.value};
-  // Count matching votes at this round/value.
-  size_t matching = 0;
-  for (const auto& [acceptor, vote] : slot.votes) {
-    if (vote.first == msg.round && vote.second == msg.value) {
-      ++matching;
+  auto own = std::find_if(slot.votes.begin(), slot.votes.end(),
+                          [&](const Vote& v) { return v.acceptor == msg.sender_id; });
+  if (own != slot.votes.end()) {
+    own->round = msg.round;
+    own->value = msg.value;
+  } else {
+    if (slot.votes.empty()) {
+      slot.votes.reserve(config_.acceptors.size());
     }
+    slot.votes.push_back(Vote{msg.sender_id, msg.round, msg.value});
   }
-  if (matching >= config_.QuorumSize()) {
+  // Count matching votes at this round/value.
+  const auto matching = std::count_if(
+      slot.votes.begin(), slot.votes.end(),
+      [&](const Vote& v) { return v.round == msg.round && v.value == msg.value; });
+  if (static_cast<size_t>(matching) >= config_.QuorumSize()) {
     slot.value = msg.value;
     slot.client = msg.client;
     return Deliver(msg.instance, slot);

@@ -5,13 +5,28 @@
 // the FPGA NIC, and P4xos on the switch ASIC — so a migrated role behaves
 // identically wherever it runs. Each handler returns an outbox of messages;
 // the deployment wrapper owns actual transmission and timers.
+//
+// Bounded state. Like P4xos's fixed-size register arrays, an acceptor keeps
+// a ring of AcceptorState::kWindow cells indexed by `instance mod kWindow`,
+// each tagged with the instance it holds, so its memory is flat in run
+// length. A learner drops every instance once it is delivered and
+// contiguous, so its live slots span only the out-of-order window.
+//
+// The trim rule. An instance is *below the window* when its ring cell holds
+// a newer instance. For such an instance the acceptor neither promises nor
+// votes and leaves the cell alone; it answers a Phase1a or Phase2a with
+// exactly one Phase1b to the leader service carrying `round = msg.round`,
+// `vround = 0` and its last-voted instance (the §9.2 sequence hint), and
+// counts the event in trimmed_requests(). This is safe because the window
+// (0.65 s at 100 kpps) far outlasts the learner's 50 ms gap timeout and no
+// acceptor ever votes on a trimmed instance again: a no-op the leader
+// proposes for one can never be learned.
 #ifndef INCOD_SRC_PAXOS_ROLES_H_
 #define INCOD_SRC_PAXOS_ROLES_H_
 
 #include <cstdint>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/app/app_state.h"
@@ -89,32 +104,44 @@ class LeaderState {
 // -------------------------------------------------------------- Acceptor --
 class AcceptorState {
  public:
+  // Ring cells; the window of instances an acceptor remembers.
+  static constexpr uint32_t kWindow = 1u << 16;
+
   AcceptorState(PaxosGroupConfig config, uint32_t acceptor_id);
 
+  // Instance 0 means "none" and is ignored.
   std::vector<PaxosOut> HandleMessage(const PaxosMessage& msg);
 
   uint32_t last_voted_instance() const { return last_voted_instance_; }
   uint32_t acceptor_id() const { return acceptor_id_; }
-  size_t stored_instances() const { return slots_.size(); }
+  size_t stored_instances() const { return stored_; }
+  // Phase1a/Phase2a requests answered under the trim rule.
+  uint64_t trimmed_requests() const { return trimmed_requests_; }
 
-  // App state contract: the per-instance vote log, sorted by instance.
+  // App state contract: the live cells' vote log, sorted by instance.
   void SaveTo(PaxosAppState& state) const;
   void RestoreFrom(const PaxosAppState& state);
 
  private:
   struct Slot {
-    uint16_t rnd = 0;    // Highest promised round.
-    uint16_t vrnd = 0;   // Round of the accepted value (0: none).
+    uint32_t instance = 0;  // Tag; 0: empty cell.
+    uint16_t rnd = 0;       // Highest promised round.
+    uint16_t vrnd = 0;      // Round of the accepted value (0: none).
     PaxosValue value = kPaxosNoop;
     NodeId client = 0;
   };
 
+  // The cell for `instance`, reset if it held an older one; nullptr when
+  // the instance is below the window. Allocates the ring on first use.
+  Slot* Cell(uint32_t instance);
   PaxosMessage MakePhase1b(uint32_t instance, const Slot& slot) const;
 
   PaxosGroupConfig config_;
   uint32_t acceptor_id_;
   uint32_t last_voted_instance_ = 0;
-  std::unordered_map<uint32_t, Slot> slots_;
+  std::vector<Slot> ring_;  // kWindow cells once allocated.
+  size_t stored_ = 0;       // Non-empty cells.
+  uint64_t trimmed_requests_ = 0;
 };
 
 // --------------------------------------------------------------- Learner --
@@ -133,11 +160,17 @@ class LearnerState {
   uint32_t highest_contiguous() const { return highest_contiguous_; }
   uint32_t highest_seen() const { return highest_seen_; }
   uint64_t fill_requests_sent() const { return fill_requests_; }
+  // Undelivered or out-of-order instances still held (above the cut).
+  size_t pending_instances() const { return slots_.size(); }
 
  private:
+  struct Vote {
+    uint32_t acceptor = 0;
+    uint16_t round = 0;
+    PaxosValue value = kPaxosNoop;
+  };
   struct Slot {
-    // Votes per acceptor for the current highest round observed.
-    std::map<uint32_t, std::pair<uint16_t, PaxosValue>> votes;
+    std::vector<Vote> votes;  // Latest vote per acceptor.
     bool delivered = false;
     PaxosValue value = kPaxosNoop;
     NodeId client = 0;
@@ -147,7 +180,7 @@ class LearnerState {
   std::vector<PaxosOut> Deliver(uint32_t instance, Slot& slot);
 
   PaxosGroupConfig config_;
-  std::map<uint32_t, Slot> slots_;
+  std::map<uint32_t, Slot> slots_;  // Instances above highest_contiguous_.
   uint32_t highest_contiguous_ = 0;
   uint32_t highest_seen_ = 0;
   uint64_t delivered_count_ = 0;

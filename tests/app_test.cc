@@ -148,6 +148,34 @@ TEST(AppStateTest, AcceptorVoteLogRoundTrip) {
   ExpectBitIdentical(snap, restored.SnapshotState());
   EXPECT_EQ(restored.state().last_voted_instance(), 4u);
   EXPECT_EQ(restored.state().stored_instances(), 4u);
+
+  // Wrapped ring: the snapshot holds only the live window, still sorted by
+  // instance, and restores bit-identically.
+  constexpr uint32_t kWindow = AcceptorState::kWindow;
+  constexpr uint32_t kLast = kWindow + 100;
+  for (uint32_t instance = 5; instance <= kLast; ++instance) {
+    PaxosMessage msg;
+    msg.type = PaxosMsgType::kPhase2a;
+    msg.instance = instance;
+    msg.round = 1;
+    msg.value = 100 + instance;
+    msg.client = 7;
+    source.state().HandleMessage(msg);
+  }
+  const AppState wrapped = source.SnapshotState();
+  const PaxosAppState& wpx = std::get<PaxosAppState>(wrapped.data);
+  ASSERT_EQ(wpx.slots.size(), kWindow);
+  EXPECT_EQ(wpx.slots.front().instance, kLast - kWindow + 1);
+  EXPECT_EQ(wpx.slots.back().instance, kLast);
+  EXPECT_TRUE(std::is_sorted(wpx.slots.begin(), wpx.slots.end(),
+                             [](const PaxosAcceptorSlot& a, const PaxosAcceptorSlot& b) {
+                               return a.instance < b.instance;
+                             }));
+  SoftwareAcceptor rewrapped(group, /*acceptor_id=*/1);
+  rewrapped.RestoreState(wrapped);
+  ExpectBitIdentical(wrapped, rewrapped.SnapshotState());
+  EXPECT_EQ(rewrapped.state().last_voted_instance(), kLast);
+  EXPECT_EQ(rewrapped.state().stored_instances(), kWindow);
 }
 
 TEST(AppStateTest, LeaderBallotAndSequenceRoundTrip) {

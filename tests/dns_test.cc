@@ -170,6 +170,11 @@ TEST(ZoneTest, LoadZoneTextRejectsMalformed) {
   EXPECT_EQ(zone.LoadZoneText("www.example MX 10.0.0.1\n"), -1);
   EXPECT_EQ(zone.LoadZoneText("www.example A not-an-ip\n"), -1);
   EXPECT_EQ(zone.LoadZoneText("lonely-token\n"), -1);
+  // TTLs that do not fit in 32 bits are malformed, not wrapped or thrown.
+  EXPECT_EQ(zone.LoadZoneText("www.example 99999999999999999999999 A 10.0.0.1\n"), -1);
+  EXPECT_EQ(zone.LoadZoneText("www.example 4294967296 A 10.0.0.1\n"), -1);
+  EXPECT_EQ(zone.LoadZoneText("www.example 4294967295 A 10.0.0.1\n"), 1);
+  EXPECT_EQ(zone.Lookup("www.example")->ttl, 4294967295u);
 }
 
 TEST(ZoneTest, FillSynthetic) {

@@ -375,6 +375,49 @@ TEST(PaxosIntegrationTest, Fig7LeaderMigrationMaintainsConsensus) {
   EXPECT_GT(late_rate, 9000.0);
 }
 
+TEST(PaxosIntegrationTest, ColdShiftPastTheWindowIsTrimmedSafely) {
+  // The second, cold shift (no probe, no state transfer) happens after more
+  // than AcceptorState::kWindow instances, so the fresh leader's proposals
+  // from instance 1 fall below every acceptor's window. The trim rule must
+  // answer them with sequence hints only: nothing is learned twice, no
+  // no-op is delivered and the learner never sees a gap.
+  Simulation sim(3);
+  PaxosTestbedOptions options;
+  options.deployment = PaxosDeployment::kP4xosFpga;
+  options.dual_leader = true;
+  options.client.requests_per_second = 20000;
+  options.client.retry_timeout = Milliseconds(100);
+  PaxosTestbed testbed(sim, options);
+  PaxosLeaderMigrator migrator(sim, testbed.net_switch(), kPaxosLeaderService,
+                               *testbed.software_leader(), testbed.leader_port(),
+                               *testbed.sut_fpga(), *testbed.fpga_leader(),
+                               testbed.leader_port());
+  sim.Schedule(Seconds(2), [&] { migrator.ShiftToNetwork(); });
+  sim.Schedule(Seconds(4), [&] {
+    ASSERT_GT(testbed.learner()->state().highest_contiguous(), AcceptorState::kWindow);
+    migrator.ShiftToHost();
+  });
+  testbed.client().Start();
+  sim.RunUntil(Seconds(6));
+
+  const PaxosClient& client = testbed.client();
+  EXPECT_EQ(client.sent(),
+            client.completed() + client.timeouts_abandoned() + client.outstanding());
+  const LearnerState& learner = testbed.learner()->state();
+  EXPECT_EQ(learner.noop_count(), 0u);
+  EXPECT_EQ(learner.fill_requests_sent(), 0u);
+  uint64_t trimmed = 0;
+  for (int i = 0; i < options.num_acceptors; ++i) {
+    const AcceptorState& acceptor = testbed.software_acceptor(i)->state();
+    EXPECT_LE(acceptor.stored_instances(), AcceptorState::kWindow);
+    trimmed += acceptor.trimmed_requests();
+  }
+  EXPECT_GT(trimmed, 0u);
+  // Consensus kept running after the cold shift.
+  EXPECT_GT(client.completion_rate().MeanValueBetween(Milliseconds(5000), Seconds(6)),
+            15000.0);
+}
+
 TEST(PaxosIntegrationTest, AcceptorSutVariantsWork) {
   Simulation sim(1);
   PaxosTestbedOptions options;

@@ -239,6 +239,65 @@ TEST(AcceptorTest, RejectsGroupWithoutLearners) {
   EXPECT_THROW(AcceptorState(group, 0), std::invalid_argument);
 }
 
+PaxosMessage Phase2a(uint32_t instance, uint16_t round, PaxosValue value) {
+  PaxosMessage msg;
+  msg.type = PaxosMsgType::kPhase2a;
+  msg.instance = instance;
+  msg.round = round;
+  msg.value = value;
+  msg.client = 100;
+  return msg;
+}
+
+TEST(AcceptorTest, StateIsBoundedByTheWindow) {
+  AcceptorState acceptor(ThreeAcceptorGroup(), 0);
+  EXPECT_EQ(acceptor.stored_instances(), 0u);
+  constexpr uint32_t kWindow = AcceptorState::kWindow;
+  for (uint32_t instance = 1; instance <= 3 * kWindow; ++instance) {
+    acceptor.HandleMessage(Phase2a(instance, 1, instance));
+  }
+  EXPECT_LE(acceptor.stored_instances(), kWindow);
+  EXPECT_EQ(acceptor.last_voted_instance(), 3 * kWindow);
+  EXPECT_EQ(acceptor.trimmed_requests(), 0u);
+}
+
+TEST(AcceptorTest, BelowTheWindowAnswersOnlyTheSequenceHint) {
+  constexpr uint32_t kWindow = AcceptorState::kWindow;
+  AcceptorState acceptor(ThreeAcceptorGroup(), 2);
+  // Instance kWindow + 5 shares instance 5's cell and is newer.
+  const uint32_t live = kWindow + 5;
+  acceptor.HandleMessage(Phase2a(live, 1, 77));
+  PaxosAppState before;
+  acceptor.SaveTo(before);
+
+  for (PaxosMsgType type : {PaxosMsgType::kPhase1a, PaxosMsgType::kPhase2a}) {
+    const uint64_t trimmed = acceptor.trimmed_requests();
+    PaxosMessage stale = Phase2a(5, 9, 55);
+    stale.type = type;
+    const auto out = acceptor.HandleMessage(stale);
+    ASSERT_EQ(out.size(), 1u) << PaxosMsgTypeName(type);
+    EXPECT_EQ(out[0].dst, 200u);
+    EXPECT_EQ(out[0].msg.type, PaxosMsgType::kPhase1b);
+    EXPECT_EQ(out[0].msg.instance, 5u);
+    EXPECT_EQ(out[0].msg.round, 9u);
+    EXPECT_EQ(out[0].msg.vround, 0u);
+    EXPECT_EQ(out[0].msg.sender_id, 2u);
+    EXPECT_EQ(out[0].msg.last_voted_instance, live);
+    EXPECT_EQ(acceptor.trimmed_requests(), trimmed + 1);
+  }
+
+  // Neither request promised or voted: the live cell is untouched.
+  PaxosAppState after;
+  acceptor.SaveTo(after);
+  ASSERT_EQ(after.slots.size(), 1u);
+  EXPECT_EQ(after.slots[0].instance, before.slots[0].instance);
+  EXPECT_EQ(after.slots[0].rnd, before.slots[0].rnd);
+  EXPECT_EQ(after.slots[0].vrnd, before.slots[0].vrnd);
+  EXPECT_EQ(after.slots[0].value, before.slots[0].value);
+  EXPECT_EQ(acceptor.last_voted_instance(), live);
+  EXPECT_EQ(acceptor.stored_instances(), 1u);
+}
+
 TEST(LearnerTest, DeliversOnQuorum) {
   LearnerState learner(ThreeAcceptorGroup());
   PaxosMessage vote;
@@ -342,6 +401,69 @@ TEST(LearnerTest, ContiguityAdvancesThroughBackfill) {
   EXPECT_EQ(learner.highest_contiguous(), 0u);
   vote_for(1);
   EXPECT_EQ(learner.highest_contiguous(), 3u);
+}
+
+PaxosMessage Vote(uint32_t instance, uint32_t acceptor, PaxosValue value) {
+  PaxosMessage vote;
+  vote.type = PaxosMsgType::kPhase2b;
+  vote.instance = instance;
+  vote.round = 1;
+  vote.value = value;
+  vote.client = 100;
+  vote.sender_id = acceptor;
+  return vote;
+}
+
+TEST(LearnerTest, DeliveredPrefixIsTrimmed) {
+  LearnerState learner(ThreeAcceptorGroup());
+  constexpr uint32_t kInstances = 10000;
+  for (uint32_t instance = 1; instance <= kInstances; ++instance) {
+    learner.HandleMessage(Vote(instance, 0, instance), 0);
+    learner.HandleMessage(Vote(instance, 1, instance), 0);
+    EXPECT_LE(learner.pending_instances(), 1u);
+  }
+  EXPECT_EQ(learner.delivered_count(), kInstances);
+  EXPECT_EQ(learner.highest_contiguous(), kInstances);
+  EXPECT_EQ(learner.pending_instances(), 0u);
+
+  // A late third vote for a delivered instance is ignored, as before.
+  EXPECT_TRUE(learner.HandleMessage(Vote(42, 2, 42), 0).empty());
+  EXPECT_TRUE(learner.HandleMessage(Vote(kInstances, 2, kInstances), 0).empty());
+  EXPECT_EQ(learner.delivered_count(), kInstances);
+  EXPECT_EQ(learner.pending_instances(), 0u);
+  EXPECT_TRUE(learner.CheckGaps(Seconds(1), Milliseconds(50)).empty());
+}
+
+TEST(LearnerTest, OutOfOrderSpanBoundsPendingSlots) {
+  LearnerState learner(ThreeAcceptorGroup());
+  auto decide = [&](uint32_t instance, PaxosValue value) {
+    learner.HandleMessage(Vote(instance, 0, value), 0);
+    return learner.HandleMessage(Vote(instance, 1, value), 0);
+  };
+  for (uint32_t instance = 1; instance <= 100; ++instance) {
+    decide(instance, instance);
+  }
+  // 103 and 104 arrive before 101 and 102.
+  decide(103, 103);
+  decide(104, 104);
+  EXPECT_EQ(learner.highest_contiguous(), 100u);
+  EXPECT_EQ(learner.pending_instances(), 2u);
+
+  // The gap scan asks for exactly the two holes, then their no-op fills
+  // close the cut and drop every slot.
+  const auto fills = learner.CheckGaps(Milliseconds(100), Milliseconds(50));
+  ASSERT_EQ(fills.size(), 2u);
+  EXPECT_EQ(fills[0].msg.instance, 101u);
+  EXPECT_EQ(fills[1].msg.instance, 102u);
+  EXPECT_EQ(learner.pending_instances(), 4u);
+  EXPECT_TRUE(decide(102, kPaxosNoop).empty());
+  EXPECT_EQ(learner.highest_contiguous(), 100u);
+  EXPECT_TRUE(decide(101, kPaxosNoop).empty());
+  EXPECT_EQ(learner.highest_contiguous(), 104u);
+  EXPECT_EQ(learner.pending_instances(), 0u);
+  EXPECT_EQ(learner.noop_count(), 2u);
+  EXPECT_EQ(learner.delivered_count(), 104u);
+  EXPECT_TRUE(learner.CheckGaps(Milliseconds(300), Milliseconds(50)).empty());
 }
 
 // Randomized safety property across a leader migration: under message

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -186,6 +187,90 @@ TEST(DnsFuzzTest, BitFlippedMessagesNeverCrash) {
     (void)DecodeDnsMessage(mutated);  // Must not crash.
   }
 }
+
+// ---- Mutated zone files never throw from the loader ----
+//
+// Token and byte mutations of a valid zone file: LoadZoneText either
+// rejects the text (-1) or loads at most one record per line.
+
+class ZoneFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ZoneFuzzTest, MutatedZoneTextNeverThrows) {
+  Rng rng(GetParam());
+  const std::vector<std::string> valid = {
+      "www.example 3600 A 10.0.0.1", "mail.example A 10.0.0.2",
+      "; a comment line", "", "db.example 60 a 192.168.1.9 # trailing",
+  };
+  const std::vector<std::string> tokens = {
+      "99999999999999999999999", "4294967296", "4294967295", "0", "-1", "+5",
+      "A", "a", "MX", "#", ";", "256.1.1.1", "10.0.0", "1.2.3.4.5",
+      std::string(64, 'x') + ".example", std::string(300, 'y'), "a..b", ".", "\t",
+  };
+  auto index = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  auto pick = [&](const std::vector<std::string>& pool) -> const std::string& {
+    return pool[index(pool.size())];
+  };
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string text;
+    const int lines = static_cast<int>(rng.UniformInt(1, 6));
+    for (int l = 0; l < lines; ++l) {
+      std::vector<std::string> fields;
+      std::istringstream in(pick(valid));
+      for (std::string field; in >> field;) {
+        fields.push_back(field);
+      }
+      const int edits = static_cast<int>(rng.UniformInt(0, 3));
+      for (int e = 0; e < edits; ++e) {
+        const size_t at = fields.empty() ? 0 : index(fields.size());
+        switch (rng.UniformInt(0, 2)) {
+          case 0:  // Replace.
+            if (!fields.empty()) {
+              fields[at] = pick(tokens);
+            }
+            break;
+          case 1:  // Insert.
+            fields.insert(fields.begin() + static_cast<std::ptrdiff_t>(at), pick(tokens));
+            break;
+          default:  // Delete.
+            if (!fields.empty()) {
+              fields.erase(fields.begin() + static_cast<std::ptrdiff_t>(at));
+            }
+            break;
+        }
+      }
+      for (const std::string& field : fields) {
+        text += field + " ";
+      }
+      text += "\n";
+    }
+    const int byte_edits = static_cast<int>(rng.UniformInt(0, 4));
+    for (int e = 0; e < byte_edits && !text.empty(); ++e) {
+      const size_t at = index(text.size());
+      const char byte = static_cast<char>(rng.UniformInt(0, 255));
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          text[at] = byte;
+          break;
+        case 1:
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), byte);
+          break;
+        default:
+          text.erase(at, 1);
+          break;
+      }
+    }
+    const int max_records = static_cast<int>(std::count(text.begin(), text.end(), '\n')) + 1;
+    Zone zone;
+    int loaded = 0;
+    ASSERT_NO_THROW(loaded = zone.LoadZoneText(text)) << text;
+    EXPECT_TRUE(loaded == -1 || (loaded >= 0 && loaded <= max_records)) << loaded << "\n"
+                                                                         << text;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ZoneFuzzTest, ::testing::Values(11u, 22u, 33u));
 
 // ---- Histogram percentiles vs an exact reference ----
 
