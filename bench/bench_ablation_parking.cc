@@ -6,7 +6,12 @@
 // chooses gated parking as "the best of both performance and power
 // efficiency worlds". This bench quantifies the triangle: parked watts,
 // traffic lost at a shift, and warm-up misses after a shift.
+//
+// Modes:
+//   (default) — the table and CSV of all three policies.
+//   --check   — the same runs, then exits 1 if a §9.2 ordering below breaks.
 #include <iostream>
+#include <map>
 #include <memory>
 
 #include "bench/bench_util.h"
@@ -26,6 +31,15 @@ RequestFactory GetFactory(NodeId service, uint64_t keys) {
     return MakeKvRequestPacket(src, service, KvRequest{KvOp::kGet, key, 0}, id, now);
   };
 }
+
+// --check floors: the §9.2 orderings migrator.h quotes, not this model's
+// numbers. Parked board watts: reprogram < gated park < keep warm. Keep warm
+// re-warms nothing and gated park re-warms from cold; only reprogram halts
+// traffic, so only it loses requests.
+constexpr double kKeepWarmMaxWarmupMisses = 0;
+constexpr double kGatedParkMinWarmupMisses = 1;
+constexpr double kUnhaltedMaxLostRequests = 0;
+constexpr double kReprogramMinLostRequests = 1;
 
 struct PolicyResult {
   double parked_board_watts = 0;
@@ -49,8 +63,8 @@ PolicyResult RunPolicy(ParkPolicy policy) {
   testbed.lake()->WarmFill(0, keys, 64);
   // Parking applies the policy: gated/reprogram reset the memories (caches
   // lost), keep-warm retains them.
-  ClassifierMigrator migrator(sim, *testbed.fpga(),
-                              ClassifierMigrator::Options::FromPolicy(policy));
+  StateTransferMigrator migrator(sim, *testbed.fpga(),
+                                 StateTransferMigrator::Options{policy});
 
   PolicyResult result;
   result.parked_board_watts = testbed.fpga()->PowerWatts();
@@ -72,20 +86,48 @@ PolicyResult RunPolicy(ParkPolicy policy) {
   return result;
 }
 
+int CheckFloors(const std::map<ParkPolicy, PolicyResult>& results) {
+  const PolicyResult& gated = results.at(ParkPolicy::kGatedPark);
+  const PolicyResult& warm = results.at(ParkPolicy::kKeepWarm);
+  const PolicyResult& reprogram = results.at(ParkPolicy::kReprogram);
+  std::cout << "\n--- check ---\n";
+  bench::Check check;
+  check.That("parked board watts: reprogram < gated park",
+             reprogram.parked_board_watts < gated.parked_board_watts);
+  check.That("parked board watts: gated park < keep warm",
+             gated.parked_board_watts < warm.parked_board_watts);
+  check.AtMost("keep-warm warm-up misses", static_cast<double>(warm.warmup_misses),
+               kKeepWarmMaxWarmupMisses);
+  check.AtLeast("gated-park warm-up misses", static_cast<double>(gated.warmup_misses),
+                kGatedParkMinWarmupMisses);
+  check.AtMost("gated-park lost requests", static_cast<double>(gated.lost_requests),
+               kUnhaltedMaxLostRequests);
+  check.AtMost("keep-warm lost requests", static_cast<double>(warm.lost_requests),
+               kUnhaltedMaxLostRequests);
+  check.AtLeast("reprogram lost requests", static_cast<double>(reprogram.lost_requests),
+                kReprogramMinLostRequests);
+  return check.ExitCode();
+}
+
 }  // namespace
 }  // namespace incod
 
-int main() {
+int main(int argc, char** argv) {
   using namespace incod;
+  bool check = false;
+  if (!bench::ParseCheckFlag(argc, argv, &check)) {
+    return 2;
+  }
   bench::PrintHeader("Ablation: §9.2 parking policies",
                      "Parked board power vs shift cost for gated-park (the "
                      "paper's choice), keep-warm, and partial "
                      "reconfiguration.");
   CsvTable table({"policy", "parked_board_w", "warmup_misses", "lost_requests",
                   "p50_us_after_shift"});
+  std::map<ParkPolicy, PolicyResult> results;
   for (ParkPolicy policy :
        {ParkPolicy::kGatedPark, ParkPolicy::kKeepWarm, ParkPolicy::kReprogram}) {
-    const auto r = RunPolicy(policy);
+    const PolicyResult& r = results[policy] = RunPolicy(policy);
     table.AddRow({std::string(ParkPolicyName(policy)), r.parked_board_watts,
                   static_cast<int64_t>(r.warmup_misses),
                   static_cast<int64_t>(r.lost_requests), r.p50_us_after});
@@ -97,5 +139,5 @@ int main() {
                "but shifts instantly; partial reconfiguration parks deepest "
                "but halts traffic; gated parking pays only a warm-up in "
                "misses that the host absorbs at unchanged throughput.)\n";
-  return 0;
+  return check ? CheckFloors(results) : 0;
 }

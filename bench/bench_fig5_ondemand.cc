@@ -66,10 +66,10 @@ SweepPoint MeasureKvs(double rate_pps, bool on_demand) {
   auto& client = testbed.AddClient(LoadClientConfig{},
                                    std::make_unique<ConstantArrival>(rate_pps),
                                    GetFactory(testbed.ServiceNode(), 1000));
-  std::unique_ptr<ClassifierMigrator> migrator;
+  std::unique_ptr<StateTransferMigrator> migrator;
   std::unique_ptr<OnDemandController> controller;
   if (on_demand) {
-    migrator = std::make_unique<ClassifierMigrator>(sim, *testbed.fpga());
+    migrator = std::make_unique<StateTransferMigrator>(sim, *testbed.fpga());
     controller = std::make_unique<OnDemandController>(sim, *testbed.fpga(), *migrator,
                                                       FastController());
     controller->Start();
@@ -96,10 +96,10 @@ SweepPoint MeasureDns(double rate_pps, bool on_demand) {
   auto& client = testbed.AddClient(LoadClientConfig{},
                                    std::make_unique<ConstantArrival>(rate_pps),
                                    MakeDnsRequestFactory(workload));
-  std::unique_ptr<ClassifierMigrator> migrator;
+  std::unique_ptr<StateTransferMigrator> migrator;
   std::unique_ptr<OnDemandController> controller;
   if (on_demand) {
-    migrator = std::make_unique<ClassifierMigrator>(sim, *testbed.fpga());
+    migrator = std::make_unique<StateTransferMigrator>(sim, *testbed.fpga());
     controller = std::make_unique<OnDemandController>(sim, *testbed.fpga(), *migrator,
                                                       FastController());
     controller->Start();

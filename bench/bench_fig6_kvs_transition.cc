@@ -59,7 +59,7 @@ constexpr double kMinDeltaMissFraction = 0.25;
 // against a pre-warmed authoritative store, one shift into the network at
 // 1 s, miss fraction + p50 over the 200 ms post-shift window. Only the
 // testbed (which offload substrate hosts LaKe) differs between legs.
-TransitionResult MeasureTransition(Simulation& sim, ClassifierMigrator& migrator,
+TransitionResult MeasureTransition(Simulation& sim, StateTransferMigrator& migrator,
                                    LakeCache& lake, LoadClient& client) {
   const SimTime shift_at = Seconds(1);
   const SimDuration window = Milliseconds(200);
@@ -122,11 +122,10 @@ TransitionResult RunTransition(bool warm) {
 
   // Fig 6 ran without clock gating / memory reset enabled; the warm mode
   // additionally carries the store contents through the generic transfer.
-  ClassifierMigrator::Options migrate_options =
-      ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
+  StateTransferMigrator::Options migrate_options{ParkPolicy::kKeepWarm};
   migrate_options.transfer_state = warm;
-  ClassifierMigrator migrator(sim, *testbed.fpga(), migrate_options,
-                              testbed.memcached(), testbed.lake());
+  StateTransferMigrator migrator(sim, *testbed.fpga(), migrate_options,
+                                 testbed.memcached(), testbed.lake());
   return MeasureTransition(sim, migrator, *testbed.lake(), client);
 }
 
@@ -162,11 +161,10 @@ TransitionResult RunSmartNicTransition(bool warm) {
       testbed.AddClient(TransitionClientConfig(),
                         std::make_unique<PoissonArrival>(16000.0), etc.MakeFactory());
 
-  ClassifierMigrator::Options migrate_options =
-      ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
+  StateTransferMigrator::Options migrate_options{ParkPolicy::kKeepWarm};
   migrate_options.transfer_state = warm;
-  ClassifierMigrator migrator(sim, *testbed.member(0).smartnic, migrate_options,
-                              memcached, lake);
+  StateTransferMigrator migrator(sim, *testbed.member(0).smartnic, migrate_options,
+                                 memcached, lake);
   return MeasureTransition(sim, migrator, *lake, client);
 }
 
@@ -232,10 +230,8 @@ int RunTimeline() {
                                    etc.MakeFactory());
 
   // Fig 6 ran without clock gating / memory reset enabled.
-  ClassifierMigrator::Options migrate_options;
-  migrate_options.clock_gate_when_idle = false;
-  migrate_options.reset_memories_when_idle = false;
-  ClassifierMigrator migrator(sim, *testbed.fpga(), migrate_options);
+  StateTransferMigrator migrator(sim, *testbed.fpga(),
+                                 StateTransferMigrator::Options{ParkPolicy::kKeepWarm});
 
   RaplCounter rapl(sim, [&] { return testbed.server()->RaplPackageWatts(); });
   rapl.Start();

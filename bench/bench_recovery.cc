@@ -49,7 +49,6 @@ RequestFactory GetFactory(NodeId service, uint64_t keys) {
 RackOrchestratorConfig RecoveryOrchestratorConfig() {
   RackOrchestratorConfig config;
   config.heartbeat_period = Milliseconds(2);
-  config.failure_threshold = 2;
   config.check_period = Milliseconds(50);
   // The benches place apps with ForcePlacement; a long dwell keeps the
   // periodic economics pass from moving them before the fault strikes.

@@ -193,7 +193,6 @@ CadencePoint RunCadence(const std::string& label, SimDuration checkpoint_period,
     kvs.switch_app = "kvs";
     kvs.env.service = KvsHostNode(r);
     rack.orchestrator.heartbeat_period = Milliseconds(1);
-    rack.orchestrator.failure_threshold = 2;
     rack.orchestrator.checkpoint_period = checkpoint_period;
     rack.apps[0].switch_option = true;
   }

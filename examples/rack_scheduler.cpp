@@ -21,7 +21,7 @@ namespace {
 
 std::string AppPlacement(MixedRackScenario& rack, size_t app) {
   const RackPlacementOption* option = rack.orchestrator().current_option(app);
-  return option == nullptr ? "host" : option->target->TargetName();
+  return option == nullptr ? "host" : option->migrator->target().TargetName();
 }
 
 }  // namespace
@@ -31,7 +31,6 @@ int main() {
 
   MixedRackOptions options;
   options.power_budget_watts = 120.0;  // Shared PDU headroom for offloads.
-  options.orchestrator.min_saving_watts = 2.0;
   options.orchestrator.min_dwell = Seconds(1);
   // Warm policy for the KVS: every orchestrator shift carries the store's
   // LRU contents through the generic state-transfer path, so LaKe serves

@@ -31,6 +31,8 @@ RatePowerFn MakeFpgaRatePower(double host_idle_watts, double board_idle_watts,
   };
 }
 
+RatePowerFn MakeLakeRatePower() { return MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6); }
+
 RatePowerFn MakeSwitchMarginalPower(double program_overhead_fraction,
                                     double max_power_watts, double line_rate_pps) {
   if (line_rate_pps <= 0) {

@@ -35,6 +35,12 @@ RatePowerFn MakeServerRatePower(PiecewiseLinearCurve utilization_to_watts,
 RatePowerFn MakeFpgaRatePower(double host_idle_watts, double board_idle_watts,
                               double dynamic_watts_at_capacity, double capacity_pps);
 
+// The LaKe deployment's §8 models, shared by every builder that orchestrates
+// a LaKe member: memcached's per-request host service time, and host + LaKe
+// board watts (35 W host idle, 24 W board idle, 1 W dynamic up to 13 Mpps).
+inline constexpr SimDuration kMemcachedServiceTime = Microseconds(4);
+RatePowerFn MakeLakeRatePower();
+
 // Programmable switch already forwarding traffic: only the in-network
 // program's marginal power counts (§9.4). `forwarding_watts` is shared by
 // both placements and excluded.

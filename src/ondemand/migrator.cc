@@ -20,28 +20,6 @@ const char* ParkPolicyName(ParkPolicy policy) {
   return "?";
 }
 
-StateTransferMigrator::Options StateTransferMigrator::Options::FromPolicy(
-    ParkPolicy policy, SimDuration reprogram_halt) {
-  Options options;
-  options.policy = policy;
-  switch (policy) {
-    case ParkPolicy::kGatedPark:
-      options.clock_gate_when_idle = true;
-      options.reset_memories_when_idle = true;
-      break;
-    case ParkPolicy::kKeepWarm:
-      options.clock_gate_when_idle = false;
-      options.reset_memories_when_idle = false;
-      break;
-    case ParkPolicy::kReprogram:
-      options.clock_gate_when_idle = true;
-      options.reset_memories_when_idle = true;
-      options.reprogram_halt = reprogram_halt;
-      break;
-  }
-  return options;
-}
-
 StateTransferMigrator::StateTransferMigrator(Simulation& sim, OffloadTarget& target,
                                              Options options, App* host_app,
                                              App* offload_app)
@@ -56,8 +34,9 @@ StateTransferMigrator::StateTransferMigrator(Simulation& sim, OffloadTarget& tar
 }
 
 void StateTransferMigrator::ApplyParkedState() {
-  target_.SetClockGating(options_.clock_gate_when_idle);
-  target_.SetMemoryReset(options_.reset_memories_when_idle);
+  const bool park = options_.policy != ParkPolicy::kKeepWarm;
+  target_.SetClockGating(park);
+  target_.SetMemoryReset(park);
   if (options_.policy == ParkPolicy::kReprogram) {
     target_.PowerGateParkedApp();
   }
@@ -166,14 +145,10 @@ PaxosLeaderMigrator::PaxosLeaderMigrator(Simulation& sim, L2Switch& sw,
                                          Options options)
     : StateTransferMigrator(
           sim, hardware_target,
-          [&options] {
-            // The FPGA leader keeps on-chip state only: no park knobs to
-            // apply while the host serves (kKeepWarm semantics).
-            StateTransferMigrator::Options base =
-                StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
-            base.transfer_state = options.transfer_state;
-            return base;
-          }(),
+          // The FPGA leader keeps on-chip state only: no park knobs to
+          // apply while the host serves.
+          StateTransferMigrator::Options{.policy = ParkPolicy::kKeepWarm,
+                                         .transfer_state = options.transfer_state},
           &software_leader, &hardware_leader),
       switch_(sw),
       leader_service_(leader_service),

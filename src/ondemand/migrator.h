@@ -9,10 +9,10 @@
 // StateTransferMigrator flips the target's classifier, applies the §9.2
 // park policy, and — when enabled — moves the application's typed AppState
 // snapshot between the host and offload placements, for *any* registered
-// app. ClassifierMigrator is the classic classifier-flip configuration of
-// that core (the paper's behaviour: caches re-warm instead of being
-// transferred); PaxosLeaderMigrator layers the §9.2 leader election
-// (switch-rule rewrite + ballot/sequence choreography) on the same core.
+// app. With transfer_state off it is the paper's classifier flip (caches
+// re-warm instead of being transferred); PaxosLeaderMigrator layers the
+// §9.2 leader election (switch-rule rewrite + ballot/sequence
+// choreography) on the same core.
 #ifndef INCOD_SRC_ONDEMAND_MIGRATOR_H_
 #define INCOD_SRC_ONDEMAND_MIGRATOR_H_
 
@@ -77,27 +77,28 @@ const char* ParkPolicyName(ParkPolicy policy);
 // OffloadTarget, plus an optional typed-state transfer between the host and
 // offload placements of the app. Works for any registered app — the state
 // moves through the App snapshot/restore contract, not per-app plumbing.
+// Park knobs a target does not support are no-ops (a switch ASIC parks as
+// kKeepWarm whatever the policy).
 class StateTransferMigrator : public Migrator {
  public:
   struct Options {
-    bool clock_gate_when_idle = true;
-    bool reset_memories_when_idle = true;
-    // Reconfiguration halt; only used by FromPolicy(kReprogram).
-    SimDuration reprogram_halt = 0;
+    // While the host serves, every policy but kKeepWarm clock-gates the
+    // app's logic and holds its memories in reset.
     ParkPolicy policy = ParkPolicy::kGatedPark;
+    // Data-path halt on every shift into the network; only kReprogram pays it.
+    SimDuration reprogram_halt = Milliseconds(40);
     // Move the outgoing placement's AppState into the incoming one on every
     // shift. Off by default (the paper's shifts re-warm caches, §9.2); on,
     // the incoming placement starts warm.
     bool transfer_state = false;
-
-    static Options FromPolicy(ParkPolicy policy,
-                              SimDuration reprogram_halt = Milliseconds(40));
   };
 
   // `host_app` / `offload_app` are the two placements of the application
   // (may be null when transfer_state is off — the flip needs neither).
   StateTransferMigrator(Simulation& sim, OffloadTarget& target, Options options,
                         App* host_app = nullptr, App* offload_app = nullptr);
+  StateTransferMigrator(Simulation& sim, OffloadTarget& target)
+      : StateTransferMigrator(sim, target, Options{}) {}
 
   void ShiftToNetwork() override;
   void ShiftToHost() override;
@@ -153,23 +154,6 @@ class StateTransferMigrator : public Migrator {
   bool offload_served_ = false;
   uint64_t state_transfers_ = 0;
   uint64_t checkpoint_restores_ = 0;
-};
-
-// KVS / DNS migrator: the classifier-flip configuration of the generic
-// core, reproducing the paper's behaviour exactly (no state transfer unless
-// asked). Works against any OffloadTarget — unsupported park knobs are
-// no-ops (a switch ASIC parks as kKeepWarm no matter what). Configurable to
-// reproduce the Fig 6 experiment (which ran with gating disabled ->
-// kKeepWarm).
-class ClassifierMigrator : public StateTransferMigrator {
- public:
-  using Options = StateTransferMigrator::Options;
-
-  ClassifierMigrator(Simulation& sim, OffloadTarget& target, Options options,
-                     App* host_app = nullptr, App* offload_app = nullptr)
-      : StateTransferMigrator(sim, target, options, host_app, offload_app) {}
-  ClassifierMigrator(Simulation& sim, OffloadTarget& target)
-      : ClassifierMigrator(sim, target, Options{}) {}
 };
 
 // Paxos leader migrator (§9.2): "we use a centralized controller to initiate

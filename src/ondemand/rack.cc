@@ -6,9 +6,15 @@
 
 namespace incod {
 
-RackPowerLedger::RackPowerLedger(double budget_watts) : budget_(budget_watts) {}
+PowerBudget::PowerBudget(double budget_watts)
+    : budget_(budget_watts), unlimited_(budget_watts <= 0) {}
 
-double RackPowerLedger::committed_watts() const {
+void PowerBudget::SetBudgetWatts(double watts) {
+  budget_ = std::max(0.0, watts);
+  unlimited_ = false;
+}
+
+double PowerBudget::committed_watts() const {
   double total = 0;
   for (const auto& [key, watts] : commitments_) {
     total += watts;
@@ -16,32 +22,31 @@ double RackPowerLedger::committed_watts() const {
   return total;
 }
 
-double RackPowerLedger::RemainingWatts() const {
+double PowerBudget::RemainingWatts() const {
   if (unlimited()) {
     return std::numeric_limits<double>::infinity();
   }
   return budget_ - committed_watts();
 }
 
-bool RackPowerLedger::TryCommit(const std::string& key, double watts) {
+bool PowerBudget::TryCommit(const std::string& key, double watts) {
   if (watts < 0) {
-    throw std::invalid_argument("RackPowerLedger: negative commitment");
+    throw std::invalid_argument("PowerBudget: negative commitment");
   }
-  if (!unlimited()) {
-    double prior = 0;
-    auto it = commitments_.find(key);
-    if (it != commitments_.end()) {
-      prior = it->second;
-    }
-    if (committed_watts() - prior + watts > budget_) {
-      return false;
-    }
+  double prior = 0;
+  auto it = commitments_.find(key);
+  if (it != commitments_.end()) {
+    prior = it->second;
+  }
+  // Rejecting a shrink while over budget would wedge the ledger there.
+  if (!unlimited() && watts > prior && committed_watts() - prior + watts > budget_) {
+    return false;
   }
   commitments_[key] = watts;
   return true;
 }
 
-void RackPowerLedger::Release(const std::string& key) { commitments_.erase(key); }
+void PowerBudget::Release(const std::string& key) { commitments_.erase(key); }
 
 // ---------------------------------------------------------------------------
 
@@ -66,8 +71,7 @@ size_t RackOrchestrator::AddApp(RackAppSpec spec) {
     }
   }
   for (const auto& option : spec.options) {
-    if (option.target == nullptr || option.migrator == nullptr ||
-        option.network_watts == nullptr) {
+    if (option.migrator == nullptr || option.network_watts == nullptr) {
       throw std::invalid_argument("RackOrchestrator: incomplete placement option");
     }
   }
@@ -125,6 +129,13 @@ SimDuration RackOrchestrator::CheckpointPeriodFor(const ManagedApp& app) const {
                                          : config_.checkpoint_period;
 }
 
+OffloadTarget* RackOrchestrator::CurrentTarget(const ManagedApp& app) {
+  if (app.active_option < 0) {
+    return nullptr;
+  }
+  return &app.spec.options[static_cast<size_t>(app.active_option)].migrator->target();
+}
+
 const RackPlacementOption* RackOrchestrator::current_option(size_t index) const {
   const ManagedApp& app = apps_.at(index);
   if (app.active_option < 0) {
@@ -152,7 +163,7 @@ double RackOrchestrator::OffloadDemandWatts() const {
     const double home_idle = app.spec.software_watts(0);
     double best = std::numeric_limits<double>::infinity();
     for (const auto& option : app.spec.options) {
-      if (!option.target->TargetAlive()) {
+      if (!option.migrator->target().TargetAlive()) {
         continue;
       }
       best = std::min(best, std::max(0.0, option.network_watts(rate) - home_idle));
@@ -167,8 +178,7 @@ double RackOrchestrator::OffloadDemandWatts() const {
 double RackOrchestrator::CommittedPps(const OffloadTarget& target) const {
   double total = 0;
   for (const auto& app : apps_) {
-    if (app.active_option >= 0 &&
-        app.spec.options[static_cast<size_t>(app.active_option)].target == &target) {
+    if (CurrentTarget(app) == &target) {
       total += app.committed_rate_pps;
     }
   }
@@ -193,9 +203,10 @@ void RackOrchestrator::Sample() {
       ++offloaded;
     }
     for (const auto& option : app.spec.options) {
-      if (std::find(seen.begin(), seen.end(), option.target) == seen.end()) {
-        seen.push_back(option.target);
-        measured += option.target->OffloadPowerWatts();
+      const OffloadTarget* target = &option.migrator->target();
+      if (std::find(seen.begin(), seen.end(), target) == seen.end()) {
+        seen.push_back(target);
+        measured += target->OffloadPowerWatts();
       }
     }
   }
@@ -206,18 +217,17 @@ void RackOrchestrator::Sample() {
 bool RackOrchestrator::OptionEligible(const ManagedApp& app,
                                       const RackPlacementOption& option,
                                       double rate, bool is_current) const {
-  if (!option.target->TargetAlive()) {
+  if (!option.migrator->target().TargetAlive()) {
     return false;  // Dead silicon cannot host anything.
   }
-  if (!is_current && option.target->reprogramming()) {
+  if (!is_current && option.migrator->target().reprogramming()) {
     return false;  // Mid-reconfiguration: the data path is halted.
   }
-  const double capacity = option.target->OffloadCapacityPps();
+  const double capacity = option.migrator->target().OffloadCapacityPps();
   if (capacity > 0) {
     // Capacity already promised to *other* apps on this target.
-    double committed = CommittedPps(*option.target);
-    if (app.active_option >= 0 &&
-        app.spec.options[static_cast<size_t>(app.active_option)].target == option.target) {
+    double committed = CommittedPps(option.migrator->target());
+    if (CurrentTarget(app) == &option.migrator->target()) {
       committed -= app.committed_rate_pps;
     }
     if (committed + rate > capacity) {
@@ -230,10 +240,10 @@ bool RackOrchestrator::OptionEligible(const ManagedApp& app,
 double RackOrchestrator::PredictOptionWatts(const RackPlacementOption& option,
                                             double rate) const {
   double watts = option.network_watts(rate);
-  if (option.policy == ParkPolicy::kReprogram &&
-      option.target->Traits().supports_reprogramming) {
+  if (option.migrator->options().policy == ParkPolicy::kReprogram &&
+      option.migrator->target().Traits().supports_reprogramming) {
     // Bias against halt-incurring placements so warm targets win ties.
-    watts += config_.reprogram_penalty_watts;
+    watts += kReprogramPenaltyWatts;
   }
   return watts;
 }
@@ -248,20 +258,18 @@ void RackOrchestrator::DecideForApp(ManagedApp& app) {
   // abandon (never snapshot state out of dead hardware), so an economics
   // tick that would ShiftToHost has to stand aside until the heartbeat
   // declares the target failed.
-  if (app.active_option >= 0 &&
-      !app.spec.options[static_cast<size_t>(app.active_option)].target->TargetAlive()) {
+  const OffloadTarget* current_target = CurrentTarget(app);
+  if (current_target != nullptr && !current_target->TargetAlive()) {
     return;
   }
   // Park while the app's own target reprograms: the shift we started is
   // still in flight (data path halted, state not yet installed), so any
   // decision now would act on a placement that does not exist yet.
-  if (app.active_option >= 0 &&
-      app.spec.options[static_cast<size_t>(app.active_option)].target->reprogramming()) {
+  if (current_target != nullptr && current_target->reprogramming()) {
     ++reprogram_deferrals_;
-    decision_log_.push_back(RackDecisionRecord{
-        RackDecisionRecord::Kind::kDeferral, now, app.spec.name,
-        app.spec.options[static_cast<size_t>(app.active_option)].target->TargetName(),
-        false});
+    decision_log_.push_back(RackDecisionRecord{RackDecisionRecord::Kind::kDeferral, now,
+                                               app.spec.name, current_target->TargetName(),
+                                               false});
     return;
   }
   const double rate = app.spec.measured_rate_pps();
@@ -313,15 +321,15 @@ void RackOrchestrator::DecideForApp(ManagedApp& app) {
     app.active_option = index;
     app.committed_rate_pps = rate;
     app.last_shift = now;
-    ++shifts_to_target_[option.target];
-    count_shift(RackDecisionRecord::Kind::kShift, option.target->TargetName());
+    ++shifts_to_target_[&option.migrator->target()];
+    count_shift(RackDecisionRecord::Kind::kShift, option.migrator->target().TargetName());
   };
   auto go_home = [&]() { ShiftAppHome(app, /*abandon=*/false); };
 
   if (app.active_option < 0) {
     // On host: offload if the best target saves enough and the shared
     // budget can absorb it.
-    if (best < 0 || software - best_ranked < config_.min_saving_watts) {
+    if (best < 0 || software - best_ranked < kMinSavingWatts) {
       return;
     }
     if (!ledger_.TryCommit(LedgerKey(app), commit_watts(best))) {
@@ -335,7 +343,7 @@ void RackOrchestrator::DecideForApp(ManagedApp& app) {
   auto& current = app.spec.options[static_cast<size_t>(app.active_option)];
   const double current_watts = current.network_watts(rate);
   const bool over_capacity = !OptionEligible(app, current, rate, /*is_current=*/true);
-  if (over_capacity || software + config_.min_saving_watts < current_watts) {
+  if (over_capacity || software + kMinSavingWatts < current_watts) {
     go_home();
     return;
   }
@@ -343,7 +351,7 @@ void RackOrchestrator::DecideForApp(ManagedApp& app) {
   // keep the greedy invariant by migrating over (through a host bounce, the
   // only transition migrators provide).
   if (best >= 0 && best != app.active_option &&
-      PredictOptionWatts(current, rate) - best_ranked >= config_.min_saving_watts) {
+      PredictOptionWatts(current, rate) - best_ranked >= kMinSavingWatts) {
     if (ledger_.TryCommit(LedgerKey(app), commit_watts(best))) {
       // Warm apps carry their state through the host bounce: the outgoing
       // placement snapshots into the host app, and place_on() moves the
@@ -415,14 +423,14 @@ void RackOrchestrator::ForcePlacement(size_t app_index, int option_index) {
   app.active_option = option_index;
   app.committed_rate_pps = rate;
   app.last_shift = now;
-  ++shifts_to_target_[option.target];
+  ++shifts_to_target_[&option.migrator->target()];
   ++total_shifts_;
   if (app.spec.warm_migration) {
     ++warm_shifts_;
   }
   decision_log_.push_back(RackDecisionRecord{RackDecisionRecord::Kind::kShift, now,
                                              app.spec.name,
-                                             option.target->TargetName(),
+                                             option.migrator->target().TargetName(),
                                              app.spec.warm_migration});
 }
 
@@ -431,7 +439,7 @@ void RackOrchestrator::CheckpointApp(ManagedApp& app) {
     return;  // At home: the host copy *is* the state; nothing to snapshot.
   }
   auto& option = app.spec.options[static_cast<size_t>(app.active_option)];
-  if (!option.target->TargetAlive()) {
+  if (!option.migrator->target().TargetAlive()) {
     return;  // Cannot snapshot dead hardware; keep the previous checkpoint.
   }
   std::optional<AppState> state = option.migrator->CheckpointOffloadState();
@@ -467,7 +475,7 @@ void RackOrchestrator::Heartbeat() {
   std::set<OffloadTarget*> polled;
   for (auto& app : apps_) {
     for (auto& option : app.spec.options) {
-      polled.insert(option.target);
+      polled.insert(&option.migrator->target());
     }
   }
   for (OffloadTarget* target : polled) {
@@ -481,7 +489,7 @@ void RackOrchestrator::Heartbeat() {
       flap_suspected_.erase(target);
       continue;
     }
-    if (++heartbeat_misses_[target] < config_.failure_threshold) {
+    if (++heartbeat_misses_[target] < kFailureThreshold) {
       continue;
     }
     if (reachable) {
@@ -505,8 +513,7 @@ void RackOrchestrator::DeclareTargetFailed(OffloadTarget* target) {
                                              sim_.Now(), std::string(),
                                              target->TargetName(), false});
   for (auto& app : apps_) {
-    if (app.active_option >= 0 &&
-        app.spec.options[static_cast<size_t>(app.active_option)].target == target) {
+    if (CurrentTarget(app) == target) {
       RecoverApp(app);
     }
   }
@@ -536,7 +543,7 @@ void RackOrchestrator::RecoverApp(ManagedApp& app) {
   std::string landed;
   if (app.active_option >= 0) {
     auto& option = app.spec.options[static_cast<size_t>(app.active_option)];
-    landed = option.target->TargetName();
+    landed = option.migrator->target().TargetName();
     if (warm && !app.spec.warm_migration) {
       // The cold-policy shift carried no state: warm-start the surviving
       // placement from the checkpoint (the whole point of taking them).
@@ -551,9 +558,6 @@ void RackOrchestrator::RecoverApp(ManagedApp& app) {
 
 void RackOrchestrator::ApplyPowerCap(double watts) {
   ledger_.SetBudgetWatts(watts);
-  if (ledger_.unlimited()) {
-    return;
-  }
   // Restore the invariant committed <= budget immediately: evict the
   // largest commitments first (fewest victims).
   while (ledger_.committed_watts() > ledger_.budget_watts()) {
@@ -575,7 +579,7 @@ void RackOrchestrator::ApplyPowerCap(double watts) {
     }
     const auto& option =
         victim->spec.options[static_cast<size_t>(victim->active_option)];
-    ShiftAppHome(*victim, /*abandon=*/!option.target->TargetAlive());
+    ShiftAppHome(*victim, /*abandon=*/!option.migrator->target().TargetAlive());
   }
 }
 

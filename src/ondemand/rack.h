@@ -12,7 +12,7 @@
 // absorb the predicted draw. Apps whose offload stops paying for itself are
 // shifted home and their budget released. With one app and one option this
 // is the §8 energy-aware rule: shift when the predicted saving clears
-// min_saving_watts, in either direction, subject to min_dwell.
+// kMinSavingWatts, in either direction, subject to min_dwell.
 #ifndef INCOD_SRC_ONDEMAND_RACK_H_
 #define INCOD_SRC_ONDEMAND_RACK_H_
 
@@ -33,42 +33,49 @@
 
 namespace incod {
 
-// Shared rack power budget: tracks watts committed to offload placements so
-// concurrent shifts cannot oversubscribe the PDU headroom reserved for
-// in-network computing.
-class RackPowerLedger {
+// Shared power budget: watts committed under string keys, never summing
+// past the budget. A rack orchestrator commits each offloaded app's PDU
+// headroom (keyed by app name); the row orchestrator commits each rack's
+// apportionment (keyed by rack name).
+class PowerBudget {
  public:
   // budget_watts <= 0 means unlimited.
-  explicit RackPowerLedger(double budget_watts = 0);
+  explicit PowerBudget(double budget_watts = 0);
 
   // Commits `watts` under `key` (replacing any prior commitment for the
-  // key). Returns false — and leaves the prior commitment intact — if the
-  // budget would be exceeded.
+  // key). Returns false — and leaves the prior commitment intact — if a
+  // grow would exceed the budget. A shrink always moves toward the
+  // invariant, so it is accepted even while the total sits above a
+  // freshly-lowered (brownout) budget.
   bool TryCommit(const std::string& key, double watts);
   void Release(const std::string& key);
 
-  // PSU brownout: steps the budget (existing commitments may now exceed it;
-  // the orchestrator's ApplyPowerCap evicts until the invariant holds again).
-  void SetBudgetWatts(double watts) { budget_ = watts; }
+  // Brownout: steps the budget (existing commitments may now exceed it; the
+  // owner evicts or re-apportions until the invariant holds again). Unlike
+  // the constructor, 0 here is a zero budget, never unlimited.
+  void SetBudgetWatts(double watts);
 
   double budget_watts() const { return budget_; }
-  bool unlimited() const { return budget_ <= 0; }
+  bool unlimited() const { return unlimited_; }
   double committed_watts() const;
   double RemainingWatts() const;
   const std::map<std::string, double>& commitments() const { return commitments_; }
 
  private:
   double budget_;
+  bool unlimited_;
   std::map<std::string, double> commitments_;
 };
 
-// One way to place an app in the network: a target, the migrator that moves
-// the app onto it, and the predicted placement power at a given rate. Every
+// One way to place an app in the network: the migrator that moves the app
+// onto its target, and the predicted placement power at a given rate. Every
 // shift goes through the generic StateTransferMigrator core (classifier
 // flip + park policy + optional typed-state transfer), so the orchestrator
-// can move any registered app warm or cold without per-app plumbing.
+// can move any registered app warm or cold without per-app plumbing. The
+// migrator's park policy is the option's: a kReprogram placement pays
+// RackOrchestrator::kReprogramPenaltyWatts so warm targets win ties (§9.2's
+// halt trade-off).
 struct RackPlacementOption {
-  OffloadTarget* target = nullptr;
   StateTransferMigrator* migrator = nullptr;
   // Predicted *total* watts of serving at `rate` on this target, on the
   // same absolute scale as RackAppSpec::software_watts — include the host's
@@ -78,9 +85,6 @@ struct RackPlacementOption {
   // over the app's software idle (network_watts(rate) - software_watts(0)),
   // which is the PDU headroom the offload actually consumes.
   RatePowerFn network_watts;
-  // Park policy the migrator applies; kReprogram placements pay the
-  // configured penalty so warm targets win ties (§9.2's halt trade-off).
-  ParkPolicy policy = ParkPolicy::kGatedPark;
 };
 
 struct RackAppSpec {
@@ -132,21 +136,15 @@ struct RackDecisionRecord {
 struct RackOrchestratorConfig {
   // Shared offload power budget (<= 0: unlimited).
   double power_budget_watts = 0;
-  // Shift only when the predicted saving exceeds this margin (hysteresis
-  // falls out of applying it in both directions).
-  double min_saving_watts = 2.0;
-  // Predicted-watts penalty for choosing a reprogram-parked target.
-  double reprogram_penalty_watts = 1.0;
   // Per-app damping.
   SimDuration check_period = Milliseconds(100);
   SimDuration min_dwell = Seconds(1);
   // Power/commitment timeseries cadence.
   SimDuration sample_period = Milliseconds(100);
   // Failure detector: poll every target's TargetAlive() at this cadence
-  // (0: detector off); declare a target failed after this many consecutive
-  // missed heartbeats and warm-restore its victims.
+  // (0: detector off); declare a target failed after kFailureThreshold
+  // consecutive missed heartbeats and warm-restore its victims.
   SimDuration heartbeat_period = 0;
-  int failure_threshold = 2;
   // Default checkpoint cadence for offloaded apps (0: off); RackAppSpec
   // overrides per app.
   SimDuration checkpoint_period = 0;
@@ -154,6 +152,14 @@ struct RackOrchestratorConfig {
 
 class RackOrchestrator {
  public:
+  // Shift only when the predicted saving exceeds this margin (hysteresis
+  // falls out of applying it in both directions).
+  static constexpr double kMinSavingWatts = 2.0;
+  // Predicted-watts penalty for choosing a reprogram-parked target.
+  static constexpr double kReprogramPenaltyWatts = 1.0;
+  // Consecutive missed heartbeats that declare a target failed.
+  static constexpr int kFailureThreshold = 2;
+
   RackOrchestrator(Simulation& sim, RackOrchestratorConfig config = {});
 
   // Registers an application with its candidate placements. All referenced
@@ -171,8 +177,9 @@ class RackOrchestrator {
 
   // PSU brownout step: re-bases the shared budget and, when the committed
   // watts now exceed it, shifts the largest-commitment apps home until the
-  // ledger invariant (committed <= budget) holds again. Victims on dead
-  // targets are abandoned (no state transfer out of dead hardware).
+  // ledger invariant (committed <= budget) holds again; a 0 W cap evicts
+  // every offload that draws power. Victims on dead targets are abandoned
+  // (no state transfer out of dead hardware).
   void ApplyPowerCap(double watts);
 
   // Declares how the orchestrator's heartbeats reach `target` (typically a
@@ -186,7 +193,7 @@ class RackOrchestrator {
                                 std::function<bool()> reachable);
 
   // --- Introspection ---
-  const RackPowerLedger& ledger() const { return ledger_; }
+  const PowerBudget& ledger() const { return ledger_; }
   size_t app_count() const { return apps_.size(); }
   const std::string& app_name(size_t index) const { return apps_[index].spec.name; }
   // Currently chosen placement option for the app (nullptr: on host).
@@ -256,6 +263,8 @@ class RackOrchestrator {
   // host, releasing its ledger commitment and logging kShiftHome.
   void ShiftAppHome(ManagedApp& app, bool abandon);
   SimDuration CheckpointPeriodFor(const ManagedApp& app) const;
+  // Target of the app's current placement (nullptr: on host).
+  static OffloadTarget* CurrentTarget(const ManagedApp& app);
   // `is_current` exempts the app's own placement from the mid-reprogram
   // exclusion (yanking an app home because its own reconfiguration is
   // still in flight would abort the very shift we started).
@@ -266,7 +275,7 @@ class RackOrchestrator {
 
   Simulation& sim_;
   RackOrchestratorConfig config_;
-  RackPowerLedger ledger_;
+  PowerBudget ledger_;
   std::vector<ManagedApp> apps_;
   std::vector<RackDecisionRecord> decision_log_;
   std::map<const OffloadTarget*, uint64_t> shifts_to_target_;

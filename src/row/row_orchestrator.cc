@@ -8,47 +8,6 @@
 
 namespace incod {
 
-RowPowerLedger::RowPowerLedger(double budget_watts) : budget_(budget_watts) {}
-
-double RowPowerLedger::apportioned_watts() const {
-  double total = 0;
-  for (const auto& [rack, watts] : apportionments_) {
-    total += watts;
-  }
-  return total;
-}
-
-double RowPowerLedger::RemainingWatts() const {
-  if (unlimited()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return budget_ - apportioned_watts();
-}
-
-bool RowPowerLedger::TryApportion(const std::string& rack, double watts) {
-  if (watts < 0) {
-    throw std::invalid_argument("RowPowerLedger: negative apportionment");
-  }
-  double prior = 0;
-  auto it = apportionments_.find(rack);
-  if (it != apportionments_.end()) {
-    prior = it->second;
-  }
-  // A shrink always moves toward the invariant, so it is accepted even while
-  // the total sits above a freshly-lowered (brownout) budget — rejecting it
-  // would wedge the ledger over budget forever.
-  if (!unlimited() && watts > prior &&
-      apportioned_watts() - prior + watts > budget_) {
-    return false;
-  }
-  apportionments_[rack] = watts;
-  return true;
-}
-
-void RowPowerLedger::Release(const std::string& rack) { apportionments_.erase(rack); }
-
-// ---------------------------------------------------------------------------
-
 std::vector<double> ComputeRowApportionment(
     double budget_watts, const std::vector<RowRackApportionInput>& racks,
     RowOrchestratorConfig::Policy policy, double min_rack_watts) {
@@ -180,8 +139,8 @@ size_t RowOrchestrator::AddRack(std::string name, int rack_shard,
 }
 
 double RowOrchestrator::CurrentApportionment(size_t index) const {
-  const auto it = ledger_.apportionments().find(racks_.at(index).name);
-  return it == ledger_.apportionments().end() ? 0.0 : it->second;
+  const auto it = ledger_.commitments().find(racks_.at(index).name);
+  return it == ledger_.commitments().end() ? 0.0 : it->second;
 }
 
 SimDuration RowOrchestrator::HopDelay() const {
@@ -218,8 +177,9 @@ std::vector<double> RowOrchestrator::ComputeShares() const {
 }
 
 void RowOrchestrator::IssueCap(RowRack& rack, double watts, bool initial) {
-  // RackPowerLedger reads <= 0 as *unlimited*: a browned-out rack gets an
-  // epsilon budget instead (evicts every offload, admits none).
+  // A browned-out rack gets a 0.01 W budget: like a zero budget it evicts
+  // every offload that draws power and admits none, and the cap never reads
+  // as the 0 that the orchestrator configs use for "unlimited".
   const double cap = std::max(watts, 0.01);
   rack.issued_watts = cap;
   ++caps_issued_;
@@ -255,14 +215,14 @@ void RowOrchestrator::Reapportion() {
       if ((pass == 0) != shrink) {
         continue;
       }
-      if (!ledger_.TryApportion(rack.name, share)) {
+      if (!ledger_.TryCommit(rack.name, share)) {
         // Floating-point slack on the last grow: take exactly what is left.
         share = prior + std::max(0.0, ledger_.RemainingWatts());
-        ledger_.TryApportion(rack.name, share);
+        ledger_.TryCommit(rack.name, share);
       }
       // Quiet small moves: the ledger stays exact, the rack keeps its cap.
       if (rack.issued_watts >= 0 &&
-          std::abs(share - rack.issued_watts) <= config_.cap_epsilon_watts) {
+          std::abs(share - rack.issued_watts) <= kCapEpsilonWatts) {
         continue;
       }
       IssueCap(rack, share, /*initial=*/false);
@@ -281,7 +241,7 @@ void RowOrchestrator::Start() {
     ++apportion_rounds_;
     const std::vector<double> shares = ComputeShares();
     for (size_t i = 0; i < racks_.size(); ++i) {
-      ledger_.TryApportion(racks_[i].name, shares[i]);
+      ledger_.TryCommit(racks_[i].name, shares[i]);
       IssueCap(racks_[i], shares[i], /*initial=*/true);
     }
     SchedulePeriodic(home(), config_.apportion_period, config_.apportion_period,
@@ -298,7 +258,7 @@ void RowOrchestrator::Start() {
       return false;
     }
     const SimTime now = home().Now();
-    apportioned_series_.Append(now, ledger_.apportioned_watts());
+    apportioned_series_.Append(now, ledger_.committed_watts());
     budget_series_.Append(now, ledger_.budget_watts());
     return true;
   });

@@ -31,37 +31,6 @@
 
 namespace incod {
 
-// Global row power ledger: tracks the watts apportioned to each rack so the
-// sum never exceeds the row budget — the row-level mirror of
-// RackPowerLedger, keyed by rack name.
-class RowPowerLedger {
- public:
-  // budget_watts <= 0 means unlimited.
-  explicit RowPowerLedger(double budget_watts = 0);
-
-  // Apportions `watts` to `rack` (replacing any prior apportionment).
-  // Returns false — leaving the prior apportionment intact — if the global
-  // budget would be exceeded.
-  bool TryApportion(const std::string& rack, double watts);
-  void Release(const std::string& rack);
-
-  // Global brownout: steps the budget (existing apportionments may now
-  // exceed it; the orchestrator re-apportions until the invariant holds).
-  void SetBudgetWatts(double watts) { budget_ = watts; }
-
-  double budget_watts() const { return budget_; }
-  bool unlimited() const { return budget_ <= 0; }
-  double apportioned_watts() const;
-  double RemainingWatts() const;
-  const std::map<std::string, double>& apportionments() const {
-    return apportionments_;
-  }
-
- private:
-  double budget_;
-  std::map<std::string, double> apportionments_;
-};
-
 // What a rack tells the row each report period.
 struct RowRackReport {
   SimTime at = 0;
@@ -88,14 +57,14 @@ struct RowOrchestratorConfig {
   // caps are ever issued).
   double global_budget_watts = 0;
   Policy policy = Policy::kDemandWeighted;
+  // Racks post usage/demand reports to the row at this cadence, and the row
+  // re-apportions (issuing ApplyPowerCap deltas) at the next.
   SimDuration report_period = Milliseconds(50);
   SimDuration apportion_period = Milliseconds(100);
   SimDuration sample_period = Milliseconds(100);
   // Per-rack floor under demand weighting (0: none). Floors are scaled down
   // proportionally when they alone would exceed the budget.
   double min_rack_watts = 0;
-  // Re-issue a rack's cap only when it moved by more than this.
-  double cap_epsilon_watts = 0.5;
 };
 
 // Pure apportionment kernel, exposed for the property suite. Waterfills
@@ -116,6 +85,9 @@ std::vector<double> ComputeRowApportionment(
 
 class RowOrchestrator {
  public:
+  // Re-issue a rack's cap only when it moved by more than this.
+  static constexpr double kCapEpsilonWatts = 0.5;
+
   // `home_shard` is where the row's ledger, log and apportion loop live
   // (conventionally the spine's shard).
   RowOrchestrator(ShardedSimulation& sharded, int home_shard,
@@ -139,7 +111,8 @@ class RowOrchestrator {
   void ApplyRackBrownout(size_t rack_index, double watts);
 
   // --- Introspection ---
-  const RowPowerLedger& ledger() const { return ledger_; }
+  // Keyed by rack name: each rack's apportionment.
+  const PowerBudget& ledger() const { return ledger_; }
   size_t rack_count() const { return racks_.size(); }
   const std::string& rack_name(size_t index) const { return racks_.at(index).name; }
   // Latest report received from the rack (default-constructed before one
@@ -186,7 +159,7 @@ class RowOrchestrator {
   ShardedSimulation& sharded_;
   int home_shard_;
   RowOrchestratorConfig config_;
-  RowPowerLedger ledger_;
+  PowerBudget ledger_;
   std::vector<RowRack> racks_;
   std::vector<RowDecisionRecord> decision_log_;
   TimeSeries apportioned_series_{"row_apportioned_watts"};

@@ -11,6 +11,14 @@
 
 namespace incod {
 
+namespace {
+
+// Watts one trace background core adds to a member host (§9.3 decision
+// input; only meaningful with the row trace enabled).
+constexpr double kBackgroundWattsPerCore = 18.0;
+
+}  // namespace
+
 RowScenario::RowScenario(ShardedSimulation& sharded, RowSpec spec)
     : sharded_(sharded),
       spec_(std::move(spec)),
@@ -204,8 +212,7 @@ void RowScenario::BuildOrchestration(int r) {
           " needs a host app and a parked FPGA placement");
     }
     built.migrators.push_back(std::make_unique<StateTransferMigrator>(
-        sim, *member.fpga,
-        StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark),
+        sim, *member.fpga, StateTransferMigrator::Options{ParkPolicy::kGatedPark},
         member.host_apps.front().get(), member.offload_app.get()));
     StateTransferMigrator* fpga_migrator = built.migrators.back().get();
 
@@ -221,15 +228,13 @@ void RowScenario::BuildOrchestration(int r) {
     rack_app.name = member.name;
     rack_app.warm_migration = app_spec.warm_migration;
     rack_app.checkpoint_period = app_spec.checkpoint_period;
-    auto curve =
-        MakeServerRatePower(member_spec.host.config.power_curve,
-                            app_spec.host_service_time,
-                            member_spec.host.config.num_cores);
+    auto curve = MakeServerRatePower(member_spec.host.config.power_curve,
+                                     kMemcachedServiceTime,
+                                     member_spec.host.config.num_cores);
     // The trace's background tasks raise the host side of the decision:
     // offload pays exactly while the node is contended (§9.3).
-    const double watts_per_core = rack_spec.background_watts_per_core;
-    rack_app.software_watts = [background, curve, watts_per_core](double rate) {
-      return curve(rate) + 4.0 + *background * watts_per_core;
+    rack_app.software_watts = [background, curve](double rate) {
+      return curve(rate) + 4.0 + *background * kBackgroundWattsPerCore;
     };
 
     FpgaNic* fpga = member.fpga;
@@ -250,12 +255,7 @@ void RowScenario::BuildOrchestration(int r) {
         return fpga->AppIngressRatePerSecond();
       };
     }
-    rack_app.options.push_back(RackPlacementOption{
-        fpga, fpga_migrator,
-        MakeFpgaRatePower(app_spec.host_idle_watts, app_spec.board_idle_watts,
-                          app_spec.board_dynamic_watts,
-                          app_spec.board_capacity_pps),
-        ParkPolicy::kGatedPark});
+    rack_app.options.push_back(RackPlacementOption{fpga_migrator, MakeLakeRatePower()});
     if (switch_target != nullptr) {
       auto* program =
           dynamic_cast<SwitchProgram*>(member.switch_program_app.get());
@@ -264,15 +264,13 @@ void RowScenario::BuildOrchestration(int r) {
           testbed.tor_asic()->asic_config().max_power_watts,
           testbed.tor_asic()->LineRatePps());
       built.migrators.push_back(std::make_unique<StateTransferMigrator>(
-          sim, *switch_target,
-          StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm),
+          sim, *switch_target, StateTransferMigrator::Options{ParkPolicy::kKeepWarm},
           member.host_apps.front().get(), member.switch_program_app.get()));
       // Only the program's marginal watts on top of the idling host (§9.4) —
       // the ASIC forwards either way.
       rack_app.options.push_back(RackPlacementOption{
-          switch_target, built.migrators.back().get(),
-          [curve, marginal](double rate) { return curve(0) + 4.0 + marginal(rate); },
-          ParkPolicy::kKeepWarm});
+          built.migrators.back().get(),
+          [curve, marginal](double rate) { return curve(0) + 4.0 + marginal(rate); }});
     }
     built.apps.back().rack_index =
         built.orchestrator->AddApp(std::move(rack_app));
@@ -291,16 +289,7 @@ void RowScenario::BuildRow() {
   if (spec_.power.global_budget_watts <= 0) {
     return;
   }
-  RowOrchestratorConfig config;
-  config.global_budget_watts = spec_.power.global_budget_watts;
-  config.policy = spec_.power.policy == RowPowerSpec::Policy::kEqualShare
-                      ? RowOrchestratorConfig::Policy::kEqualShare
-                      : RowOrchestratorConfig::Policy::kDemandWeighted;
-  config.report_period = spec_.power.report_period;
-  config.apportion_period = spec_.power.apportion_period;
-  config.sample_period = spec_.power.sample_period;
-  config.min_rack_watts = spec_.power.min_rack_watts;
-  row_ = std::make_unique<RowOrchestrator>(sharded_, spine_shard(), config);
+  row_ = std::make_unique<RowOrchestrator>(sharded_, spine_shard(), spec_.power);
   for (int r = 0; r < num_racks(); ++r) {
     BuiltRack& built = racks_[static_cast<size_t>(r)];
     if (built.orchestrator == nullptr) {

@@ -17,6 +17,7 @@
 
 #include "src/fault/fault_injector.h"
 #include "src/ondemand/rack.h"
+#include "src/row/row_orchestrator.h"
 #include "src/scenarios/scenario_spec.h"
 #include "src/workload/google_trace.h"
 
@@ -33,21 +34,17 @@ struct RowClientSpec {
   int shard = -1;      // -1: the rack's own shard.
 };
 
-// Orchestration wiring for one member of an orchestrated rack: which §8
-// models the rack orchestrator predicts with, and how the app migrates.
-// The member must carry a host app and an FPGA target with the same
-// registry family (target.initially_active = false — the migrator parks).
+// Orchestration wiring for one member of an orchestrated rack and how the
+// app migrates. The rack orchestrator predicts the host side with the
+// member's own power curve and the FPGA side with the LaKe board model
+// (MakeLakeRatePower). The member must carry a host app and an FPGA target
+// with the same registry family (target.initially_active = false — the
+// migrator parks).
 struct RowAppSpec {
   size_t member = 0;  // Index into the rack ScenarioSpec's members.
-  SimDuration host_service_time = Microseconds(4);
   bool warm_migration = false;
   // < 0: inherit the rack orchestrator config's checkpoint_period.
   SimDuration checkpoint_period = -1;
-  // FPGA placement power model (MakeFpgaRatePower).
-  double host_idle_watts = 35.0;
-  double board_idle_watts = 24.0;
-  double board_dynamic_watts = 1.0;
-  double board_capacity_pps = 13e6;
   // Offer the member's switch-hosted placement (spec.switch_app on an ASIC
   // ToR) as a second option — the surviving landing spot for recovery.
   bool switch_option = false;
@@ -65,24 +62,6 @@ struct RowRackSpec {
   // budget, else orchestrator.power_budget_watts.
   RackOrchestratorConfig orchestrator;
   std::vector<RowAppSpec> apps;
-  // Watts one trace background core adds to a member host (§9.3 decision
-  // input; only meaningful with the row trace enabled).
-  double background_watts_per_core = 18.0;
-};
-
-// Global power apportionment policy (row_orchestrator.h executes it).
-struct RowPowerSpec {
-  enum class Policy { kEqualShare, kDemandWeighted };
-  // <= 0: no row power orchestration (racks keep their own budgets).
-  double global_budget_watts = 0;
-  Policy policy = Policy::kDemandWeighted;
-  // Racks post usage/demand reports to the row at this cadence...
-  SimDuration report_period = Milliseconds(50);
-  // ...and the row re-apportions (and issues ApplyPowerCap deltas) at this.
-  SimDuration apportion_period = Milliseconds(100);
-  SimDuration sample_period = Milliseconds(100);
-  // Per-rack floor under demand weighting (0: none).
-  double min_rack_watts = 0;
 };
 
 // Diurnal Google-trace load: one synthesized trace, phase-shifted per rack,
@@ -104,8 +83,9 @@ struct RowTraceSpec {
 // (empty: every rack), which is how correlated waves are declared.
 struct RowFaultEventSpec {
   enum class Kind {
-    // Step the row's global budget to `watts`; the ledger re-apportions and
-    // the cap cascade evicts across every rack at once.
+    // Step the row's global budget to `watts` (0 W is a zero budget); the
+    // ledger re-apportions and the cap cascade evicts across every rack at
+    // once.
     kGlobalBrownout,
     // Brown out specific racks: cap their apportionment ceiling at `watts`
     // (< 0 clears the ceiling); the freed budget flows to the other racks.
@@ -160,7 +140,9 @@ struct RowSpec {
   double uplink_gigabits_per_second = 40.0;
   // One synthetic zone shared by every rack whose spec leaves zone null.
   size_t zone_size = 2000;
-  RowPowerSpec power;
+  // The row orchestrator's config, verbatim. global_budget_watts <= 0: no
+  // row orchestrator (racks keep their own budgets).
+  RowOrchestratorConfig power;
   RowTraceSpec trace;
   RowFaultPlanSpec faults;
 };

@@ -192,17 +192,16 @@ void MixedRackScenario::ResolveMembers() {
 
 void MixedRackScenario::BuildMigrators() {
   // Starts parked on the host placement (the migrator applies the policy).
-  kvs_migrator_ = std::make_unique<ClassifierMigrator>(
-      sim_, *kvs_fpga_, ClassifierMigrator::Options::FromPolicy(ParkPolicy::kGatedPark),
+  kvs_migrator_ = std::make_unique<StateTransferMigrator>(
+      sim_, *kvs_fpga_, StateTransferMigrator::Options{ParkPolicy::kGatedPark},
       memcached_, lake_);
-  dns_migrator_ = std::make_unique<ClassifierMigrator>(
-      sim_, *dns_target_, ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm),
-      nsd_, dns_program_);
+  dns_migrator_ = std::make_unique<StateTransferMigrator>(
+      sim_, *dns_target_, StateTransferMigrator::Options{ParkPolicy::kKeepWarm}, nsd_,
+      dns_program_);
   if (kvs_switch_target_ != nullptr) {
-    kvs_switch_migrator_ = std::make_unique<ClassifierMigrator>(
-        sim_, *kvs_switch_target_,
-        ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm), memcached_,
-        netcache_);
+    kvs_switch_migrator_ = std::make_unique<StateTransferMigrator>(
+        sim_, *kvs_switch_target_, StateTransferMigrator::Options{ParkPolicy::kKeepWarm},
+        memcached_, netcache_);
   }
   if (options_.enable_paxos) {
     paxos_migrator_ = std::make_unique<PaxosLeaderMigrator>(
@@ -242,12 +241,10 @@ void MixedRackScenario::RegisterApps() {
   kvs.name = "kvs";
   kvs.warm_migration = options_.warm.kvs;
   kvs.checkpoint_period = options_.kvs_checkpoint_period;
-  auto kvs_curve = MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4);
+  auto kvs_curve = MakeServerRatePower(I7MemcachedCurve(), kMemcachedServiceTime, 4);
   kvs.software_watts = [kvs_curve](double r) { return kvs_curve(r) + 4.0; };
   kvs.measured_rate_pps = [this] { return kvs_fpga_->AppIngressRatePerSecond(); };
-  kvs.options.push_back(RackPlacementOption{
-      kvs_fpga_, kvs_migrator_.get(),
-      MakeFpgaRatePower(kHostIdleWatts, 24.0, 1.0, 13e6), ParkPolicy::kGatedPark});
+  kvs.options.push_back(RackPlacementOption{kvs_migrator_.get(), MakeLakeRatePower()});
   if (kvs_switch_target_ != nullptr) {
     // NetCache placement: host idles while the ToR answers; the program's
     // marginal pipeline watts ride on top (same model as the DNS program).
@@ -261,10 +258,8 @@ void MixedRackScenario::RegisterApps() {
       return kvs_fpga_->AppIngressRatePerSecond() +
              kvs_switch_target_->AppIngressRatePerSecond();
     };
-    kvs.options.push_back(RackPlacementOption{kvs_switch_target_,
-                                              kvs_switch_migrator_.get(),
-                                              std::move(kvs_switch_watts),
-                                              ParkPolicy::kKeepWarm});
+    kvs.options.push_back(
+        RackPlacementOption{kvs_switch_migrator_.get(), std::move(kvs_switch_watts)});
   }
   kvs_app_ = orchestrator_->AddApp(std::move(kvs));
 
@@ -281,8 +276,7 @@ void MixedRackScenario::RegisterApps() {
     return dns_curve(0) + 4.0 + dns_marginal(r);
   };
   dns.measured_rate_pps = [this] { return dns_target_->AppIngressRatePerSecond(); };
-  dns.options.push_back(RackPlacementOption{dns_target_, dns_migrator_.get(),
-                                            std::move(dns_network), ParkPolicy::kKeepWarm});
+  dns.options.push_back(RackPlacementOption{dns_migrator_.get(), std::move(dns_network)});
   dns_app_ = orchestrator_->AddApp(std::move(dns));
 
   if (options_.enable_paxos) {
@@ -294,8 +288,7 @@ void MixedRackScenario::RegisterApps() {
     paxos.software_watts = MakeServerRatePower(I7LibpaxosCurve(), Nanoseconds(5600), 1);
     paxos.measured_rate_pps = [this] { return paxos_fpga_->AppIngressRatePerSecond(); };
     paxos.options.push_back(RackPlacementOption{
-        paxos_fpga_, paxos_migrator_.get(),
-        MakeFpgaRatePower(kHostIdleWatts, 12.6, 1.2, 10e6), ParkPolicy::kKeepWarm});
+        paxos_migrator_.get(), MakeFpgaRatePower(kHostIdleWatts, 12.6, 1.2, 10e6)});
     paxos_app_ = orchestrator_->AddApp(std::move(paxos));
   }
 

@@ -144,10 +144,10 @@ class MixedRackScenario {
   Server& dns_server() { return *dns_server_; }
   Server* paxos_host() { return paxos_host_; }
 
-  ClassifierMigrator& kvs_migrator() { return *kvs_migrator_; }
-  ClassifierMigrator& dns_migrator() { return *dns_migrator_; }
+  StateTransferMigrator& kvs_migrator() { return *kvs_migrator_; }
+  StateTransferMigrator& dns_migrator() { return *dns_migrator_; }
   PaxosLeaderMigrator* paxos_migrator() { return paxos_migrator_.get(); }
-  ClassifierMigrator* kvs_switch_migrator() { return kvs_switch_migrator_.get(); }
+  StateTransferMigrator* kvs_switch_migrator() { return kvs_switch_migrator_.get(); }
 
   MemcachedServer& memcached() { return *memcached_; }
   LakeCache& lake() { return *lake_; }
@@ -206,9 +206,9 @@ class MixedRackScenario {
   SoftwareLeader* software_leader_ = nullptr;
   P4xosFpgaApp* fpga_leader_ = nullptr;
 
-  std::unique_ptr<ClassifierMigrator> kvs_migrator_;
-  std::unique_ptr<ClassifierMigrator> dns_migrator_;
-  std::unique_ptr<ClassifierMigrator> kvs_switch_migrator_;
+  std::unique_ptr<StateTransferMigrator> kvs_migrator_;
+  std::unique_ptr<StateTransferMigrator> dns_migrator_;
+  std::unique_ptr<StateTransferMigrator> kvs_switch_migrator_;
   std::unique_ptr<PaxosLeaderMigrator> paxos_migrator_;
   std::unique_ptr<RackOrchestrator> orchestrator_;
   std::unique_ptr<PaxosClient> paxos_client_;

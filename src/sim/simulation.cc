@@ -5,6 +5,7 @@
 #include <iterator>
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 namespace incod {
@@ -448,6 +449,10 @@ SimTime Simulation::NextEventTime() {
 
 void SchedulePeriodic(Simulation& sim, SimDuration initial_delay, SimDuration period,
                       std::function<bool()> fn) {
+  if (period <= 0) {
+    // Every tick would land at the same instant: the run could never advance.
+    throw std::invalid_argument("SchedulePeriodic: period must be > 0");
+  }
   auto shared = std::make_shared<std::function<bool()>>(std::move(fn));
   // Self-rescheduling callable; stops when the callback returns false.
   struct Rescheduler {

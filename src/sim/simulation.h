@@ -340,7 +340,8 @@ class Simulation {
 };
 
 // Convenience: schedules `fn` every `period` until it returns false.
-// The first invocation happens after `initial_delay`.
+// The first invocation happens after `initial_delay`. Throws
+// std::invalid_argument for period <= 0.
 void SchedulePeriodic(Simulation& sim, SimDuration initial_delay, SimDuration period,
                       std::function<bool()> fn);
 

@@ -389,17 +389,15 @@ KvsShiftResult RunKvsShift(MakeMigrator make_migrator) {
   return result;
 }
 
-TEST(StateTransferMigratorTest, MatchesClassifierMigratorWhenTransferOff) {
-  // Differential check: the generic core configured like the pre-redesign
-  // ClassifierMigrator produces identical results.
+TEST(StateTransferMigratorTest, MatchesBareClassifierFlipWhenTransferOff) {
+  // Differential check: with the transfer off, binding the two placements
+  // changes nothing against the bare classifier flip (no apps bound).
   const KvsShiftResult classic = RunKvsShift([](Simulation& sim, KvsTestbed& testbed) {
-    return std::make_unique<ClassifierMigrator>(
-        sim, *testbed.fpga(),
-        ClassifierMigrator::Options::FromPolicy(ParkPolicy::kGatedPark));
+    return std::make_unique<StateTransferMigrator>(
+        sim, *testbed.fpga(), StateTransferMigrator::Options{ParkPolicy::kGatedPark});
   });
   const KvsShiftResult generic = RunKvsShift([](Simulation& sim, KvsTestbed& testbed) {
-    StateTransferMigrator::Options options =
-        StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark);
+    StateTransferMigrator::Options options{ParkPolicy::kGatedPark};
     options.transfer_state = false;
     return std::make_unique<StateTransferMigrator>(sim, *testbed.fpga(), options,
                                                    testbed.memcached(), testbed.lake());
@@ -416,14 +414,12 @@ TEST(StateTransferMigratorTest, TransferWarmsTheIncomingPlacement) {
   // cold; the generic state transfer starts warm and serves more GETs in
   // hardware.
   const KvsShiftResult cold = RunKvsShift([](Simulation& sim, KvsTestbed& testbed) {
-    StateTransferMigrator::Options options =
-        StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark);
+    StateTransferMigrator::Options options{ParkPolicy::kGatedPark};
     return std::make_unique<StateTransferMigrator>(sim, *testbed.fpga(), options,
                                                    testbed.memcached(), testbed.lake());
   });
   const KvsShiftResult warm = RunKvsShift([](Simulation& sim, KvsTestbed& testbed) {
-    StateTransferMigrator::Options options =
-        StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark);
+    StateTransferMigrator::Options options{ParkPolicy::kGatedPark};
     options.transfer_state = true;
     return std::make_unique<StateTransferMigrator>(sim, *testbed.fpga(), options,
                                                    testbed.memcached(), testbed.lake());
@@ -490,8 +486,7 @@ TEST(StateTransferMigratorTest, AbortedReprogramShiftDoesNotWipeHostState) {
   KvsTestbed testbed(sim, options);
   testbed.Prefill(1000, 64);
 
-  StateTransferMigrator::Options migrate_options =
-      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kReprogram);
+  StateTransferMigrator::Options migrate_options{ParkPolicy::kReprogram};
   migrate_options.transfer_state = true;
   StateTransferMigrator migrator(sim, *testbed.fpga(), migrate_options,
                                  testbed.memcached(), testbed.lake());
@@ -508,8 +503,7 @@ TEST(StateTransferMigratorTest, DnsShiftTransfersZoneWarmth) {
   auto make = [](bool transfer_state) {
     return [transfer_state](Simulation& sim, FpgaNic& fpga, NsdServer& nsd,
                             EmuDns& emu) {
-      StateTransferMigrator::Options options =
-          StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
+      StateTransferMigrator::Options options{ParkPolicy::kKeepWarm};
       options.transfer_state = transfer_state;
       return std::make_unique<StateTransferMigrator>(sim, fpga, options, &nsd, &emu);
     };
@@ -522,21 +516,20 @@ TEST(StateTransferMigratorTest, DnsShiftTransfersZoneWarmth) {
   EXPECT_EQ(warm.emu_nxdomain, 0u);
 }
 
-TEST(StateTransferMigratorTest, DnsGenericCoreMatchesClassifierMigrator) {
-  // Differential: with the transfer disabled and a shared zone (the
-  // pre-redesign wiring), the generic core and ClassifierMigrator produce
-  // identical results.
+TEST(StateTransferMigratorTest, DnsGenericCoreMatchesBareClassifierFlip) {
+  // Differential: with the transfer disabled and a shared zone, the core
+  // with both placements bound and the bare classifier flip (no apps
+  // bound) produce identical results.
   const DnsShiftResult classic = RunDnsShift(
       /*device_zone_empty=*/false,
       [](Simulation& sim, FpgaNic& fpga, NsdServer&, EmuDns&) {
-        return std::make_unique<ClassifierMigrator>(
-            sim, fpga, ClassifierMigrator::Options::FromPolicy(ParkPolicy::kGatedPark));
+        return std::make_unique<StateTransferMigrator>(
+            sim, fpga, StateTransferMigrator::Options{ParkPolicy::kGatedPark});
       });
   const DnsShiftResult generic = RunDnsShift(
       /*device_zone_empty=*/false,
       [](Simulation& sim, FpgaNic& fpga, NsdServer& nsd, EmuDns& emu) {
-        StateTransferMigrator::Options options =
-            StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark);
+        StateTransferMigrator::Options options{ParkPolicy::kGatedPark};
         return std::make_unique<StateTransferMigrator>(sim, fpga, options, &nsd, &emu);
       });
   EXPECT_GT(classic.emu_answered, 0u);

@@ -560,7 +560,7 @@ ShardedScenarioResult RunShardedPowerRow(Mode mode, int threads, uint64_t seed) 
   result.counters.push_back(orch.global_brownouts());
   result.counters.push_back(orch.decision_log().size());
   result.counters.push_back(
-      static_cast<uint64_t>(orch.ledger().apportioned_watts() * 1e6));
+      static_cast<uint64_t>(orch.ledger().committed_watts() * 1e6));
   return result;
 }
 

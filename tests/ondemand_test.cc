@@ -29,18 +29,18 @@ struct MigratorHarness {
   FpgaNic fpga;
 };
 
-TEST(ClassifierMigratorTest, StartsOnHostWithSavings) {
+TEST(StateTransferMigratorTest, StartsOnHostWithSavings) {
   MigratorHarness h;
-  ClassifierMigrator migrator(h.sim, h.fpga);
+  StateTransferMigrator migrator(h.sim, h.fpga);
   EXPECT_EQ(migrator.placement(), Placement::kHost);
   EXPECT_FALSE(h.fpga.app_active());
   EXPECT_TRUE(h.fpga.clock_gating());
   EXPECT_TRUE(h.fpga.memory_reset());
 }
 
-TEST(ClassifierMigratorTest, ShiftToNetworkEnablesEverything) {
+TEST(StateTransferMigratorTest, ShiftToNetworkEnablesEverything) {
   MigratorHarness h;
-  ClassifierMigrator migrator(h.sim, h.fpga);
+  StateTransferMigrator migrator(h.sim, h.fpga);
   migrator.ShiftToNetwork();
   EXPECT_EQ(migrator.placement(), Placement::kNetwork);
   EXPECT_TRUE(h.fpga.app_active());
@@ -52,9 +52,9 @@ TEST(ClassifierMigratorTest, ShiftToNetworkEnablesEverything) {
   EXPECT_EQ(migrator.transitions().size(), 1u);
 }
 
-TEST(ClassifierMigratorTest, ShiftBackRestoresSavings) {
+TEST(StateTransferMigratorTest, ShiftBackRestoresSavings) {
   MigratorHarness h;
-  ClassifierMigrator migrator(h.sim, h.fpga);
+  StateTransferMigrator migrator(h.sim, h.fpga);
   migrator.ShiftToNetwork();
   const double active_watts = h.fpga.PowerWatts();
   migrator.ShiftToHost();
@@ -64,20 +64,18 @@ TEST(ClassifierMigratorTest, ShiftBackRestoresSavings) {
   EXPECT_EQ(migrator.transitions()[1].to, Placement::kHost);
 }
 
-TEST(ClassifierMigratorTest, OptionsDisableSavings) {
+TEST(StateTransferMigratorTest, KeepWarmDisablesSavings) {
   MigratorHarness h;
-  ClassifierMigrator::Options options;
-  options.clock_gate_when_idle = false;
-  options.reset_memories_when_idle = false;
-  ClassifierMigrator migrator(h.sim, h.fpga, options);
+  StateTransferMigrator migrator(h.sim, h.fpga,
+                                 StateTransferMigrator::Options{ParkPolicy::kKeepWarm});
   EXPECT_FALSE(h.fpga.clock_gating());
   EXPECT_FALSE(h.fpga.memory_reset());
 }
 
-TEST(ClassifierMigratorTest, CacheWarmupAfterShift) {
+TEST(StateTransferMigratorTest, CacheWarmupAfterShift) {
   // §9.2: enabling LaKe after memory reset starts with cold caches.
   MigratorHarness h;
-  ClassifierMigrator migrator(h.sim, h.fpga);
+  StateTransferMigrator migrator(h.sim, h.fpga);
   h.lake.WarmFill(0, 100, 64);  // Filled while... then reset on construction
   // (construction already put memories in reset, clearing state).
   EXPECT_EQ(h.lake.l1().size(), 100u);  // WarmFill happened after reset edge.
@@ -276,8 +274,8 @@ TEST(ParkPolicyMigrationTest, ReprogramHaltSuppressesClassifierTraffic) {
   // configured halt window the classifier sees (and forwards) nothing.
   MigratorHarness h;
   const SimDuration halt = Milliseconds(40);
-  ClassifierMigrator migrator(
-      h.sim, h.fpga, ClassifierMigrator::Options::FromPolicy(ParkPolicy::kReprogram, halt));
+  StateTransferMigrator migrator(
+      h.sim, h.fpga, StateTransferMigrator::Options{ParkPolicy::kReprogram, halt});
 
   auto offer_packet = [&] {
     Packet pkt;
@@ -315,8 +313,8 @@ TEST(ParkPolicyMigrationTest, KeepWarmShiftsAreInstant) {
   // kKeepWarm pays idle watts for instant shifts: no reprogramming window,
   // app active the moment the migrator flips the classifier.
   MigratorHarness h;
-  ClassifierMigrator migrator(
-      h.sim, h.fpga, ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm));
+  StateTransferMigrator migrator(
+      h.sim, h.fpga, StateTransferMigrator::Options{ParkPolicy::kKeepWarm});
   migrator.ShiftToNetwork();
   EXPECT_FALSE(h.fpga.reprogramming());
   EXPECT_TRUE(h.fpga.app_active());

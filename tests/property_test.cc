@@ -448,10 +448,8 @@ TEST_P(RackShiftScheduleTest, LedgerStaysWithinBudgetAndCountersReconcile) {
     auto add_option = [&](OffloadTarget& target, RatePowerFn watts,
                           ParkPolicy policy) {
       migrators.push_back(std::make_unique<StateTransferMigrator>(
-          sim, target, StateTransferMigrator::Options::FromPolicy(policy)));
-      spec.options.push_back(
-          RackPlacementOption{&target, migrators.back().get(), std::move(watts),
-                              policy});
+          sim, target, StateTransferMigrator::Options{policy}));
+      spec.options.push_back(RackPlacementOption{migrators.back().get(), std::move(watts)});
     };
     // App 0's firmware fits a leaner FPGA build, making the reprogram-parked
     // board its cheapest option — the reconfiguration halts that produce

@@ -1,4 +1,4 @@
-// Tests for the rack-scale orchestration layer: the shared power ledger,
+// Tests for the rack-scale orchestration layer: the shared power budget,
 // greedy placement across heterogeneous OffloadTargets, and the mixed
 // KVS+DNS rack scenario (FPGA NIC + switch ASIC under one orchestrator).
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "src/device/fpga_nic.h"
 #include "src/kvs/lake.h"
 #include "src/kvs/memcached_server.h"
 #include "src/ondemand/energy_advisor.h"
@@ -22,10 +23,10 @@
 namespace incod {
 namespace {
 
-// ---- Shared power ledger ----
+// ---- Shared power budget (rack and row ledgers) ----
 
-TEST(RackPowerLedgerTest, CommitReleaseAccounting) {
-  RackPowerLedger ledger(100.0);
+TEST(PowerBudgetTest, CommitReleaseAccounting) {
+  PowerBudget ledger(100.0);
   EXPECT_TRUE(ledger.TryCommit("a", 40.0));
   EXPECT_TRUE(ledger.TryCommit("b", 50.0));
   EXPECT_DOUBLE_EQ(ledger.committed_watts(), 90.0);
@@ -38,8 +39,8 @@ TEST(RackPowerLedgerTest, CommitReleaseAccounting) {
   EXPECT_TRUE(ledger.TryCommit("c", 20.0));
 }
 
-TEST(RackPowerLedgerTest, RecommitReplacesNotAdds) {
-  RackPowerLedger ledger(100.0);
+TEST(PowerBudgetTest, RecommitReplacesNotAdds) {
+  PowerBudget ledger(100.0);
   EXPECT_TRUE(ledger.TryCommit("a", 60.0));
   // Re-commit under the same key replaces the prior value: 80 fits because
   // the old 60 is released in the same operation.
@@ -49,16 +50,62 @@ TEST(RackPowerLedgerTest, RecommitReplacesNotAdds) {
   EXPECT_DOUBLE_EQ(ledger.committed_watts(), 80.0);  // Prior intact.
 }
 
-TEST(RackPowerLedgerTest, UnlimitedBudget) {
-  RackPowerLedger ledger(0);
+TEST(PowerBudgetTest, CommitsWithinBudgetAndRejectsOverflow) {
+  PowerBudget ledger(100);
+  EXPECT_TRUE(ledger.TryCommit("a", 60));
+  EXPECT_TRUE(ledger.TryCommit("b", 40));
+  EXPECT_DOUBLE_EQ(ledger.committed_watts(), 100);
+  EXPECT_DOUBLE_EQ(ledger.RemainingWatts(), 0);
+  // Growing past the budget fails and leaves the prior value intact.
+  EXPECT_FALSE(ledger.TryCommit("b", 41));
+  EXPECT_DOUBLE_EQ(ledger.commitments().at("b"), 40);
+  // Replace-semantics: re-committing the same key is not additive.
+  EXPECT_TRUE(ledger.TryCommit("a", 60));
+  EXPECT_DOUBLE_EQ(ledger.committed_watts(), 100);
+}
+
+TEST(PowerBudgetTest, ShrinkAcceptedWhileOverBrownedOutBudget) {
+  PowerBudget ledger(100);
+  ASSERT_TRUE(ledger.TryCommit("a", 60));
+  ASSERT_TRUE(ledger.TryCommit("b", 40));
+  // Brownout: the budget steps below the committed total.
+  ledger.SetBudgetWatts(50);
+  // Shrinks must land even though the total still exceeds the new budget —
+  // rejecting them would wedge the ledger over budget forever.
+  EXPECT_TRUE(ledger.TryCommit("a", 30));
+  EXPECT_TRUE(ledger.TryCommit("b", 20));
+  EXPECT_DOUBLE_EQ(ledger.committed_watts(), 50);
+  // Grows are still policed against the new budget.
+  EXPECT_FALSE(ledger.TryCommit("a", 31));
+}
+
+TEST(PowerBudgetTest, UnlimitedBudget) {
+  PowerBudget ledger(0);
   EXPECT_TRUE(ledger.unlimited());
   EXPECT_TRUE(ledger.TryCommit("a", 1e9));
   EXPECT_TRUE(std::isinf(ledger.RemainingWatts()));
 }
 
-TEST(RackPowerLedgerTest, NegativeCommitThrows) {
-  RackPowerLedger ledger(10.0);
+TEST(PowerBudgetTest, BrownoutToZeroIsAZeroBudget) {
+  // Only the constructor reads 0 as unlimited: a brownout to 0 W (or below)
+  // admits nothing that draws power.
+  PowerBudget ledger(0);
+  ledger.SetBudgetWatts(0);
+  EXPECT_FALSE(ledger.unlimited());
+  EXPECT_DOUBLE_EQ(ledger.budget_watts(), 0);
+  EXPECT_FALSE(ledger.TryCommit("a", 1));
+  EXPECT_TRUE(ledger.TryCommit("b", 0));
+  ledger.SetBudgetWatts(-5);
+  EXPECT_FALSE(ledger.unlimited());
+  EXPECT_DOUBLE_EQ(ledger.budget_watts(), 0);
+  EXPECT_DOUBLE_EQ(ledger.RemainingWatts(), 0);
+}
+
+TEST(PowerBudgetTest, NegativeCommitThrows) {
+  PowerBudget ledger(10.0);
   EXPECT_THROW(ledger.TryCommit("a", -1.0), std::invalid_argument);
+  PowerBudget row(100);
+  EXPECT_THROW(row.TryCommit("a", -1), std::invalid_argument);
 }
 
 // ---- Orchestrator decisions against fake targets ----
@@ -93,7 +140,7 @@ class FakeMigrator : public StateTransferMigrator {
  public:
   FakeMigrator(Simulation& sim, FakeTarget& target)
       : StateTransferMigrator(sim, target,
-                              Options::FromPolicy(ParkPolicy::kKeepWarm)) {}
+                              Options{ParkPolicy::kKeepWarm}) {}
 };
 
 struct OrchestratorHarness {
@@ -110,10 +157,8 @@ struct OrchestratorHarness {
     spec.name = "app";
     spec.software_watts = [](double r) { return 35.0 + r / 5000.0; };
     spec.measured_rate_pps = [this] { return rate_value; };
-    spec.options.push_back(RackPlacementOption{
-        &pricey, &pricey_migrator, [](double) { return 65.0; }, ParkPolicy::kGatedPark});
-    spec.options.push_back(RackPlacementOption{
-        &cheap, &cheap_migrator, [](double) { return 45.0; }, ParkPolicy::kKeepWarm});
+    spec.options.push_back(RackPlacementOption{&pricey_migrator, [](double) { return 65.0; }});
+    spec.options.push_back(RackPlacementOption{&cheap_migrator, [](double) { return 45.0; }});
     return spec;
   }
 
@@ -132,10 +177,34 @@ TEST(RackOrchestratorTest, GreedyPicksCheapestEligibleTarget) {
   orchestrator.Start();
   h.sim.RunUntil(Seconds(1));
   ASSERT_NE(orchestrator.current_option(app), nullptr);
-  EXPECT_EQ(orchestrator.current_option(app)->target, &h.cheap);
+  EXPECT_EQ(&orchestrator.current_option(app)->migrator->target(), &h.cheap);
   EXPECT_EQ(orchestrator.ShiftsToTarget(h.cheap), 1u);
   EXPECT_EQ(orchestrator.ShiftsToTarget(h.pricey), 0u);
   EXPECT_TRUE(h.cheap.app_active());
+}
+
+TEST(RackOrchestratorTest, ReprogramPenaltyFollowsTheMigrator) {
+  // Two options predict the same watts. The first is an FPGA NIC (which
+  // supports reprogramming) parked by a kReprogram migrator, so it pays the
+  // reprogram penalty and the keep-warm option wins the tie.
+  OrchestratorHarness h;
+  LakeCache lake{LakeConfig{}};
+  FpgaNicConfig fpga_config;
+  fpga_config.host_node = 1;
+  fpga_config.device_node = 50;
+  FpgaNic fpga(h.sim, fpga_config);
+  fpga.InstallApp(&lake);
+  StateTransferMigrator reprogram(h.sim, fpga,
+                                  StateTransferMigrator::Options{ParkPolicy::kReprogram});
+  RackAppSpec spec = h.AppWithBothOptions(200000);
+  spec.options[0] = RackPlacementOption{&reprogram, [](double) { return 45.0; }};
+  RackOrchestrator orchestrator(h.sim, RackOrchestratorConfig{});
+  const size_t app = orchestrator.AddApp(std::move(spec));
+  orchestrator.Start();
+  h.sim.RunUntil(Seconds(1));
+  ASSERT_NE(orchestrator.current_option(app), nullptr);
+  EXPECT_EQ(&orchestrator.current_option(app)->migrator->target(), &h.cheap);
+  EXPECT_EQ(orchestrator.ShiftsToTarget(fpga), 0u);
 }
 
 TEST(RackOrchestratorTest, CapacityExhaustionFallsBackToNextTarget) {
@@ -144,15 +213,13 @@ TEST(RackOrchestratorTest, CapacityExhaustionFallsBackToNextTarget) {
   FakeTarget tiny("tiny-asic", 50000);
   FakeMigrator tiny_migrator(h.sim, tiny);
   RackAppSpec spec = h.AppWithBothOptions(200000);
-  spec.options[1] = RackPlacementOption{&tiny, &tiny_migrator,
-                                        [](double) { return 45.0; },
-                                        ParkPolicy::kKeepWarm};
+  spec.options[1] = RackPlacementOption{&tiny_migrator, [](double) { return 45.0; }};
   RackOrchestrator orchestrator(h.sim, RackOrchestratorConfig{});
   const size_t app = orchestrator.AddApp(std::move(spec));
   orchestrator.Start();
   h.sim.RunUntil(Seconds(1));
   ASSERT_NE(orchestrator.current_option(app), nullptr);
-  EXPECT_EQ(orchestrator.current_option(app)->target, &h.pricey);
+  EXPECT_EQ(&orchestrator.current_option(app)->migrator->target(), &h.pricey);
 }
 
 TEST(RackOrchestratorTest, SharedBudgetBlocksSecondApp) {
@@ -171,8 +238,7 @@ TEST(RackOrchestratorTest, SharedBudgetBlocksSecondApp) {
   second.name = "second";
   second.software_watts = [](double r) { return 35.0 + r / 5000.0; };
   second.measured_rate_pps = [] { return 200000.0; };
-  second.options.push_back(RackPlacementOption{
-      &other, &other_migrator, [](double) { return 45.0; }, ParkPolicy::kKeepWarm});
+  second.options.push_back(RackPlacementOption{&other_migrator, [](double) { return 45.0; }});
   const size_t a = orchestrator.AddApp(std::move(first));
   const size_t b = orchestrator.AddApp(std::move(second));
   orchestrator.Start();
@@ -213,8 +279,7 @@ TEST(RackOrchestratorTest, ReturnsHomeWhenNetworkStopsPaying) {
   spec.name = "app";
   spec.software_watts = [](double r) { return 35.0 + r / 10000.0; };  // 65 W @300k.
   spec.measured_rate_pps = [&rate] { return rate; };
-  spec.options.push_back(RackPlacementOption{
-      &target, &migrator, [](double) { return 45.0; }, ParkPolicy::kKeepWarm});
+  spec.options.push_back(RackPlacementOption{&migrator, [](double) { return 45.0; }});
   RackOrchestratorConfig config;
   config.min_dwell = Milliseconds(200);
   RackOrchestrator orchestrator(sim, config);
@@ -263,16 +328,13 @@ TEST(RackOrchestratorTest, MigratesToCheaperTargetWhenCapacityFrees) {
   a.name = "a";
   a.software_watts = [](double r) { return 35.0 + r / 5000.0; };
   a.measured_rate_pps = [&rate_a] { return rate_a; };
-  a.options.push_back(RackPlacementOption{&cheap, &cheap_a, [](double) { return 45.0; },
-                                          ParkPolicy::kKeepWarm});
+  a.options.push_back(RackPlacementOption{&cheap_a, [](double) { return 45.0; }});
   RackAppSpec b;
   b.name = "b";
   b.software_watts = [](double r) { return 35.0 + r / 5000.0; };
   b.measured_rate_pps = [&rate_b] { return rate_b; };
-  b.options.push_back(RackPlacementOption{&cheap, &cheap_b, [](double) { return 45.0; },
-                                          ParkPolicy::kKeepWarm});
-  b.options.push_back(RackPlacementOption{&pricey, &pricey_b, [](double) { return 50.0; },
-                                          ParkPolicy::kKeepWarm});
+  b.options.push_back(RackPlacementOption{&cheap_b, [](double) { return 45.0; }});
+  b.options.push_back(RackPlacementOption{&pricey_b, [](double) { return 50.0; }});
 
   RackOrchestratorConfig config;
   config.min_dwell = Milliseconds(200);
@@ -283,12 +345,12 @@ TEST(RackOrchestratorTest, MigratesToCheaperTargetWhenCapacityFrees) {
   sim.RunUntil(Seconds(1));
   ASSERT_NE(orchestrator.current_option(app_a), nullptr);
   ASSERT_NE(orchestrator.current_option(app_b), nullptr);
-  EXPECT_EQ(orchestrator.current_option(app_a)->target, &cheap);
-  EXPECT_EQ(orchestrator.current_option(app_b)->target, &pricey);
+  EXPECT_EQ(&orchestrator.current_option(app_a)->migrator->target(), &cheap);
+  EXPECT_EQ(&orchestrator.current_option(app_b)->migrator->target(), &pricey);
 
   rate_a = 50000;  // 50k + 100k now fit the cheap target's 250k.
   sim.RunUntil(Seconds(2));
-  EXPECT_EQ(orchestrator.current_option(app_b)->target, &cheap);
+  EXPECT_EQ(&orchestrator.current_option(app_b)->migrator->target(), &cheap);
   EXPECT_FALSE(pricey.app_active());
   // Ledger reflects the two real placements, without phantom entries.
   EXPECT_EQ(orchestrator.ledger().commitments().size(), 2u);
@@ -300,7 +362,6 @@ TEST(RackOrchestratorTest, MigratesToCheaperTargetWhenCapacityFrees) {
 RackOrchestratorConfig RecoveryConfig() {
   RackOrchestratorConfig config;
   config.heartbeat_period = Milliseconds(2);
-  config.failure_threshold = 2;
   // Economics passes out of the way: recovery is the only mover.
   config.check_period = Seconds(10);
   config.checkpoint_period = Milliseconds(1);
@@ -313,7 +374,7 @@ TEST(RackRecoveryTest, HeartbeatDetectsDeathAndReplacesOnSurvivor) {
   const size_t app = orchestrator.AddApp(h.AppWithBothOptions(200000));
   orchestrator.Start();
   orchestrator.ForcePlacement(app, 1);  // The cheap target.
-  ASSERT_EQ(orchestrator.current_option(app)->target, &h.cheap);
+  ASSERT_EQ(&orchestrator.current_option(app)->migrator->target(), &h.cheap);
 
   const SimTime kill_at = Milliseconds(10);
   h.sim.Schedule(kill_at, [&h] { h.cheap.KillEngine(); });
@@ -322,7 +383,7 @@ TEST(RackRecoveryTest, HeartbeatDetectsDeathAndReplacesOnSurvivor) {
   EXPECT_EQ(orchestrator.failures_detected(), 1u);
   EXPECT_EQ(orchestrator.recoveries(), 1u);
   ASSERT_NE(orchestrator.current_option(app), nullptr);
-  EXPECT_EQ(orchestrator.current_option(app)->target, &h.pricey);
+  EXPECT_EQ(&orchestrator.current_option(app)->migrator->target(), &h.pricey);
   EXPECT_TRUE(h.pricey.app_active());
   // Detection latency is bounded by threshold consecutive missed heartbeats.
   SimTime detected_at = -1;
@@ -399,7 +460,7 @@ TEST(RackRecoveryTest, LinkFlapDoesNotTriggerRecovery) {
   EXPECT_EQ(orchestrator.failures_detected(), 0u);
   EXPECT_EQ(orchestrator.recoveries(), 0u);
   ASSERT_NE(orchestrator.current_option(app), nullptr);
-  EXPECT_EQ(orchestrator.current_option(app)->target, &h.cheap);
+  EXPECT_EQ(&orchestrator.current_option(app)->migrator->target(), &h.cheap);
   // Only the long flap crossed the threshold, logged once per streak.
   EXPECT_EQ(orchestrator.flap_suppressions(), 1u);
   uint64_t flap_records = 0;
@@ -422,7 +483,7 @@ TEST(RackRecoveryTest, LinkFlapDoesNotTriggerRecovery) {
   EXPECT_EQ(orchestrator.failures_detected(), 1u);
   EXPECT_EQ(orchestrator.recoveries(), 1u);
   ASSERT_NE(orchestrator.current_option(app), nullptr);
-  EXPECT_EQ(orchestrator.current_option(app)->target, &h.pricey);
+  EXPECT_EQ(&orchestrator.current_option(app)->migrator->target(), &h.pricey);
 }
 
 TEST(RackRecoveryTest, PowerCapEvictsLargestCommitmentsFirst) {
@@ -438,9 +499,7 @@ TEST(RackRecoveryTest, PowerCapEvictsLargestCommitmentsFirst) {
   b.name = "b";
   b.software_watts = [](double r) { return 35.0 + r / 5000.0; };
   b.measured_rate_pps = [] { return 100000.0; };
-  b.options.push_back(RackPlacementOption{&h.pricey, &pricey_b,
-                                          [](double) { return 65.0; },
-                                          ParkPolicy::kKeepWarm});
+  b.options.push_back(RackPlacementOption{&pricey_b, [](double) { return 65.0; }});
   const size_t app_b = orchestrator.AddApp(std::move(b));
   orchestrator.Start();
   orchestrator.ForcePlacement(app_a, 1);
@@ -464,6 +523,25 @@ TEST(RackRecoveryTest, PowerCapEvictsLargestCommitmentsFirst) {
   orchestrator.ApplyPowerCap(100.0);
   orchestrator.ForcePlacement(app_a, 1);
   EXPECT_DOUBLE_EQ(orchestrator.ledger().committed_watts(), 10.0);
+}
+
+TEST(RackOrchestratorTest, PowerCapToZeroEvictsEveryOffload) {
+  // A 0 W brownout is a zero budget, not "unlimited": every offload that
+  // draws headroom goes home, and the economics pass admits nothing new.
+  OrchestratorHarness h;
+  RackOrchestrator orchestrator(h.sim, RackOrchestratorConfig{});
+  const size_t app = orchestrator.AddApp(h.AppWithBothOptions(200000));
+  orchestrator.Start();
+  orchestrator.ForcePlacement(app, 1);
+  ASSERT_NE(orchestrator.current_option(app), nullptr);
+  orchestrator.ApplyPowerCap(0);
+  EXPECT_EQ(orchestrator.current_option(app), nullptr);
+  EXPECT_FALSE(orchestrator.ledger().unlimited());
+  EXPECT_DOUBLE_EQ(orchestrator.ledger().budget_watts(), 0.0);
+  EXPECT_DOUBLE_EQ(orchestrator.ledger().committed_watts(), 0.0);
+  h.sim.RunUntil(Seconds(3));
+  EXPECT_EQ(orchestrator.current_option(app), nullptr);
+  EXPECT_TRUE(orchestrator.ledger().commitments().empty());
 }
 
 TEST(RackRecoveryTest, ForcePlacementRespectsLedgerAndLogsShift) {
@@ -612,10 +690,9 @@ TEST(RackWarmMigrationTest, ScenarioSpecRackWarmShiftsKvsOntoSmartNic) {
       memcached->store().Set(k, 64);
     }
 
-    StateTransferMigrator migrator(
-        sim, *built.smartnic,
-        StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark),
-        memcached, built.offload_app.get());
+    StateTransferMigrator migrator(sim, *built.smartnic,
+                                   StateTransferMigrator::Options{ParkPolicy::kGatedPark},
+                                   memcached, built.offload_app.get());
 
     RackOrchestratorConfig config;
     config.min_dwell = Milliseconds(200);
@@ -631,9 +708,8 @@ TEST(RackWarmMigrationTest, ScenarioSpecRackWarmShiftsKvsOntoSmartNic) {
     const double app_fraction =
         lake->OffloadProfile().smartnic.MppsFractionFor(board->preset().arch);
     rack_app.options.push_back(RackPlacementOption{
-        board, &migrator,
-        MakeSmartNicRatePower(/*host_idle_watts=*/35.0, board->preset(), app_fraction),
-        ParkPolicy::kGatedPark});
+        &migrator,
+        MakeSmartNicRatePower(/*host_idle_watts=*/35.0, board->preset(), app_fraction)});
     orchestrator.AddApp(std::move(rack_app));
 
     EtcWorkloadConfig etc_config;
@@ -724,8 +800,7 @@ TEST(RackWarmMigrationTest, WarmShiftPreservesPaxosBallotAndSequence) {
     spec.software_watts = [](double) { return 100.0; };
     FpgaNic* fpga = testbed.sut_fpga();
     spec.measured_rate_pps = [fpga] { return fpga->AppIngressRatePerSecond(); };
-    spec.options.push_back(RackPlacementOption{
-        fpga, &migrator, [](double) { return 50.0; }, ParkPolicy::kKeepWarm});
+    spec.options.push_back(RackPlacementOption{&migrator, [](double) { return 50.0; }});
     orchestrator.AddApp(std::move(spec));
 
     Result result;
@@ -811,8 +886,8 @@ TEST(MixedRackScenarioTest, TwoTargetKindsUnderOneOrchestrator) {
   const auto* dns_option = rack.orchestrator().current_option(rack.dns_app_index());
   ASSERT_NE(kvs_option, nullptr);
   ASSERT_NE(dns_option, nullptr);
-  EXPECT_EQ(kvs_option->target, &rack.kvs_fpga());
-  EXPECT_EQ(dns_option->target, &rack.dns_target());
+  EXPECT_EQ(&kvs_option->migrator->target(), &rack.kvs_fpga());
+  EXPECT_EQ(&dns_option->migrator->target(), &rack.dns_target());
   EXPECT_EQ(rack.orchestrator().ledger().commitments().size(), 2u);
   double sum = 0;
   for (const auto& [key, watts] : rack.orchestrator().ledger().commitments()) {

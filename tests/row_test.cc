@@ -1,4 +1,5 @@
-// Row subsystem tests: the global power ledger and apportionment kernel,
+// Row subsystem tests: the apportionment kernel (the PowerBudget ledger the
+// row shares with racks is tested in rack_test),
 // RowOrchestrator/RowScenario wiring and validation, the one-rack §9.3
 // trace row, and the property suite proving the row-level ledger
 // invariants the rack suite proves one level down — sampled apportionment
@@ -32,42 +33,6 @@ double Sum(const std::vector<double>& values) {
     total += v;
   }
   return total;
-}
-
-// --- RowPowerLedger ---------------------------------------------------------
-
-TEST(RowPowerLedgerTest, ApportionsWithinBudgetAndRejectsOverflow) {
-  RowPowerLedger ledger(100);
-  EXPECT_TRUE(ledger.TryApportion("a", 60));
-  EXPECT_TRUE(ledger.TryApportion("b", 40));
-  EXPECT_DOUBLE_EQ(ledger.apportioned_watts(), 100);
-  EXPECT_DOUBLE_EQ(ledger.RemainingWatts(), 0);
-  // Growing past the budget fails and leaves the prior value intact.
-  EXPECT_FALSE(ledger.TryApportion("b", 41));
-  EXPECT_DOUBLE_EQ(ledger.apportionments().at("b"), 40);
-  // Replace-semantics: re-apportioning the same rack is not additive.
-  EXPECT_TRUE(ledger.TryApportion("a", 60));
-  EXPECT_DOUBLE_EQ(ledger.apportioned_watts(), 100);
-}
-
-TEST(RowPowerLedgerTest, ShrinkAcceptedWhileOverBrownedOutBudget) {
-  RowPowerLedger ledger(100);
-  ASSERT_TRUE(ledger.TryApportion("a", 60));
-  ASSERT_TRUE(ledger.TryApportion("b", 40));
-  // Brownout: the budget steps below the committed total.
-  ledger.SetBudgetWatts(50);
-  // Shrinks must land even though the total still exceeds the new budget —
-  // rejecting them would wedge the ledger over budget forever.
-  EXPECT_TRUE(ledger.TryApportion("a", 30));
-  EXPECT_TRUE(ledger.TryApportion("b", 20));
-  EXPECT_DOUBLE_EQ(ledger.apportioned_watts(), 50);
-  // Grows are still policed against the new budget.
-  EXPECT_FALSE(ledger.TryApportion("a", 31));
-}
-
-TEST(RowPowerLedgerTest, NegativeApportionmentThrows) {
-  RowPowerLedger ledger(100);
-  EXPECT_THROW(ledger.TryApportion("a", -1), std::invalid_argument);
 }
 
 // --- ComputeRowApportionment ------------------------------------------------
@@ -288,8 +253,38 @@ TEST(RowOrchestratorTest, GlobalBrownoutShrinksEveryCap) {
   EXPECT_DOUBLE_EQ(row.ledger().budget_watts(), 40);
   EXPECT_DOUBLE_EQ(row.CurrentApportionment(0), 20);
   EXPECT_DOUBLE_EQ(row.CurrentApportionment(1), 20);
-  EXPECT_LE(row.ledger().apportioned_watts(), 40 + 1e-9);
+  EXPECT_LE(row.ledger().committed_watts(), 40 + 1e-9);
   EXPECT_EQ(row.global_brownouts(), 1u);
+}
+
+TEST(RowOrchestratorTest, GlobalBrownoutToZeroCapsEveryRack) {
+  // A 0 W global brownout is a zero budget, not "unlimited": every rack's
+  // apportionment drops to nothing and its cap is pushed down.
+  ShardedSimulation::Options options;
+  options.num_shards = 3;
+  ShardedSimulation ssim(options);
+  ssim.RegisterCrossShardLatency(Microseconds(5));
+  RackOrchestrator rack0(ssim.shard(0));
+  RackOrchestrator rack1(ssim.shard(1));
+  RowOrchestratorConfig config;
+  config.global_budget_watts = 100;
+  config.policy = Policy::kEqualShare;
+  RowOrchestrator row(ssim, 2, config);
+  row.AddRack("r0", 0, &rack0);
+  row.AddRack("r1", 1, &rack1);
+  row.Start();
+  ASSERT_EQ(row.caps_issued(), 2u);
+  ssim.shard(2).ScheduleAt(Milliseconds(1), [&row] { row.ApplyGlobalBrownout(0); });
+  ssim.RunUntil(Milliseconds(50));
+  EXPECT_FALSE(row.ledger().unlimited());
+  EXPECT_DOUBLE_EQ(row.ledger().budget_watts(), 0);
+  EXPECT_DOUBLE_EQ(row.CurrentApportionment(0), 0);
+  EXPECT_DOUBLE_EQ(row.CurrentApportionment(1), 0);
+  EXPECT_EQ(row.caps_issued(), 4u);
+  for (const RackOrchestrator* rack : {&rack0, &rack1}) {
+    EXPECT_FALSE(rack->ledger().unlimited());
+    EXPECT_LE(rack->ledger().budget_watts(), 0.01);
+  }
 }
 
 // --- RowScenario validation -------------------------------------------------
@@ -487,7 +482,7 @@ TEST_P(RowLedgerPropertyTest, GlobalLedgerInvariantsHold) {
     EXPECT_GE(watts, 0) << "rack " << r << " seed " << seed;
     apportionment_sum += watts;
   }
-  EXPECT_DOUBLE_EQ(apportionment_sum, orch.ledger().apportioned_watts());
+  EXPECT_DOUBLE_EQ(apportionment_sum, orch.ledger().committed_watts());
   EXPECT_NEAR(apportionment_sum, orch.ledger().budget_watts(), 1e-6)
       << "seed " << seed;
 
@@ -547,7 +542,7 @@ TEST_P(RowLedgerPropertyTest, GlobalLedgerInvariantsHold) {
     EXPECT_NEAR(rack.ledger().budget_watts(),
                 std::max(orch.CurrentApportionment(static_cast<size_t>(r)), 0.01),
                 0.5 + 1e-9)
-        << "rack " << r << " seed " << seed;  // cap_epsilon_watts slack.
+        << "rack " << r << " seed " << seed;  // kCapEpsilonWatts slack.
     EXPECT_LE(rack.ledger().committed_watts(),
               rack.ledger().budget_watts() + 1e-6)
         << "rack " << r << " seed " << seed;

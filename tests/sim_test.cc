@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "src/sim/random.h"
@@ -258,6 +259,21 @@ TEST(SimulationTest, SchedulePeriodicStopsWhenCallbackReturnsFalse) {
   sim.Run();
   EXPECT_EQ(ticks, 3);
   EXPECT_EQ(sim.Now(), Microseconds(30));
+}
+
+TEST(SimTest, SchedulePeriodicRejectsNonPositivePeriod) {
+  // A zero period would re-run the callback at one instant forever.
+  Simulation sim;
+  int ticks = 0;
+  auto tick = [&] {
+    ++ticks;
+    return true;
+  };
+  EXPECT_THROW(SchedulePeriodic(sim, Microseconds(10), 0, tick), std::invalid_argument);
+  EXPECT_THROW(SchedulePeriodic(sim, 0, -Microseconds(1), tick), std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.RunUntil(Milliseconds(1));
+  EXPECT_EQ(ticks, 0);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

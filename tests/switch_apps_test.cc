@@ -349,8 +349,7 @@ TEST(ParkPolicyTest, IdlePowerOrdering) {
                                  ParkPolicy::kKeepWarm};
   for (int i = 0; i < 3; ++i) {
     ParkHarness h;
-    ClassifierMigrator migrator(h.sim, h.fpga,
-                                ClassifierMigrator::Options::FromPolicy(policies[i]));
+    StateTransferMigrator migrator(h.sim, h.fpga, StateTransferMigrator::Options{policies[i]});
     watts[i] = h.fpga.PowerWatts();
   }
   EXPECT_LT(watts[0], watts[1]);
@@ -360,8 +359,8 @@ TEST(ParkPolicyTest, IdlePowerOrdering) {
 
 TEST(ParkPolicyTest, KeepWarmPreservesCaches) {
   ParkHarness h;
-  ClassifierMigrator migrator(h.sim, h.fpga,
-                              ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm));
+  StateTransferMigrator migrator(h.sim, h.fpga,
+                                 StateTransferMigrator::Options{ParkPolicy::kKeepWarm});
   h.lake.WarmFill(0, 50, 64);
   migrator.ShiftToNetwork();
   migrator.ShiftToHost();
@@ -370,8 +369,8 @@ TEST(ParkPolicyTest, KeepWarmPreservesCaches) {
 
 TEST(ParkPolicyTest, GatedParkColdCaches) {
   ParkHarness h;
-  ClassifierMigrator migrator(h.sim, h.fpga,
-                              ClassifierMigrator::Options::FromPolicy(ParkPolicy::kGatedPark));
+  StateTransferMigrator migrator(h.sim, h.fpga,
+                                 StateTransferMigrator::Options{ParkPolicy::kGatedPark});
   h.lake.WarmFill(0, 50, 64);
   migrator.ShiftToNetwork();
   migrator.ShiftToHost();  // Reset on park: caches cleared.
@@ -380,9 +379,9 @@ TEST(ParkPolicyTest, GatedParkColdCaches) {
 
 TEST(ParkPolicyTest, ReprogramHaltsTraffic) {
   ParkHarness h;
-  ClassifierMigrator migrator(
+  StateTransferMigrator migrator(
       h.sim, h.fpga,
-      ClassifierMigrator::Options::FromPolicy(ParkPolicy::kReprogram, Milliseconds(40)));
+      StateTransferMigrator::Options{ParkPolicy::kReprogram, Milliseconds(40)});
   struct Collector : PacketSink {
     void Receive(Packet) override { ++count; }
     std::string SinkName() const override { return "host"; }
@@ -408,15 +407,13 @@ TEST(ParkPolicyTest, ReprogramHaltsTraffic) {
 // ---- Energy-aware placement ----
 //
 // §9.1's "more sophisticated algorithms": shift when the §8 models predict
-// a saving of at least min_saving_watts, in either direction. That rule is
+// a saving of at least RackOrchestrator::kMinSavingWatts, in either direction. That rule is
 // RackOrchestrator's; here it runs on a one-app, one-option rack.
 
 RatePowerFn KvsSoftwareWatts() {
-  auto server = MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4);
+  auto server = MakeServerRatePower(I7MemcachedCurve(), kMemcachedServiceTime, 4);
   return [server](double r) { return server(r) + 4.0; };
 }
-
-RatePowerFn LakeWatts() { return MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6); }
 
 struct EnergyPlacementHarness {
   explicit EnergyPlacementHarness(SimDuration min_dwell = Seconds(1))
@@ -433,7 +430,7 @@ struct EnergyPlacementHarness {
     spec.name = "kvs";
     spec.software_watts = KvsSoftwareWatts();
     spec.measured_rate_pps = [this] { return fpga.AppIngressRatePerSecond(); };
-    spec.options.push_back(RackPlacementOption{&fpga, &migrator, LakeWatts()});
+    spec.options.push_back(RackPlacementOption{&migrator, MakeLakeRatePower()});
     return spec;
   }
   void OfferTraffic(double rate_pps, SimDuration duration) {
@@ -455,7 +452,7 @@ struct EnergyPlacementHarness {
   Simulation sim;
   LakeCache lake{LakeConfig{}};
   FpgaNic fpga;
-  ClassifierMigrator migrator{sim, fpga};
+  StateTransferMigrator migrator{sim, fpga};
   RackOrchestrator orchestrator;
 };
 
@@ -467,7 +464,7 @@ TEST(EnergyAwarePlacementTest, ShiftsWhenModelPredictsSaving) {
   h.OfferTraffic(400000, Seconds(2));
   h.sim.RunUntil(Seconds(2));
   EXPECT_EQ(h.migrator.placement(), Placement::kNetwork);
-  EXPECT_GT(KvsSoftwareWatts()(400000) - LakeWatts()(400000), 10.0);
+  EXPECT_GT(KvsSoftwareWatts()(400000) - MakeLakeRatePower()(400000), 10.0);
 }
 
 TEST(EnergyAwarePlacementTest, StaysOnHostWhenSoftwareCheaper) {
@@ -477,7 +474,7 @@ TEST(EnergyAwarePlacementTest, StaysOnHostWhenSoftwareCheaper) {
   h.OfferTraffic(20000, Seconds(2));  // Far below the ~86 kpps tipping point.
   h.sim.RunUntil(Seconds(2));
   EXPECT_EQ(h.migrator.placement(), Placement::kHost);
-  EXPECT_LT(KvsSoftwareWatts()(20000) - LakeWatts()(20000), 0.0);
+  EXPECT_LT(KvsSoftwareWatts()(20000) - MakeLakeRatePower()(20000), 0.0);
 }
 
 TEST(EnergyAwarePlacementTest, ShiftsBackWhenLoadDrops) {
