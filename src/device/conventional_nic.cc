@@ -195,14 +195,4 @@ void ConventionalNic::FlushTx() {
   }
 }
 
-void ConventionalNic::OnLinkCongestion(Link* link, bool congested) {
-  if (link != host_link_ || net_link_ == nullptr || !net_link_->config().flow.pfc) {
-    return;
-  }
-  if (congested) {
-    ++pause_propagations_;
-  }
-  net_link_->PauseUpstream(this, congested);
-}
-
 }  // namespace incod

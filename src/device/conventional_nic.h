@@ -25,6 +25,7 @@
 
 #include "src/net/link.h"
 #include "src/net/packet.h"
+#include "src/net/pause_relay_nic.h"
 #include "src/power/power_source.h"
 #include "src/sim/simulation.h"
 #include "src/stats/counters.h"
@@ -72,22 +73,9 @@ struct ConventionalNicConfig {
 ConventionalNicConfig MellanoxConnectX3Config(NodeId host_node);
 ConventionalNicConfig IntelX520Config(NodeId host_node);
 
-class ConventionalNic : public PacketSink, public PowerSource, public FlowListener {
+class ConventionalNic : public PauseRelayNic, public PowerSource {
  public:
   ConventionalNic(Simulation& sim, ConventionalNicConfig config);
-
-  void SetNetworkLink(Link* link) { net_link_ = link; }
-  void SetHostLink(Link* link) {
-    host_link_ = link;
-    if (link != nullptr && link->config().flow.pfc) {
-      link->SetFlowListener(this, this);
-    }
-  }
-
-  // FlowListener: PCIe backlog toward the host crossed a watermark —
-  // propagate the pause out to the network side.
-  void OnLinkCongestion(Link* link, bool congested) override;
-  uint64_t pause_propagations() const { return pause_propagations_; }
 
   void Receive(Packet packet) override;
   std::string SinkName() const override { return config_.name; }
@@ -130,11 +118,8 @@ class ConventionalNic : public PacketSink, public PowerSource, public FlowListen
 
   Simulation& sim_;
   ConventionalNicConfig config_;
-  Link* net_link_ = nullptr;
-  Link* host_link_ = nullptr;
   SimTime busy_until_ = 0;
   Counter dropped_;
-  uint64_t pause_propagations_ = 0;
   // Mechanistic datapath state.
   std::vector<RxRing> rx_rings_;
   std::deque<Packet> tx_batch_;

@@ -222,19 +222,6 @@ void FpgaNic::TransmitToNetwork(Packet packet) {
   net_link_->Send(this, std::move(packet));
 }
 
-void FpgaNic::OnLinkCongestion(Link* link, bool congested) {
-  // Only the host-side (PCIe) backlog is propagated: the host stopped
-  // draining, so hold the ToR's transmissions at this port. Network-side
-  // congestion is the switch's problem, not ours.
-  if (link != host_link_ || net_link_ == nullptr || !net_link_->config().flow.pfc) {
-    return;
-  }
-  if (congested) {
-    ++pause_propagations_;
-  }
-  net_link_->PauseUpstream(this, congested);
-}
-
 void FpgaNic::DeliverToHost(Packet packet) {
   if (host_link_ == nullptr) {
     // Standalone operation: no host. Count and drop.

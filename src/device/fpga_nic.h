@@ -24,6 +24,7 @@
 #include "src/device/offload_target.h"
 #include "src/net/link.h"
 #include "src/net/packet.h"
+#include "src/net/pause_relay_nic.h"
 #include "src/power/ledger.h"
 #include "src/power/psu.h"
 #include "src/sim/simulation.h"
@@ -52,11 +53,10 @@ struct FpgaNicConfig {
   SimDuration rate_window = Milliseconds(100);  // For utilization/dyn power.
 };
 
-class FpgaNic : public PacketSink,
+class FpgaNic : public PauseRelayNic,
                 public PowerSource,
                 public OffloadTarget,
-                public AppContext,
-                public FlowListener {
+                public AppContext {
  public:
   FpgaNic(Simulation& sim, FpgaNicConfig config);
 
@@ -73,21 +73,6 @@ class FpgaNic : public PacketSink,
   NodeId self_node() const override { return config_.device_node; }
   void Reply(Packet packet) override { TransmitToNetwork(std::move(packet)); }
   void Punt(Packet packet) override { DeliverToHost(std::move(packet)); }
-
-  // Attach the network-side and host-side links (both must have this device
-  // as one endpoint).
-  void SetNetworkLink(Link* link) { net_link_ = link; }
-  void SetHostLink(Link* link) {
-    host_link_ = link;
-    if (link != nullptr && link->config().flow.pfc) {
-      link->SetFlowListener(this, this);
-    }
-  }
-
-  // FlowListener: the PCIe (host) direction backed up — the host stopped
-  // draining — so propagate the pause out the network link toward the ToR.
-  void OnLinkCongestion(Link* link, bool congested) override;
-  uint64_t pause_propagations() const { return pause_propagations_; }
 
   // --- Runtime controls (the knobs of §5.1/§9.2, OffloadTarget surface) ---
   // When active, matching packets are processed in the app core; when
@@ -169,9 +154,6 @@ class FpgaNic : public PacketSink,
   FpgaNicConfig config_;
   PowerLedger ledger_;
   PsuModel standalone_psu_{kStandalonePsuRatedWatts};
-  Link* net_link_ = nullptr;
-  Link* host_link_ = nullptr;
-  uint64_t pause_propagations_ = 0;
   App* app_ = nullptr;
   OffloadPlacementProfile profile_{};
   FpgaPipelineSpec pipeline_{};

@@ -254,16 +254,6 @@ void SmartNic::AdmitToEngine(size_t app_index, Packet packet) {
   sim_.ScheduleAt(*done, std::move(process));
 }
 
-void SmartNic::OnLinkCongestion(Link* link, bool congested) {
-  if (link != host_link_ || net_link_ == nullptr || !net_link_->config().flow.pfc) {
-    return;
-  }
-  if (congested) {
-    ++pause_propagations_;
-  }
-  net_link_->PauseUpstream(this, congested);
-}
-
 void SmartNic::TransmitToNetwork(Packet packet) {
   if (net_link_ == nullptr) {
     throw std::logic_error("SmartNic: no network link");

@@ -27,6 +27,7 @@
 #include "src/device/offload_target.h"
 #include "src/net/link.h"
 #include "src/net/packet.h"
+#include "src/net/pause_relay_nic.h"
 #include "src/power/power_source.h"
 #include "src/sim/simulation.h"
 #include "src/stats/counters.h"
@@ -76,11 +77,10 @@ struct SmartNicDeviceConfig {
   double offload_engine_fraction = 0.3;
 };
 
-class SmartNic : public PacketSink,
+class SmartNic : public PauseRelayNic,
                  public PowerSource,
                  public OffloadTarget,
-                 public AppContext,
-                 public FlowListener {
+                 public AppContext {
  public:
   SmartNic(Simulation& sim, SmartNicPreset preset, SmartNicDeviceConfig config);
 
@@ -98,19 +98,6 @@ class SmartNic : public PacketSink,
   // resource wall after kSocAppSlots; scalable silicon fits kScalableAppSlots.
   int AppSlotCapacity() const;
   int app_slots_used() const { return slots_used_; }
-
-  void SetNetworkLink(Link* link) { net_link_ = link; }
-  void SetHostLink(Link* link) {
-    host_link_ = link;
-    if (link != nullptr && link->config().flow.pfc) {
-      link->SetFlowListener(this, this);
-    }
-  }
-
-  // FlowListener: PCIe backlog toward the host crossed a watermark —
-  // propagate the pause out to the network side.
-  void OnLinkCongestion(Link* link, bool congested) override;
-  uint64_t pause_propagations() const { return pause_propagations_; }
 
   // --- AppContext (the narrow surface hosted apps talk through) ---
   Simulation& sim() override { return sim_; }
@@ -183,9 +170,6 @@ class SmartNic : public PacketSink,
   SmartNicDeviceConfig config_;
   std::vector<HostedApp> apps_;
   int slots_used_ = 0;
-  Link* net_link_ = nullptr;
-  Link* host_link_ = nullptr;
-  uint64_t pause_propagations_ = 0;
   SimTime busy_until_ = 0;
   bool app_active_ = false;
   bool clock_gating_ = false;

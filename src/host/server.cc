@@ -13,6 +13,12 @@ Server::Server(Simulation& sim, ServerConfig config)
   if (config_.num_cores < 1) {
     throw std::invalid_argument("Server: num_cores must be >= 1");
   }
+  if (config_.flow.pfc && config_.flow.pause_low_watermark >= config_.flow.pause_high_watermark) {
+    // The ingress-pause latch would clear right after it sets: a
+    // pause/resume pair per packet instead of holding the uplink.
+    throw std::invalid_argument("Server " + config_.name +
+                                ": PFC pause_low_watermark must be < pause_high_watermark");
+  }
   last_sample_at_ = sim_.Now();
 }
 

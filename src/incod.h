@@ -29,6 +29,7 @@
 // Network substrate.
 #include "src/net/link.h"
 #include "src/net/packet.h"
+#include "src/net/pause_relay_nic.h"
 #include "src/net/switch.h"
 #include "src/net/topology.h"
 

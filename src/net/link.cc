@@ -8,8 +8,6 @@
 
 namespace incod {
 
-static_assert(sizeof(Link*) + sizeof(int) <= InlineEvent::kInlineCapacity,
-              "Link delivery events must stay inline");
 static_assert(sizeof(Link*) + sizeof(int) + sizeof(bool) <= InlineEvent::kInlineCapacity,
               "Pause flip events must stay inline");
 
@@ -17,6 +15,13 @@ Link::Link(Simulation& sim, Config config, std::string name)
     : sim_(sim), config_(config), name_(std::move(name)) {
   if (config_.gigabits_per_second <= 0) {
     throw std::invalid_argument("Link: rate must be > 0");
+  }
+  if (config_.flow.pfc &&
+      config_.flow.pause_low_watermark >= config_.flow.pause_high_watermark) {
+    // The congestion latch would clear right after it sets: a pause/resume
+    // pair per packet instead of holding the sender.
+    throw std::invalid_argument("Link " + name_ +
+                                ": PFC pause_low_watermark must be < pause_high_watermark");
   }
 }
 
@@ -65,6 +70,41 @@ int Link::IndexToward(const PacketSink* to) const {
   throw std::invalid_argument("Link: sink not connected to " + name_);
 }
 
+void Link::PutOnWire(int dir, SimTime at, Packet pkt) {
+  Direction& d = dir_[dir];
+  ++d.posted;
+  // at >= now + propagation >= now + lookahead, so a cross-shard post always
+  // satisfies the conservative bound.
+  PostAcross(d, d.src_shard, d.dst_shard, at, Deliver{this, dir, std::move(pkt)});
+}
+
+template <typename Event>
+void Link::PostAcross(const Direction& d, int from_shard, int to_shard, SimTime at,
+                      Event&& event) {
+  if (d.cross) {
+    sharded_->PostCrossShard(from_shard, to_shard, at, std::forward<Event>(event));
+  } else {
+    DriveSim(d).ScheduleAt(at, std::forward<Event>(event));
+  }
+}
+
+void Link::CompleteDelivery(int dir, Packet pkt) {
+  // Runs in the receiver's shard; the sender never touches these fields.
+  Direction& d = dir_[dir];
+  if (d.rx_down) {
+    // The cable went down while this packet was in flight: lost on the
+    // wire, never handed to the sink.
+    ++d.dropped_down_rx;
+  } else if (!d.to->alive()) {
+    // The receiving node died: the frame arrives at a dead port and is
+    // dropped, not silently serviced.
+    ++d.dropped_dead;
+  } else {
+    ++d.delivered;
+    d.to->Receive(std::move(pkt));
+  }
+}
+
 void Link::Send(const PacketSink* from, Packet packet) {
   if (ends_[0] == nullptr || ends_[1] == nullptr) {
     throw std::logic_error("Link::Send before Connect on " + name_);
@@ -84,58 +124,23 @@ void Link::Send(const PacketSink* from, Packet packet) {
     SendPaced(index, std::move(packet));
     return;
   }
-  Simulation& drive = DriveSim(d);
-  const SimTime now = drive.Now();
-  if (d.cross) {
-    static_assert(sizeof(CrossDeliver) <= 2 * InlineEvent::kInlineCapacity,
-                  "CrossDeliver grew unexpectedly; re-check the inline budget");
-    // Same waiting-backlog rule as below, tracked by service start alone:
-    // entries with service_start <= now are in service or on the wire.
-    while (!d.waiting_starts.empty() && d.waiting_starts.front() <= now) {
-      d.waiting_starts.pop_front();
-    }
-    if (d.waiting_starts.size() >= config_.queue_capacity_packets) {
-      ++d.dropped_overflow;
-      return;
-    }
-    const SimTime start = std::max(now, d.busy_until);
-    const SimDuration ser = SerializationDelay(packet.size_bytes);
-    d.busy_until = start + ser;
-    d.waiting_starts.push_back(start);
-    ++d.posted;
-    // deliver_at >= now + propagation >= now + lookahead, so the post always
-    // satisfies the conservative bound.
-    sharded_->PostCrossShard(d.src_shard, d.dst_shard,
-                             start + ser + config_.propagation_delay,
-                             CrossDeliver{this, index, std::move(packet)});
-    return;
+  // The backlog counted against the capacity is the packets whose
+  // serialization has not started; the packet occupying the transmitter and
+  // packets already on the wire do not count. Service starts are
+  // non-decreasing, so the starts <= now sit at the front.
+  const SimTime now = DriveSim(d).Now();
+  while (!d.waiting_starts.empty() && d.waiting_starts.front() <= now) {
+    d.waiting_starts.pop_front();
   }
-  // The queue holds packets whose serialization has not started; the packet
-  // occupying the transmitter (service_start <= now) and packets already on
-  // the wire do not count against the capacity. Service starts are
-  // non-decreasing in FIFO order, so the waiting backlog is the deque tail
-  // past upper_bound(now).
-  const auto first_waiting =
-      std::upper_bound(d.in_flight.begin(), d.in_flight.end(), now,
-                       [](SimTime t, const InFlight& f) { return t < f.service_start; });
-  const size_t waiting = static_cast<size_t>(d.in_flight.end() - first_waiting);
-  if (waiting >= config_.queue_capacity_packets) {
+  if (d.waiting_starts.size() >= config_.queue_capacity_packets) {
     ++d.dropped_overflow;
     return;
   }
   const SimTime start = std::max(now, d.busy_until);
   const SimDuration ser = SerializationDelay(packet.size_bytes);
   d.busy_until = start + ser;
-  const SimTime deliver_at = start + ser + config_.propagation_delay;
-  // Same-deliver-tick coalescing: FIFO service makes deliver times
-  // non-decreasing, so an equal tick can only be the deque tail's. Ride the
-  // already-scheduled event instead of adding another.
-  const bool coalesce =
-      !d.in_flight.empty() && d.in_flight.back().deliver_at == deliver_at;
-  d.in_flight.push_back(InFlight{start, deliver_at, std::move(packet)});
-  if (!coalesce) {
-    drive.ScheduleAt(deliver_at, Deliver{this, index});
-  }
+  d.waiting_starts.push_back(start);
+  PutOnWire(index, start + ser + config_.propagation_delay, std::move(packet));
 }
 
 void Link::SendPaced(int index, Packet packet) {
@@ -183,25 +188,16 @@ void Link::CompleteService(int dir) {
   Direction& d = dir_[dir];
   Packet pkt = std::move(d.tx_queue.front());
   d.tx_queue.pop_front();
-  Simulation& drive = DriveSim(d);
-  const SimTime now = drive.Now();
   if (d.congested && d.tx_queue.size() <= config_.flow.pause_low_watermark) {
     d.congested = false;
     if (d.listener != nullptr) {
       d.listener->OnLinkCongestion(this, false);
     }
   }
-  // Put the serialized packet on the wire (one delivery event per packet;
-  // paced directions never coalesce, CompleteDelivery pops exactly one).
   if (d.tx_down) {
     ++d.dropped_down_tx;
-  } else if (d.cross) {
-    ++d.posted;
-    sharded_->PostCrossShard(d.src_shard, d.dst_shard, now + config_.propagation_delay,
-                             CrossDeliver{this, dir, std::move(pkt)});
   } else {
-    d.in_flight.push_back(InFlight{now, now + config_.propagation_delay, std::move(pkt)});
-    drive.ScheduleAt(now + config_.propagation_delay, Deliver{this, dir});
+    PutOnWire(dir, DriveSim(d).Now() + config_.propagation_delay, std::move(pkt));
   }
   if (!d.tx_queue.empty() && !d.peer_paused) {
     StartService(dir);
@@ -223,19 +219,12 @@ void Link::PauseUpstream(const PacketSink* self, bool paused) {
     throw std::logic_error("Link::PauseUpstream on non-PFC link " + name_);
   }
   const int index = IndexToward(self);
-  Direction& d = dir_[index];
-  // The pause frame travels from `self` back to the direction's sender: one
-  // propagation delay, applied as an ordinary event in the sender's shard.
-  if (d.cross) {
-    // The caller runs in the receiver's shard for this direction; the flip
-    // crosses to the sender's shard through the mailbox path.
-    sharded_->PostCrossShard(d.dst_shard, d.src_shard,
-                             sharded_->shard(d.dst_shard).Now() + config_.propagation_delay,
-                             PauseFlip{this, index, paused});
-    return;
-  }
-  Simulation& drive = DriveSim(d);
-  drive.ScheduleAt(drive.Now() + config_.propagation_delay, PauseFlip{this, index, paused});
+  const Direction& d = dir_[index];
+  // The pause frame travels from `self` (the direction's receiver) back to
+  // its sender: one propagation delay, applied as an ordinary event in the
+  // sender's shard.
+  PostAcross(d, d.dst_shard, d.src_shard, RxSim(d).Now() + config_.propagation_delay,
+             PauseFlip{this, index, paused});
 }
 
 void Link::ApplyPauseFlip(int dir, bool paused) {
@@ -250,43 +239,6 @@ void Link::ApplyPauseFlip(int dir, bool paused) {
   if (!paused && !d.serving && !d.tx_queue.empty()) {
     StartService(dir);
   }
-}
-
-void Link::CompleteCrossDelivery(int dir, Packet pkt) {
-  // Runs in the receiver's shard; the sender never touches these fields.
-  Direction& d = dir_[dir];
-  if (d.rx_down) {
-    ++d.dropped_down_rx;
-    return;
-  }
-  if (!d.to->alive()) {
-    ++d.dropped_dead;
-    return;
-  }
-  ++d.delivered;
-  d.to->Receive(std::move(pkt));
-}
-
-void Link::CompleteDelivery(int dir) {
-  Direction& d = dir_[dir];
-  const SimTime tick = d.in_flight.front().deliver_at;
-  do {
-    Packet pkt = std::move(d.in_flight.front().pkt);
-    d.in_flight.pop_front();
-    if (d.rx_down) {
-      // The cable went down while this packet was in flight: lost on the
-      // wire, never handed to the sink.
-      ++d.dropped_down_rx;
-    } else if (!d.to->alive()) {
-      // The receiving node died: the frame arrives at a dead port and is
-      // dropped, not silently serviced.
-      ++d.dropped_dead;
-    } else {
-      ++d.delivered;
-      d.to->Receive(std::move(pkt));
-    }
-  } while (!config_.flow.pfc && !d.in_flight.empty() &&
-           d.in_flight.front().deliver_at == tick);
 }
 
 Simulation& Link::RxSim(const Direction& d) {
@@ -328,11 +280,6 @@ bool Link::paused(const PacketSink* toward) const {
   return dir_[IndexToward(toward)].peer_paused;
 }
 
-size_t Link::queued(const PacketSink* toward) const {
-  const Direction& d = dir_[IndexToward(toward)];
-  return d.tx_queue.size() - (d.serving ? 1u : 0u);
-}
-
 uint64_t Link::pause_frames(const PacketSink* toward) const {
   return dir_[IndexToward(toward)].pause_frames;
 }
@@ -360,12 +307,8 @@ uint64_t Link::dropped_to_dead(const PacketSink* toward) const {
 
 size_t Link::in_flight(const PacketSink* toward) const {
   const Direction& d = dir_[IndexToward(toward)];
-  if (d.cross) {
-    // Cross-shard packets on the wire live in the mailbox, not in_flight.
-    return d.tx_queue.size() +
-           static_cast<size_t>(d.posted - (d.delivered + d.dropped_down_rx + d.dropped_dead));
-  }
-  return d.in_flight.size() + d.tx_queue.size();
+  return d.tx_queue.size() +
+         static_cast<size_t>(d.posted - (d.delivered + d.dropped_down_rx + d.dropped_dead));
 }
 
 }  // namespace incod

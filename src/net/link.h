@@ -4,17 +4,12 @@
 // rate, fixed propagation delay, and a bounded per-direction FIFO that drops
 // on overflow (UDP semantics — the applications tolerate loss).
 //
-// Fast path: packets in flight live in a per-direction deque owned by the
-// link, not in event captures. Each Send schedules a 16-byte delivery event
-// ({link, direction}); because per-direction service is FIFO and deliver
-// times are non-decreasing, the event just pops the deque front. No
-// closure allocation, and the Packet moves exactly twice (in, out).
-//
-// Same-tick coalescing: when serialization rounds to zero ticks (tiny
-// packets on fast links), consecutive packets share one deliver tick and
-// one delivery event, which drains every packet of that tick in FIFO order
-// (the order and ticks are asserted against a golden sequence in
-// net_test).
+// One wire: every accepted packet is serialized, then put on the wire as
+// one delivery event that carries it, then received. The event is queued in
+// the sender's Simulation, or posted through the ShardedSimulation mailbox
+// when the two ends live in different shards; either way the Packet rides
+// inline in the event (no closure allocation) and deliveries of one
+// direction run in send order.
 //
 // PFC paced mode (config.flow.pfc): the direction instead runs a serve loop
 // over an explicit transmit queue — one ServeDone event per packet — so the
@@ -32,6 +27,8 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "src/net/flow_control.h"
 #include "src/net/packet.h"
@@ -58,13 +55,10 @@ class Link {
 
   // Declares which shard each endpoint lives in (end_a/end_b as passed to
   // Connect). When the shards differ, the link becomes a cross-shard
-  // boundary: sends run in the sender's shard, deliveries are posted through
-  // the ShardedSimulation mailboxes stamped with the future delivery tick,
-  // and the link registers its propagation delay (which must be > 0) as a
-  // cross-shard latency — the conservative lookahead bound. Cross-shard
-  // directions do not coalesce same-tick deliveries (each packet is one
-  // mailbox record); delivery order is unchanged because records at one tick
-  // execute in send order.
+  // boundary: sends run in the sender's shard, each packet's delivery event
+  // is posted through the ShardedSimulation mailboxes stamped with its
+  // delivery tick, and the link registers its propagation delay (which must
+  // be > 0) as a cross-shard latency — the conservative lookahead bound.
   void BindShards(ShardedSimulation& sharded, int shard_a, int shard_b);
 
   // Sends a packet from one endpoint toward the other. `from` must be one of
@@ -102,8 +96,6 @@ class Link {
   // Whether the direction toward the given endpoint is currently paused by
   // the receiver (i.e. that endpoint asserted pause and it has taken effect).
   bool paused(const PacketSink* toward) const;
-  // Waiting transmit backlog (excludes the packet being serialized).
-  size_t queued(const PacketSink* toward) const;
   // Pause assertions that took effect on the direction.
   uint64_t pause_frames(const PacketSink* toward) const;
   // Packets ECN-marked entering the serializer.
@@ -128,26 +120,26 @@ class Link {
   // Packets dropped at delivery because the receiving sink was dead.
   uint64_t dropped_to_dead(const PacketSink* toward) const;
   // Packets accepted but not yet delivered (in service, queued, or on the
-  // wire) toward the given endpoint. On a cross-shard direction the wire is
-  // the engine mailbox: posted minus what the receiver has delivered or
-  // dropped.
+  // wire) toward the given endpoint: the paced transmit queue plus what was
+  // put on the wire minus what the receiver has delivered or dropped.
   size_t in_flight(const PacketSink* toward) const;
 
   const std::string& name() const { return name_; }
   const Config& config() const { return config_; }
 
  private:
-  struct InFlight {
-    SimTime service_start = 0;  // When (or when scheduled) serialization begins.
-    SimTime deliver_at = 0;     // service_start + serialization + propagation.
-    Packet pkt;
-  };
   struct Direction {
     PacketSink* to = nullptr;
     SimTime busy_until = 0;
-    std::deque<InFlight> in_flight;  // FIFO; delivery events pop the front.
     uint64_t delivered = 0;
     uint64_t dropped_overflow = 0;  // Waiting queue at capacity.
+    // Unpaced mode: service-start times of accepted packets. Entries with
+    // service_start > now are the waiting backlog held against
+    // queue_capacity_packets; the packets themselves travel inside their
+    // delivery events.
+    std::deque<SimTime> waiting_starts;
+    // Packets put on the wire (sender-side), for in_flight().
+    uint64_t posted = 0;
     // PFC paced mode (config.flow.pfc). tx_queue holds packets not yet on
     // the wire, front included while it is being serialized (`serving`).
     // All of this is sender-side state.
@@ -173,28 +165,18 @@ class Link {
     bool cross = false;
     int src_shard = -1;
     int dst_shard = -1;
-    // Cross-shard only: service-start times of accepted packets, kept
-    // sender-side so the waiting-backlog accounting (entries with
-    // service_start > now) never touches receiver-shard state. The packets
-    // themselves travel inside the posted delivery events; `posted` counts
-    // them (sender-side) for in_flight().
-    std::deque<SimTime> waiting_starts;
-    uint64_t posted = 0;
   };
-  // The scheduled delivery callable: small enough that the event engine
-  // stores it inline (asserted in link.cc).
+  // A packet on the wire, delivered at the receiver. It carries the packet
+  // and must stay inline in the event engine: no allocation per hop.
   struct Deliver {
     Link* link;
     int dir;
-    void operator()() const { link->CompleteDelivery(dir); }
-  };
-  // Cross-shard delivery: carries the packet to the receiver's shard.
-  struct CrossDeliver {
-    Link* link;
-    int dir;
     Packet pkt;
-    void operator()() { link->CompleteCrossDelivery(dir, std::move(pkt)); }
+    void operator()() { link->CompleteDelivery(dir, std::move(pkt)); }
   };
+  static_assert(sizeof(Deliver) <= InlineEvent::kInlineCapacity &&
+                    std::is_nothrow_move_constructible_v<Deliver>,
+                "Link delivery events must stay inline");
   // Paced mode: the serializer finished the tx_queue front.
   struct ServeDone {
     Link* link;
@@ -215,8 +197,14 @@ class Link {
   void StartService(int dir);
   void CompleteService(int dir);
   void ApplyPauseFlip(int dir, bool paused);
-  void CompleteDelivery(int dir);
-  void CompleteCrossDelivery(int dir, Packet pkt);
+  // Puts a serialized packet on the wire: one Deliver event at `at`.
+  void PutOnWire(int dir, SimTime at, Packet pkt);
+  // Queues `event` at `at` on the other side of direction `d`: posted from
+  // `from_shard` to `to_shard` when the direction crosses shards, else in
+  // its one Simulation. The only datapath code that reads `d.cross`.
+  template <typename Event>
+  void PostAcross(const Direction& d, int from_shard, int to_shard, SimTime at, Event&& event);
+  void CompleteDelivery(int dir, Packet pkt);
   void ScheduleAdmin(SimTime at, bool down);
   Simulation& RxSim(const Direction& d);
   Simulation& DriveSim(const Direction& d) { return d.drive != nullptr ? *d.drive : sim_; }

@@ -6,7 +6,7 @@
 // virtual-ish dispatch through RTTI-adjacent machinery. InlineEvent stores
 // the callable in a fixed in-object buffer sized for the hot capture lists
 // (a moved-in Packet plus a couple of pointers — see the static_asserts in
-// link.cc, host/server.cc and device/smartnic.cc) and only falls back to the
+// net/link.h, host/server.cc and device/smartnic.cc) and only falls back to the
 // heap for oversized or throwing-move captures. Move-only, like the events
 // themselves.
 #ifndef INCOD_SRC_SIM_INLINE_EVENT_H_

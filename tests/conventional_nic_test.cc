@@ -1,5 +1,5 @@
 // Dedicated suite for the conventional NIC: the legacy pass-through
-// contract (forwarding, rate cap, pause relay, dead-host accounting) and
+// contract (forwarding, rate cap, dead-host accounting) and
 // the mechanistic HostNicSpec datapath (RSS rings, interrupt moderation,
 // DPDK polling, tx doorbell batching).
 #include <gtest/gtest.h>
@@ -81,22 +81,6 @@ TEST(ConventionalNicSuite, RateCapDropsWhenBufferOverruns) {
   h.sim.Run();
   EXPECT_GT(h.nic.dropped(), 0u);
   EXPECT_EQ(h.host.packets.size(), 1000 - h.nic.dropped());
-}
-
-TEST(ConventionalNicSuite, RelaysHostCongestionPauseOutTheNetLink) {
-  Link::Config flow_link;
-  flow_link.flow.pfc = true;
-  NicHarness h(MellanoxConnectX3Config(1), flow_link);
-  // The host-side PCIe backlog crossed its watermark: the NIC must assert
-  // pause toward its network-side upstream, and release it on resume.
-  h.nic.OnLinkCongestion(h.host_link, true);
-  h.sim.Run();
-  EXPECT_EQ(h.nic.pause_propagations(), 1u);
-  EXPECT_TRUE(h.net_link->paused(&h.nic));
-  h.nic.OnLinkCongestion(h.host_link, false);
-  h.sim.Run();
-  EXPECT_FALSE(h.net_link->paused(&h.nic));
-  EXPECT_EQ(h.nic.pause_propagations(), 1u);  // Resumes are not propagations.
 }
 
 TEST(ConventionalNicSuite, DeadHostDropsAreCountedAtTheLink) {

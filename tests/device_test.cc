@@ -340,6 +340,86 @@ TEST(ConventionalNicTest, PresetsDiffer) {
   EXPECT_GT(intel.max_pps, 0);
 }
 
+// ---- Host-to-network pause relay (every host-facing NIC) ----
+
+template <typename Nic>
+std::unique_ptr<Nic> MakeRelayNic(Simulation& sim);
+template <>
+std::unique_ptr<ConventionalNic> MakeRelayNic(Simulation& sim) {
+  return std::make_unique<ConventionalNic>(sim, MellanoxConnectX3Config(1));
+}
+template <>
+std::unique_ptr<FpgaNic> MakeRelayNic(Simulation& sim) {
+  return std::make_unique<FpgaNic>(sim, FpgaNicConfig{});
+}
+template <>
+std::unique_ptr<SmartNic> MakeRelayNic(Simulation& sim) {
+  return std::make_unique<SmartNic>(sim, StandardSmartNicPresets().front(),
+                                    SmartNicDeviceConfig{});
+}
+
+template <typename Nic>
+class PauseRelayTest : public ::testing::Test {};
+using RelayNics = ::testing::Types<ConventionalNic, FpgaNic, SmartNic>;
+TYPED_TEST_SUITE(PauseRelayTest, RelayNics);
+
+// The PCIe link toward the host backs up past its high watermark: the NIC
+// pauses its network-side upstream (one propagation per assert) and
+// releases it when the backlog drains to the low watermark.
+TYPED_TEST(PauseRelayTest, HostCongestionPausesTheNetworkLink) {
+  Simulation sim;
+  Topology topo(sim);
+  CollectorSink net;
+  CollectorSink host;
+  std::unique_ptr<TypeParam> nic = MakeRelayNic<TypeParam>(sim);
+  Link::Config pfc;
+  pfc.flow.pfc = true;
+  pfc.flow.pause_high_watermark = 8;
+  pfc.flow.pause_low_watermark = 2;
+  Link* net_link = topo.Connect(&net, nic.get(), pfc, "net");
+  Link::Config slow_pcie = pfc;
+  slow_pcie.gigabits_per_second = 0.1;  // 1000B = 80 us: the host lags.
+  Link* host_link = topo.Connect(nic.get(), &host, slow_pcie, "pcie");
+  nic->SetNetworkLink(net_link);
+  nic->SetHostLink(host_link);
+  for (int i = 0; i < 16; ++i) {
+    Packet pkt;
+    pkt.size_bytes = 1000;
+    host_link->Send(nic.get(), pkt);
+  }
+  sim.RunUntil(Microseconds(100));
+  EXPECT_EQ(nic->pause_propagations(), 1u);
+  EXPECT_TRUE(net_link->paused(nic.get()));
+  sim.Run();
+  EXPECT_EQ(host.packets.size(), 16u);
+  EXPECT_FALSE(net_link->paused(nic.get()));
+  EXPECT_EQ(nic->pause_propagations(), 1u);  // The resume is not counted.
+  // A second assert is a second propagation.
+  nic->OnLinkCongestion(host_link, true);
+  sim.Run();
+  EXPECT_EQ(nic->pause_propagations(), 2u);
+  EXPECT_TRUE(net_link->paused(nic.get()));
+}
+
+TYPED_TEST(PauseRelayTest, NetworkSideCongestionIsIgnored) {
+  Simulation sim;
+  Topology topo(sim);
+  CollectorSink net;
+  CollectorSink host;
+  std::unique_ptr<TypeParam> nic = MakeRelayNic<TypeParam>(sim);
+  Link::Config pfc;
+  pfc.flow.pfc = true;
+  Link* net_link = topo.Connect(&net, nic.get(), pfc, "net");
+  Link* host_link = topo.Connect(nic.get(), &host, pfc, "pcie");
+  nic->SetNetworkLink(net_link);
+  nic->SetHostLink(host_link);
+  nic->OnLinkCongestion(net_link, true);
+  sim.Run();
+  EXPECT_EQ(nic->pause_propagations(), 0u);
+  EXPECT_FALSE(net_link->paused(nic.get()));
+  EXPECT_FALSE(host_link->paused(nic.get()));
+}
+
 // ---- SmartNIC presets ----
 
 TEST(SmartNicTest, PresetsCoverAllArchitectures) {

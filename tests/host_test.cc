@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "src/app/app.h"
@@ -449,6 +450,19 @@ TEST(ServerTest, DpdkStackIgnoresIrqMarker) {
   h.sim.Run();
   EXPECT_TRUE(probed);
   EXPECT_EQ(h.server.interrupts_serviced(), 0u);
+}
+
+// A low watermark at or above the high one would clear the ingress-pause
+// latch right after setting it (a pause/resume pair per packet): rejected
+// at construction.
+TEST(ServerTest, RejectsInvertedPauseWatermarks) {
+  Simulation sim;
+  ServerConfig config = BasicConfig();
+  config.flow.pfc = true;
+  config.flow.pause_low_watermark = config.flow.pause_high_watermark + 1;
+  EXPECT_THROW(Server(sim, config), std::invalid_argument);
+  config.flow.pfc = false;  // Without PFC the watermarks are never read.
+  EXPECT_NO_THROW(Server(sim, config));
 }
 
 }  // namespace

@@ -178,8 +178,8 @@ TEST(LinkTest, InServicePacketDoesNotOccupyQueue) {
 }
 
 // Bursts of tiny (zero-serialization) and larger packets on a fast link:
-// several packets share a deliver tick inside each burst, and each shared
-// tick is drained by one delivery event.
+// several packets share a deliver tick inside each burst, and they arrive
+// in send order, each on its own delivery event.
 TEST(LinkTest, SameTickDeliveriesMatchGoldenSequence) {
   Simulation sim(7);
   Link::Config config;
@@ -222,9 +222,9 @@ TEST(LinkTest, SameTickDeliveriesMatchGoldenSequence) {
     EXPECT_EQ(b.arrival_times[i], Nanoseconds(kGolden[i].second))
         << "time diverged at " << i;
   }
-  // 5 burst events plus one delivery event per shared tick (2 per burst);
-  // one event per packet would run 35.
-  EXPECT_EQ(sim.events_executed(), 15u);
+  // 5 burst events plus one delivery event per packet: packets that share a
+  // delivery tick still ride their own events.
+  EXPECT_EQ(sim.events_executed(), 35u);
 }
 
 TEST(LinkTest, RejectsUnknownSender) {
@@ -684,6 +684,17 @@ TEST(LinkFlowTest, PauseDefersInsteadOfDropping) {
   EXPECT_GE(b.arrival_times.front(), Microseconds(60));
 }
 
+// A low watermark at or above the high one would clear the congestion latch
+// right after setting it (a pause/resume pair per packet): rejected up front.
+TEST(LinkFlowTest, RejectsInvertedWatermarks) {
+  Simulation sim;
+  Link::Config config = PacedConfig();
+  config.flow.pause_low_watermark = config.flow.pause_high_watermark;
+  EXPECT_THROW(Link(sim, config, "inverted"), std::invalid_argument);
+  config.flow.pfc = false;  // Unpaced links never read the watermarks.
+  EXPECT_NO_THROW(Link(sim, config, "unpaced"));
+}
+
 TEST(LinkFlowTest, OverflowStillDropsWithoutDoubleCounting) {
   Simulation sim;
   Link::Config config;
@@ -691,6 +702,7 @@ TEST(LinkFlowTest, OverflowStillDropsWithoutDoubleCounting) {
   config.queue_capacity_packets = 4;
   config.flow.pfc = true;
   config.flow.pause_high_watermark = 3;
+  config.flow.pause_low_watermark = 1;  // Must sit below high (the ctor checks).
   Link link(sim, config, "paced");
   CollectorSink a(&sim, "a");
   CollectorSink b(&sim, "b");

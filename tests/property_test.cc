@@ -18,20 +18,23 @@ namespace {
 
 // ---- Link conservation: sent == delivered + dropped + in flight ----
 //
-// Parameter: (seed, cross_shard). The cross-shard leg puts the two ends in
-// different shards, so packets on the wire live in the engine mailbox
-// instead of the link's own deque. The law must hold mid-run, not only once
-// the link has drained.
+// Parameter: (seed, cross_shard, pfc). The cross-shard leg puts the two ends
+// in different shards of a parallel engine, so each packet's delivery event
+// crosses through the engine mailbox and the law reads sender-side and
+// receiver-side counters between rounds. The pfc leg runs the paced serve
+// loop, with each end pausing its upstream for a while mid-run. The law must
+// hold mid-run, not only once the link has drained.
 
 class LinkConservationTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool, bool>> {};
 
 TEST_P(LinkConservationTest, PacketsAreConserved) {
-  const auto [seed, cross_shard] = GetParam();
+  const auto [seed, cross_shard, pfc] = GetParam();
   ShardedSimulation::Options options;
   options.num_shards = 2;
-  options.num_threads = 1;
-  options.mode = ShardedSimulation::Mode::kSingleQueue;
+  options.num_threads = cross_shard ? 2 : 1;
+  options.mode = cross_shard ? ShardedSimulation::Mode::kParallel
+                             : ShardedSimulation::Mode::kSingleQueue;
   options.seed = seed;
   ShardedSimulation ssim(options);
   Rng rng = ssim.shard(0).rng().Fork();
@@ -47,7 +50,17 @@ TEST_P(LinkConservationTest, PacketsAreConserved) {
   Link::Config config;
   config.gigabits_per_second = 0.1;  // Slow: guarantees queueing and drops.
   config.queue_capacity_packets = 16;
+  config.flow.pfc = pfc;
+  config.flow.pause_high_watermark = 8;
+  config.flow.pause_low_watermark = 2;
   Link* link = topo.Connect(&a, &b, config);
+  if (pfc) {
+    // Each end pauses the direction toward itself, from its own shard.
+    ssim.shard(0).ScheduleAt(Milliseconds(1), [&] { link->PauseUpstream(&a, true); });
+    ssim.shard(0).ScheduleAt(Milliseconds(3), [&] { link->PauseUpstream(&a, false); });
+    ssim.shard(b_shard).ScheduleAt(Milliseconds(2), [&] { link->PauseUpstream(&b, true); });
+    ssim.shard(b_shard).ScheduleAt(Milliseconds(4), [&] { link->PauseUpstream(&b, false); });
+  }
   uint64_t sent_to_b = 0;
   uint64_t sent_to_a = 0;
   for (int i = 0; i < 2000; ++i) {
@@ -81,11 +94,15 @@ TEST_P(LinkConservationTest, PacketsAreConserved) {
   EXPECT_EQ(link->in_flight(&a), 0u);
   EXPECT_EQ(b.count, link->delivered(&b));
   EXPECT_EQ(a.count, link->delivered(&a));
+  if (pfc) {
+    EXPECT_EQ(link->pause_frames(&a), 1u);
+    EXPECT_EQ(link->pause_frames(&b), 1u);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(SeedsAndShards, LinkConservationTest,
+INSTANTIATE_TEST_SUITE_P(SeedsShardsAndPacing, LinkConservationTest,
                          ::testing::Combine(::testing::Values(1u, 2u, 3u),
-                                            ::testing::Bool()));
+                                            ::testing::Bool(), ::testing::Bool()));
 
 // ---- Switch conservation under random rules and traffic ----
 
