@@ -5,6 +5,11 @@
 // server without cards, clock gating, and full LaKe. Blue bars are board
 // power (DC, in-server); red bars are the reference NIC and the idle i7
 // server for comparison.
+//
+//   --check   — after the figure, holds the §5.1 findings as floors (the
+//               model is deterministic, so these are exact reads of the
+//               FpgaNic ledger); exits 1 if one breaks.
+#include <cmath>
 #include <iostream>
 #include <memory>
 
@@ -40,8 +45,12 @@ double LakeBoardWatts(LakeConfig config, bool active, bool clock_gating,
 }  // namespace
 }  // namespace incod
 
-int main() {
+int main(int argc, char** argv) {
   using namespace incod;
+  bool check = false;
+  if (!bench::ParseCheckFlag(argc, argv, &check)) {
+    return 2;
+  }
   bench::PrintHeader("Figure 4: LaKe design trade-offs",
                      "Per-configuration power (watts). Paper findings: clock "
                      "gating saves <1 W; each PE ~0.25 W; external memories "
@@ -92,8 +101,23 @@ int main() {
   std::cout << "\nclock gating saves " << idle - clk << " W (paper: <1 W)\n";
   std::cout << "memory reset saves " << idle - reset
             << " W (paper: 40% of >=10 W memory power)\n";
-  std::cout << "per-PE cost " << (lake_full - LakeBoardWatts(one_pe, true, false, false) -
-                                  kFpgaDramWatts - kFpgaSramWatts) / 4.0
-            << " W (paper: ~0.25 W)\n";
-  return 0;
+  const double per_pe = (lake_full - LakeBoardWatts(one_pe, true, false, false) -
+                         kFpgaDramWatts - kFpgaSramWatts) / 4.0;
+  std::cout << "per-PE cost " << per_pe << " W (paper: ~0.25 W)\n";
+  if (!check) {
+    return 0;
+  }
+
+  // §5.1 in the paper's words.
+  bench::Check floors;
+  floors.That("clock gating saves more than 0 W", idle - clk > 0);
+  floors.That("clock gating \"earns less than 1W\"", idle - clk < 1.0);
+  const double memory_watts = kFpgaDramWatts + kFpgaSramWatts;
+  floors.That("memory reset saves 40% of the DRAM+SRAM interface watts",
+              std::abs((idle - reset) - 0.4 * memory_watts) < 1e-9);
+  floors.AtLeast("per-PE cost (W)", per_pe, 0.2);
+  floors.AtMost("per-PE cost (W)", per_pe, 0.3);
+  floors.That("the reference NIC draws 11 W",
+              std::abs(reference_nic.PowerWatts() - 11.0) < 1e-9);
+  return floors.ExitCode();
 }

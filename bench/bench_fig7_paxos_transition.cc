@@ -53,12 +53,11 @@ GapResult RunTransition(bool warm) {
   options.client.rate_bucket = Milliseconds(100);
   PaxosTestbed testbed(sim, options);
 
-  PaxosLeaderMigrator::Options migrate_options;
-  migrate_options.transfer_state = warm;
   PaxosLeaderMigrator migrator(sim, testbed.net_switch(), kPaxosLeaderService,
                                *testbed.software_leader(), testbed.leader_port(),
                                *testbed.sut_fpga(), *testbed.fpga_leader(),
-                               testbed.leader_port(), migrate_options);
+                               testbed.leader_port());
+  migrator.SetTransferState(warm);
 
   const SimTime shift_net_at = Seconds(1);
   const SimTime shift_host_at = Seconds(2);

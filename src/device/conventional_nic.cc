@@ -30,9 +30,25 @@ ConventionalNicConfig IntelX520Config(NodeId host_node) {
 ConventionalNic::ConventionalNic(Simulation& sim, ConventionalNicConfig config)
     : sim_(sim), config_(std::move(config)) {
   if (config_.hostnic.enabled) {
-    config_.hostnic.num_queues = std::max(1, config_.hostnic.num_queues);
-    config_.hostnic.ring_depth = std::max<size_t>(1, config_.hostnic.ring_depth);
-    rx_rings_.resize(static_cast<size_t>(config_.hostnic.num_queues));
+    const HostNicSpec& spec = config_.hostnic;
+    const auto reject = [this](const std::string& why) {
+      throw std::invalid_argument("ConventionalNic " + config_.name + ": hostnic." + why);
+    };
+    if (spec.num_queues < 1) {
+      reject("num_queues must be >= 1");
+    }
+    if (spec.ring_depth == 0) {
+      reject("ring_depth must be >= 1");
+    }
+    // A zero count trigger would never fire: batches would only ever drain
+    // on their timer.
+    if (spec.coalesce_packets == 0) {
+      reject("coalesce_packets must be >= 1");
+    }
+    if (spec.tx_doorbell_batch == 0) {
+      reject("tx_doorbell_batch must be >= 1");
+    }
+    rx_rings_.resize(static_cast<size_t>(spec.num_queues));
   }
 }
 

@@ -34,6 +34,8 @@ namespace incod {
 
 // Opt-in mechanistic host datapath. With `enabled` false the NIC is the
 // historical pass-through (per-packet latency, optional max_pps pacing).
+// With `enabled`, every count below must be >= 1: the NIC's constructor
+// throws std::invalid_argument instead of repairing a malformed spec.
 struct HostNicSpec {
   bool enabled = false;
   // RSS: FlowHash(packet) % num_queues selects the rx descriptor ring.

@@ -16,7 +16,11 @@
 //                   forwards either way, §9.4) and an absorbable capacity.
 //
 // Controllers, migrators, and the rack orchestrator operate on this
-// interface only, so the same decision logic drives any backend.
+// interface only, so the same decision logic drives any backend. Two
+// implementations exist: OffloadNic (offload_nic.h) for the dedicated NICs,
+// whose one classifier datapath, counters and park flags FpgaNic and
+// SmartNic share (they differ only in install, park and power), and
+// SwitchOffloadTarget (switch_offload.h) for a program in a ToR switch.
 #ifndef INCOD_SRC_DEVICE_OFFLOAD_TARGET_H_
 #define INCOD_SRC_DEVICE_OFFLOAD_TARGET_H_
 

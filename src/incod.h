@@ -44,6 +44,7 @@
 // Hosts and devices.
 #include "src/device/conventional_nic.h"
 #include "src/device/fpga_nic.h"
+#include "src/device/offload_nic.h"
 #include "src/device/offload_target.h"
 #include "src/device/smartnic.h"
 #include "src/device/switch_asic.h"

@@ -141,14 +141,12 @@ PaxosLeaderMigrator::PaxosLeaderMigrator(Simulation& sim, L2Switch& sw,
                                          NodeId leader_service,
                                          SoftwareLeader& software_leader,
                                          int software_port, OffloadTarget& hardware_target,
-                                         P4xosFpgaApp& hardware_leader, int hardware_port,
-                                         Options options)
+                                         P4xosFpgaApp& hardware_leader, int hardware_port)
     : StateTransferMigrator(
           sim, hardware_target,
           // The FPGA leader keeps on-chip state only: no park knobs to
           // apply while the host serves.
-          StateTransferMigrator::Options{.policy = ParkPolicy::kKeepWarm,
-                                         .transfer_state = options.transfer_state},
+          StateTransferMigrator::Options{.policy = ParkPolicy::kKeepWarm},
           &software_leader, &hardware_leader),
       switch_(sw),
       leader_service_(leader_service),
@@ -156,8 +154,6 @@ PaxosLeaderMigrator::PaxosLeaderMigrator(Simulation& sim, L2Switch& sw,
       software_port_(software_port),
       hardware_leader_(hardware_leader),
       hardware_port_(hardware_port),
-      active_probe_(options.active_probe),
-      learning_timeout_(options.learning_timeout),
       ballot_(software_leader.state().ballot()) {
   // Initial placement: software leader serves the service address.
   RepointService(software_port_);
@@ -200,7 +196,7 @@ void PaxosLeaderMigrator::ShiftToNetwork() {
   if (!transfer_state()) {
     // §9.2: the incoming leader learns the latest instance from the
     // acceptors before proposing (client requests are buffered meanwhile).
-    hardware_leader_.BeginSequenceLearning(active_probe_);
+    hardware_leader_.BeginSequenceLearning();
     ArmLearningTimeout(Placement::kNetwork);
   }
 }
@@ -209,7 +205,7 @@ void PaxosLeaderMigrator::ArmLearningTimeout(Placement for_placement) {
   // Passive learning (the paper's mode) must not deadlock: after the
   // timeout, release buffered proposals; acceptor hints and client retries
   // then teach the sequence (§9.2, Fig 7's ~100 ms gap).
-  sim().Schedule(learning_timeout_, [this, for_placement] {
+  sim().Schedule(kLearningTimeout, [this, for_placement] {
     if (placement() != for_placement) {
       return;  // Another shift happened meanwhile.
     }
@@ -239,7 +235,7 @@ void PaxosLeaderMigrator::AbandonToHost() {
   StateTransferMigrator::AbandonToHost();
   software_leader_.SetActive(true);
   RepointService(software_port_);
-  software_leader_.BeginSequenceLearning(active_probe_);
+  software_leader_.BeginSequenceLearning();
   ArmLearningTimeout(Placement::kHost);
 }
 
@@ -255,7 +251,7 @@ void PaxosLeaderMigrator::ShiftToHost() {
   software_leader_.SetActive(true);
   RepointService(software_port_);
   if (!transfer_state()) {
-    software_leader_.BeginSequenceLearning(active_probe_);
+    software_leader_.BeginSequenceLearning();
     ArmLearningTimeout(Placement::kHost);
   }
 }

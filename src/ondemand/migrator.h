@@ -166,28 +166,17 @@ class StateTransferMigrator : public Migrator {
 //     typed snapshot, so the incoming leader continues without a gap.
 class PaxosLeaderMigrator : public StateTransferMigrator {
  public:
-  struct Options {
-    // false (the paper's behaviour): the incoming leader waits passively
-    // for sequence hints; proposals are released after `learning_timeout`,
-    // and client retries drive recovery — producing Fig 7's ~100 ms gap.
-    // true: an active phase-1 probe learns the sequence in one round trip.
-    bool active_probe = false;
-    SimDuration learning_timeout = Milliseconds(100);
-    // Carry ballot + sequence through the generic state-transfer path
-    // instead of re-learning (no service gap).
-    bool transfer_state = false;
-  };
+  // Passive sequence learning (the paper's behaviour): the incoming leader
+  // waits for sequence hints, and proposals are released this long after
+  // the shift; client retries then drive recovery — Fig 7's ~100 ms gap.
+  static constexpr SimDuration kLearningTimeout = Milliseconds(100);
 
+  // Starts cold (transfer_state off); SetTransferState(true) selects the
+  // generic state-transfer path.
   PaxosLeaderMigrator(Simulation& sim, L2Switch& sw, NodeId leader_service,
                       SoftwareLeader& software_leader, int software_port,
                       OffloadTarget& hardware_target, P4xosFpgaApp& hardware_leader,
-                      int hardware_port, Options options);
-  PaxosLeaderMigrator(Simulation& sim, L2Switch& sw, NodeId leader_service,
-                      SoftwareLeader& software_leader, int software_port,
-                      OffloadTarget& hardware_target, P4xosFpgaApp& hardware_leader,
-                      int hardware_port)
-      : PaxosLeaderMigrator(sim, sw, leader_service, software_leader, software_port,
-                            hardware_target, hardware_leader, hardware_port, Options{}) {}
+                      int hardware_port);
 
   void ShiftToNetwork() override;
   void ShiftToHost() override;
@@ -211,8 +200,6 @@ class PaxosLeaderMigrator : public StateTransferMigrator {
   int software_port_;
   P4xosFpgaApp& hardware_leader_;
   int hardware_port_;
-  bool active_probe_;
-  SimDuration learning_timeout_;
   uint16_t ballot_;
 };
 

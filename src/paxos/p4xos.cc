@@ -93,11 +93,11 @@ void P4xosFpgaApp::HandlePacket(AppContext& ctx, Packet packet) {
   TransmitOutbox(state_.Dispatch(*msg));
 }
 
-void P4xosFpgaApp::BeginSequenceLearning(bool active_probe) {
+void P4xosFpgaApp::BeginSequenceLearning() {
   if (leader() == nullptr) {
     return;
   }
-  TransmitOutbox(leader()->StartSequenceLearning(active_probe));
+  TransmitOutbox(leader()->StartSequenceLearning(/*send_probe=*/false));
 }
 
 void P4xosFpgaApp::TransmitOutbox(std::vector<PaxosOut> outbox) {

@@ -86,9 +86,9 @@ class P4xosFpgaApp : public App {
   bool Matches(const Packet& packet) const override;
   void HandlePacket(AppContext& ctx, Packet packet) override;
 
-  // Leader role only: starts §9.2 sequence learning (probing the acceptors
-  // when `active_probe`). Call after activation and service re-pointing.
-  void BeginSequenceLearning(bool active_probe);
+  // Leader role only: starts passive §9.2 sequence learning (proposals wait
+  // for acceptor hints). Call after activation and service re-pointing.
+  void BeginSequenceLearning();
   // Transmits role-state output through the device's network port.
   void TransmitOutbox(std::vector<PaxosOut> outbox);
 

@@ -54,8 +54,8 @@ std::vector<PaxosOut> SoftwareLeader::Handle(const PaxosMessage& msg) {
   return state_.HandleMessage(msg);
 }
 
-void SoftwareLeader::BeginSequenceLearning(bool active_probe) {
-  TransmitOutbox(state_.StartSequenceLearning(active_probe));
+void SoftwareLeader::BeginSequenceLearning() {
+  TransmitOutbox(state_.StartSequenceLearning(/*send_probe=*/false));
 }
 
 AppState SoftwareLeader::SnapshotState() const {

@@ -72,10 +72,10 @@ class SoftwareLeader : public PaxosSoftwareApp {
   std::string AppName() const override { return "libpaxos-leader"; }
   std::optional<NodeId> service_address() const override { return leader_service_; }
 
-  // Starts post-migration sequence learning (§9.2); with `active_probe`
-  // the acceptors are probed immediately. Call after the leader service has
-  // been re-pointed at this host.
-  void BeginSequenceLearning(bool active_probe);
+  // Starts passive post-migration sequence learning (§9.2): proposals wait
+  // for acceptor hints. Call after the leader service has been re-pointed
+  // at this host.
+  void BeginSequenceLearning();
 
   // App state contract: ballot and sequence position.
   AppState SnapshotState() const override;

@@ -193,43 +193,36 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
       wire(built.nic);
       break;
     }
-    case ScenarioTargetKind::kFpgaNic: {
-      FpgaNicConfig fpga_config;
-      fpga_config.name = member_spec.target.name.empty() ? "netfpga"
-                                                         : member_spec.target.name;
-      fpga_config.host_node = member_spec.host.config.node;
-      fpga_config.device_node = member_spec.target.device_node;
-      fpga_config.standalone = member_spec.target.standalone;
-      if (!member_spec.target.app.empty()) {
-        built.offload_app = AppRegistry::Global().Create(
-            member_spec.target.app, PlacementKind::kFpgaNic, env);
-      }
-      built.fpga = builder_.AddFpgaNic(fpga_config, built.offload_app.get(),
-                                       member_spec.target.metered);
-      if (built.offload_app != nullptr) {
-        built.fpga->SetAppActive(member_spec.target.initially_active);
-      }
-      wire(built.fpga);
-      break;
-    }
+    case ScenarioTargetKind::kFpgaNic:
     case ScenarioTargetKind::kSmartNic: {
-      SmartNicDeviceConfig nic_config;
-      nic_config.name = member_spec.target.name.empty() ? "smartnic"
-                                                        : member_spec.target.name;
-      nic_config.host_node = member_spec.host.config.node;
-      nic_config.device_node = member_spec.target.device_node;
-      if (!member_spec.target.app.empty()) {
-        built.offload_app = AppRegistry::Global().Create(
-            member_spec.target.app, PlacementKind::kSmartNic, env);
+      const ScenarioTargetSpec& target = member_spec.target;
+      if (target.kind == ScenarioTargetKind::kFpgaNic) {
+        FpgaNicConfig config;
+        if (!target.name.empty()) {
+          config.name = target.name;
+        }
+        config.host_node = member_spec.host.config.node;
+        config.device_node = target.device_node;
+        config.standalone = target.standalone;
+        built.fpga = builder_.AddFpgaNic(config, target.metered);
+      } else {
+        SmartNicDeviceConfig config;
+        if (!target.name.empty()) {
+          config.name = target.name;
+        }
+        config.host_node = member_spec.host.config.node;
+        config.device_node = target.device_node;
+        built.smartnic = builder_.AddSmartNic(SmartNicPresetByName(target.smartnic_preset),
+                                              config, target.metered);
       }
-      built.smartnic = builder_.AddSmartNic(
-          SmartNicPresetByName(member_spec.target.smartnic_preset), nic_config,
-          member_spec.target.metered);
-      if (built.offload_app != nullptr) {
-        built.smartnic->InstallApp(built.offload_app.get());
-        built.smartnic->SetAppActive(member_spec.target.initially_active);
+      OffloadNic* device = built.offload_nic();
+      if (!target.app.empty()) {
+        built.offload_app =
+            AppRegistry::Global().Create(target.app, device->placement(), env);
+        device->InstallApp(built.offload_app.get());
+        device->SetAppActive(target.initially_active);
       }
-      wire(built.smartnic);
+      wire(device);
       break;
     }
   }
@@ -269,13 +262,9 @@ void ScenarioTestbed::BuildFaults() {
     }
     // Both device names mean engine death: TargetName ("netfpga/app") is
     // what the orchestrator logs, SinkName ("netfpga") is what specs say.
-    if (m.fpga != nullptr) {
-      faults_.RegisterTarget(m.fpga->TargetName(), m.fpga);
-      faults_.RegisterTarget(m.fpga->SinkName(), m.fpga);
-    }
-    if (m.smartnic != nullptr) {
-      faults_.RegisterTarget(m.smartnic->TargetName(), m.smartnic);
-      faults_.RegisterTarget(m.smartnic->SinkName(), m.smartnic);
+    if (OffloadNic* device = m.offload_nic()) {
+      faults_.RegisterTarget(device->TargetName(), device);
+      faults_.RegisterTarget(device->SinkName(), device);
     }
     if (m.nic != nullptr) {
       faults_.RegisterNode(m.nic->SinkName(), m.nic);
@@ -319,14 +308,11 @@ LoadClient& ScenarioTestbed::AddClient(LoadClientConfig config,
   client_ = builder_.AddLoadClient(std::move(config), std::move(arrival),
                                    std::move(factory));
   const ScenarioMember& chain = members_.front();
-  Link* link = nullptr;
-  if (chain.fpga != nullptr) {
-    link = builder_.ConnectClient(client_, chain.fpga, spec_.client_link);
-  } else if (chain.smartnic != nullptr) {
-    link = builder_.ConnectClient(client_, chain.smartnic, spec_.client_link);
-  } else {
-    link = builder_.ConnectClient(client_, chain.nic, spec_.client_link);
+  PauseRelayNic* ingress = chain.nic;
+  if (OffloadNic* device = chain.offload_nic()) {
+    ingress = device;
   }
+  Link* link = builder_.ConnectClient(client_, ingress, spec_.client_link);
   faults_.RegisterLink(link->name(), link);
   return *client_;
 }

@@ -191,6 +191,10 @@ struct ScenarioMember {
   FpgaNic* fpga = nullptr;
   ConventionalNic* nic = nullptr;
   SmartNic* smartnic = nullptr;
+  // The member's offload board, whichever kind it is (null: none).
+  OffloadNic* offload_nic() const {
+    return fpga != nullptr ? static_cast<OffloadNic*>(fpga) : smartnic;
+  }
   int port = -1;  // ToR port of the member's ingress device (-1: aux or chain).
   std::vector<std::unique_ptr<App>> host_apps;
   std::unique_ptr<App> offload_app;

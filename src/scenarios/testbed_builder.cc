@@ -39,11 +39,8 @@ Server* TestbedBuilder::AddServer(ServerConfig config, bool metered) {
   return server;
 }
 
-FpgaNic* TestbedBuilder::AddFpgaNic(FpgaNicConfig config, App* app, bool metered) {
+FpgaNic* TestbedBuilder::AddFpgaNic(FpgaNicConfig config, bool metered) {
   FpgaNic* nic = Own<FpgaNic>(sim_, std::move(config));
-  if (app != nullptr) {
-    nic->InstallApp(app);
-  }
   if (metered) {
     meter_->Attach(nic);
   }

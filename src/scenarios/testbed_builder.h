@@ -51,7 +51,7 @@ class TestbedBuilder {
 
   // --- Components (owned by the builder; `metered` joins the SHW-3A set) ---
   Server* AddServer(ServerConfig config, bool metered = true);
-  FpgaNic* AddFpgaNic(FpgaNicConfig config, App* app, bool metered = true);
+  FpgaNic* AddFpgaNic(FpgaNicConfig config, bool metered = true);
   ConventionalNic* AddConventionalNic(ConventionalNicConfig config, bool metered = true);
   SmartNic* AddSmartNic(SmartNicPreset preset, SmartNicDeviceConfig config,
                         bool metered = true);

@@ -4,6 +4,7 @@
 // DPDK polling, tx doorbell batching).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/device/conventional_nic.h"
@@ -220,6 +221,39 @@ TEST(ConventionalNicSuite, TxSubBatchFlushesOnTimer) {
   EXPECT_TRUE(held_back);  // Held until the 20 us doorbell flush timer.
   EXPECT_EQ(h.net.packets.size(), 1u);
   EXPECT_EQ(h.nic.doorbells_rung(), 1u);
+}
+
+// ---- Mechanistic datapath: malformed specs are rejected, not repaired ----
+
+TEST(ConventionalNicSuite, ZeroQueuesRejected) {
+  Simulation sim;
+  ConventionalNicConfig config = MechConfig();
+  config.hostnic.num_queues = 0;
+  EXPECT_THROW(ConventionalNic nic(sim, config), std::invalid_argument);
+}
+
+TEST(ConventionalNicSuite, ZeroRingDepthRejected) {
+  Simulation sim;
+  ConventionalNicConfig config = MechConfig();
+  config.hostnic.ring_depth = 0;
+  EXPECT_THROW(ConventionalNic nic(sim, config), std::invalid_argument);
+}
+
+TEST(ConventionalNicSuite, ZeroCoalescePacketsRejected) {
+  Simulation sim;
+  ConventionalNicConfig config = MechConfig();
+  config.hostnic.coalesce_packets = 0;
+  EXPECT_THROW(ConventionalNic nic(sim, config), std::invalid_argument);
+}
+
+TEST(ConventionalNicSuite, ZeroDoorbellBatchRejected) {
+  Simulation sim;
+  ConventionalNicConfig config = MechConfig();
+  config.hostnic.tx_doorbell_batch = 0;
+  EXPECT_THROW(ConventionalNic nic(sim, config), std::invalid_argument);
+  // The pass-through NIC never reads the spec.
+  config.hostnic.enabled = false;
+  EXPECT_NO_THROW(ConventionalNic nic(sim, config));
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
-// Tests for the FPGA NIC, switch ASIC, conventional NICs and SmartNIC data.
+// Tests for the offload-NIC datapath (FPGA NIC and SmartNIC), the FPGA
+// NIC ledger, switch ASIC, conventional NICs and SmartNIC data.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/app/app.h"
 #include "src/device/conventional_nic.h"
 #include "src/device/fpga_nic.h"
+#include "src/device/offload_nic.h"
 #include "src/device/smartnic.h"
 #include "src/device/switch_asic.h"
 #include "src/kvs/kv_protocol.h"
@@ -23,13 +26,15 @@ class CollectorSink : public PacketSink {
   std::vector<Packet> packets;
 };
 
-// Minimal FPGA app that consumes matching packets and echoes to network.
-class EchoFpgaApp : public App {
+// Minimal offload app that consumes matching packets and echoes to network.
+// Runs on either offload board: the FPGA pipeline below, or a SmartNIC
+// engine at the board's full peak.
+class EchoApp : public App {
  public:
   AppProto proto() const override { return AppProto::kKv; }
   std::string AppName() const override { return "echo-hw"; }
   bool SupportsPlacement(PlacementKind placement) const override {
-    return placement == PlacementKind::kFpgaNic;
+    return placement == PlacementKind::kFpgaNic || placement == PlacementKind::kSmartNic;
   }
   OffloadPlacementProfile OffloadProfile() const override {
     OffloadPlacementProfile profile;
@@ -50,26 +55,45 @@ class EchoFpgaApp : public App {
     reply.proto = AppProto::kKv;
     ctx.Reply(reply);
   }
+  void OnMemoryReset() override { ++resets; }
   int processed = 0;
+  int resets = 0;
 };
 
-struct FpgaHarness {
-  FpgaHarness(bool standalone = false, bool with_host = true)
-      : sim(), topo(sim), fpga(sim, MakeConfig(standalone)) {
-    fpga.InstallApp(&app);
-    net_link = topo.Connect(&net_side, &fpga);
-    fpga.SetNetworkLink(net_link);
+using BoardFactory = std::unique_ptr<OffloadNic> (*)(Simulation&);
+
+FpgaNicConfig FpgaConfig(bool standalone) {
+  FpgaNicConfig config;
+  config.host_node = 1;
+  config.device_node = 50;
+  config.standalone = standalone;
+  return config;
+}
+std::unique_ptr<OffloadNic> MakeFpgaBoard(Simulation& sim) {
+  return std::make_unique<FpgaNic>(sim, FpgaConfig(/*standalone=*/false));
+}
+std::unique_ptr<OffloadNic> MakeStandaloneFpgaBoard(Simulation& sim) {
+  return std::make_unique<FpgaNic>(sim, FpgaConfig(/*standalone=*/true));
+}
+std::unique_ptr<OffloadNic> MakeSmartNicBoard(Simulation& sim) {
+  SmartNicDeviceConfig config;
+  config.host_node = 1;
+  config.device_node = 50;
+  return std::make_unique<SmartNic>(sim, SmartNicPresetByName("accelnet-fpga"), config);
+}
+
+// An offload board running EchoApp between a network-side and (optionally)
+// a host-side collector.
+struct BoardHarness {
+  explicit BoardHarness(BoardFactory make, bool with_host = true)
+      : topo(sim), board(make(sim)) {
+    board->InstallApp(&app);
+    net_link = topo.Connect(&net_side, board.get());
+    board->SetNetworkLink(net_link);
     if (with_host) {
-      host_link = topo.Connect(&fpga, &host_side);
-      fpga.SetHostLink(host_link);
+      host_link = topo.Connect(board.get(), &host_side);
+      board->SetHostLink(host_link);
     }
-  }
-  static FpgaNicConfig MakeConfig(bool standalone) {
-    FpgaNicConfig config;
-    config.host_node = 1;
-    config.device_node = 50;
-    config.standalone = standalone;
-    return config;
   }
   Packet KvPacket(NodeId src, NodeId dst) {
     Packet pkt;
@@ -82,59 +106,128 @@ struct FpgaHarness {
   Topology topo;
   CollectorSink net_side;
   CollectorSink host_side;
-  EchoFpgaApp app;
-  FpgaNic fpga;
+  EchoApp app;
+  std::unique_ptr<OffloadNic> board;
   Link* net_link;
   Link* host_link = nullptr;
 };
 
-TEST(FpgaNicTest, InactivePassesThroughToHost) {
-  FpgaHarness h;
-  h.fpga.SetAppActive(false);
-  h.fpga.Receive(h.KvPacket(100, 1));
+// ---- The OffloadNic datapath, on both boards ----
+
+struct BoardCase {
+  const char* name;
+  BoardFactory make;
+  // Claimed packets one simultaneous burst gets admitted: engine workers x
+  // (queue bound + 1). FPGA: EchoApp's 2 PEs, queue 8; SmartNIC: one worker.
+  int admitted_burst;
+};
+
+class OffloadNicDatapathTest : public ::testing::TestWithParam<BoardCase> {
+ protected:
+  BoardHarness h{GetParam().make};
+};
+
+TEST_P(OffloadNicDatapathTest, InactivePassesThroughToHost) {
+  h.board->SetAppActive(false);
+  h.board->Receive(h.KvPacket(100, 1));
   h.sim.Run();
   EXPECT_EQ(h.host_side.packets.size(), 1u);
   EXPECT_EQ(h.app.processed, 0);
-  EXPECT_EQ(h.fpga.delivered_to_host(), 1u);
+  EXPECT_EQ(h.board->delivered_to_host(), 1u);
+  EXPECT_EQ(h.board->processed_in_hardware(), 0u);
 }
 
-TEST(FpgaNicTest, ActiveProcessesMatchingTraffic) {
-  FpgaHarness h;
-  h.fpga.SetAppActive(true);
-  h.fpga.Receive(h.KvPacket(100, 1));
+TEST_P(OffloadNicDatapathTest, ActiveProcessesMatchingTraffic) {
+  h.board->SetAppActive(true);
+  h.board->Receive(h.KvPacket(100, 1));
   h.sim.Run();
   EXPECT_EQ(h.app.processed, 1);
-  EXPECT_EQ(h.net_side.packets.size(), 1u);
+  ASSERT_EQ(h.net_side.packets.size(), 1u);
+  EXPECT_EQ(h.net_side.packets[0].src, 50u);  // Replies carry the board address.
   EXPECT_TRUE(h.host_side.packets.empty());
-  EXPECT_EQ(h.fpga.processed_in_hardware(), 1u);
+  EXPECT_EQ(h.board->processed_in_hardware(), 1u);
 }
 
-TEST(FpgaNicTest, NonMatchingTrafficGoesToHostEvenWhenActive) {
-  FpgaHarness h;
-  h.fpga.SetAppActive(true);
+TEST_P(OffloadNicDatapathTest, NonMatchingTrafficGoesToHostEvenWhenActive) {
+  h.board->SetAppActive(true);
   Packet raw = h.KvPacket(100, 1);
   raw.proto = AppProto::kRaw;
-  h.fpga.Receive(raw);
+  h.board->Receive(raw);
   h.sim.Run();
   EXPECT_EQ(h.host_side.packets.size(), 1u);
   EXPECT_EQ(h.app.processed, 0);
+  EXPECT_EQ(h.board->app_ingress_packets(), 0u);  // Never claimed.
 }
 
-TEST(FpgaNicTest, HostEgressForwardsToNetwork) {
-  FpgaHarness h;
-  h.fpga.Receive(h.KvPacket(1, 100));  // src == host node.
+TEST_P(OffloadNicDatapathTest, HostEgressForwardsToNetwork) {
+  h.board->Receive(h.KvPacket(1, 100));  // src == host node.
   h.sim.Run();
   EXPECT_EQ(h.net_side.packets.size(), 1u);
 }
 
-TEST(FpgaNicTest, AppIngressCountedEvenWhenInactive) {
-  FpgaHarness h;
-  h.fpga.SetAppActive(false);
-  h.fpga.Receive(h.KvPacket(100, 1));
-  h.fpga.Receive(h.KvPacket(100, 1));
+TEST_P(OffloadNicDatapathTest, AppIngressCountedEvenWhenInactive) {
+  h.board->SetAppActive(false);
+  h.board->Receive(h.KvPacket(100, 1));
+  h.board->Receive(h.KvPacket(100, 1));
   h.sim.Run();
-  EXPECT_EQ(h.fpga.app_ingress_packets(), 2u);
+  EXPECT_EQ(h.board->app_ingress_packets(), 2u);
 }
+
+TEST_P(OffloadNicDatapathTest, OverflowDropsAtTheQueueBound) {
+  h.board->SetAppActive(true);
+  const int burst = 2 * GetParam().admitted_burst;
+  for (int i = 0; i < burst; ++i) {
+    h.board->Receive(h.KvPacket(100, 1));
+  }
+  h.sim.Run();
+  EXPECT_EQ(h.app.processed, GetParam().admitted_burst);
+  EXPECT_EQ(h.board->processed_in_hardware(),
+            static_cast<uint64_t>(GetParam().admitted_burst));
+  EXPECT_EQ(h.board->dropped(), static_cast<uint64_t>(burst - GetParam().admitted_burst));
+}
+
+TEST_P(OffloadNicDatapathTest, ReprogrammingHaltsTrafficBothWays) {
+  ASSERT_TRUE(h.board->Traits().supports_reprogramming);
+  h.board->SetAppActive(true);
+  h.board->SetReprogramming(true);
+  h.board->Receive(h.KvPacket(100, 1));  // Network ingress.
+  h.board->Receive(h.KvPacket(1, 100));  // Host egress.
+  h.sim.Run();
+  EXPECT_TRUE(h.host_side.packets.empty());
+  EXPECT_TRUE(h.net_side.packets.empty());
+  EXPECT_EQ(h.board->dropped(), 2u);
+  h.board->SetReprogramming(false);
+  h.board->Receive(h.KvPacket(100, 1));
+  h.sim.Run();
+  EXPECT_EQ(h.app.processed, 1);
+}
+
+TEST_P(OffloadNicDatapathTest, MemoryResetNotifiesApp) {
+  h.board->SetMemoryReset(true);
+  h.board->SetMemoryReset(true);  // Idempotent: only the edge notifies.
+  EXPECT_EQ(h.app.resets, 1);
+  h.board->SetMemoryReset(false);
+  h.board->SetMemoryReset(true);
+  EXPECT_EQ(h.app.resets, 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Boards, OffloadNicDatapathTest,
+    ::testing::Values(BoardCase{"FpgaNic", MakeFpgaBoard, 2 * (8 + 1)},
+                      BoardCase{"SmartNic", MakeSmartNicBoard,
+                                static_cast<int>(SmartNic::kEngineQueueCapacity) + 1}),
+    [](const ::testing::TestParamInfo<BoardCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---- FPGA NIC: the ledger, standalone PSU and one-app install ----
+
+struct FpgaHarness : BoardHarness {
+  explicit FpgaHarness(bool standalone = false, bool with_host = true)
+      : BoardHarness(standalone ? MakeStandaloneFpgaBoard : MakeFpgaBoard, with_host),
+        fpga(static_cast<FpgaNic&>(*board)) {}
+  FpgaNic& fpga;
+};
 
 TEST(FpgaNicTest, ReferenceNicPowerIsShellPlusPcie) {
   Simulation sim;
@@ -180,42 +273,11 @@ TEST(FpgaNicTest, StandaloneDropsHostTraffic) {
   EXPECT_EQ(h.fpga.dropped(), 1u);
 }
 
-TEST(FpgaNicTest, PipelineDropsWhenOverloaded) {
-  FpgaHarness h;
-  h.fpga.SetAppActive(true);
-  // 2 workers x 500 ns = 4 Mpps capacity; queue 8. Blast 100 at once.
-  for (int i = 0; i < 100; ++i) {
-    h.fpga.Receive(h.KvPacket(100, 1));
-  }
-  h.sim.Run();
-  EXPECT_GT(h.fpga.dropped(), 0u);
-  EXPECT_LT(h.app.processed, 100);
-}
-
-TEST(FpgaNicTest, MemoryResetNotifiesApp) {
-  struct ResetProbeApp : EchoFpgaApp {
-    void OnMemoryReset() override { ++resets; }
-    int resets = 0;
-  };
-  Simulation sim;
-  Topology topo(sim);
-  FpgaNicConfig config;
-  FpgaNic fpga(sim, config);
-  ResetProbeApp app;
-  fpga.InstallApp(&app);
-  fpga.SetMemoryReset(true);
-  fpga.SetMemoryReset(true);  // Idempotent: only the edge notifies.
-  EXPECT_EQ(app.resets, 1);
-  fpga.SetMemoryReset(false);
-  fpga.SetMemoryReset(true);
-  EXPECT_EQ(app.resets, 2);
-}
-
 TEST(FpgaNicTest, SecondAppInstallRejected) {
   Simulation sim;
   FpgaNic fpga(sim, FpgaNicConfig{});
-  EchoFpgaApp a;
-  EchoFpgaApp b;
+  EchoApp a;
+  EchoApp b;
   fpga.InstallApp(&a);
   EXPECT_THROW(fpga.InstallApp(&b), std::logic_error);
   EXPECT_THROW(FpgaNic(sim, FpgaNicConfig{}).SetAppActive(true), std::logic_error);

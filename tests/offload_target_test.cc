@@ -32,6 +32,7 @@ struct Collector : PacketSink {
 };
 
 // ---- Behavioral SmartNIC ----
+// (Its datapath runs in device_test's OffloadNicDatapathTest, on both boards.)
 
 SmartNicPreset AccelNetPreset() { return StandardSmartNicPresets()[0]; }
 
@@ -54,14 +55,7 @@ class EchoFirmware : public App {
 };
 
 struct SmartNicHarness {
-  SmartNicHarness()
-      : sim(1),
-        topo(sim),
-        nic(sim, AccelNetPreset(), Config()) {
-    net_link = topo.Connect(&client, &nic);
-    host_link = topo.Connect(&nic, &host);
-    nic.SetNetworkLink(net_link);
-    nic.SetHostLink(host_link);
+  SmartNicHarness() : sim(1), nic(sim, AccelNetPreset(), Config()) {
     nic.InstallApp(&firmware);
   }
   static SmartNicDeviceConfig Config() {
@@ -69,52 +63,10 @@ struct SmartNicHarness {
     config.host_node = 1;
     return config;
   }
-  Packet KvPacket() {
-    Packet pkt;
-    pkt.src = 100;
-    pkt.dst = 1;
-    pkt.proto = AppProto::kKv;
-    return pkt;
-  }
   Simulation sim;
-  Topology topo;
   EchoFirmware firmware;
   SmartNic nic;
-  Collector client;
-  Collector host;
-  Link* net_link;
-  Link* host_link;
 };
-
-TEST(SmartNicTest, InactivePassesThroughToHost) {
-  SmartNicHarness h;
-  h.nic.Receive(h.KvPacket());
-  h.sim.Run();
-  EXPECT_EQ(h.host.packets.size(), 1u);
-  EXPECT_EQ(h.nic.app_ingress_packets(), 1u);  // Classifier counts anyway.
-  EXPECT_EQ(h.nic.processed_in_hardware(), 0u);
-}
-
-TEST(SmartNicTest, ActiveFirmwareRepliesInline) {
-  SmartNicHarness h;
-  h.nic.SetAppActive(true);
-  h.nic.Receive(h.KvPacket());
-  h.sim.Run();
-  EXPECT_EQ(h.client.packets.size(), 1u);
-  EXPECT_TRUE(h.host.packets.empty());
-  EXPECT_EQ(h.nic.processed_in_hardware(), 1u);
-}
-
-TEST(SmartNicTest, NonMatchingTrafficNeverClaimed) {
-  SmartNicHarness h;
-  h.nic.SetAppActive(true);
-  Packet raw = h.KvPacket();
-  raw.proto = AppProto::kRaw;
-  h.nic.Receive(raw);
-  h.sim.Run();
-  EXPECT_EQ(h.host.packets.size(), 1u);
-  EXPECT_EQ(h.nic.app_ingress_packets(), 0u);
-}
 
 TEST(SmartNicTest, ParkDepthOrdersPower) {
   // Deeper parking saves more: power gated < clock gated < warm < active.
@@ -145,15 +97,6 @@ TEST(SmartNicTest, TraitsFollowArchitecture) {
     EXPECT_EQ(nic.reprogramming(), has_fpga) << preset.name;
     nic.SetReprogramming(false);
   }
-}
-
-TEST(SmartNicTest, ReprogrammingHaltsTraffic) {
-  SmartNicHarness h;  // AccelNet: FPGA arch, reprogrammable.
-  h.nic.SetReprogramming(true);
-  h.nic.Receive(h.KvPacket());
-  h.sim.Run();
-  EXPECT_TRUE(h.host.packets.empty());
-  EXPECT_EQ(h.nic.dropped(), 1u);
 }
 
 TEST(SmartNicTest, OffloadSurfaceMatchesPreset) {

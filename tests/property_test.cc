@@ -683,6 +683,124 @@ TEST_P(RackFaultScheduleTest, LedgerRespectsCapsAndFaultCountersReconcile) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RackFaultScheduleTest,
                          ::testing::Values(17u, 29u, 43u));
 
+// ---- Offload-NIC conservation: every network packet ends exactly once ----
+//
+// Parameter: (seed, board). Whatever mix of network ingress (bursts of
+// claimed and unclaimed traffic), activation flips, reprogram windows and
+// one engine kill the seed draws, each packet the board receives from the
+// network is processed by the engine, delivered to the host, dropped
+// (reprogram halt or engine-queue overflow) or dead-dropped — once:
+//   sent == processed_in_hardware + delivered_to_host + dropped + dead_dropped.
+
+// Offload app that consumes every packet it is handed (no replies, no punts).
+class ConsumingApp : public App {
+ public:
+  AppProto proto() const override { return AppProto::kKv; }
+  std::string AppName() const override { return "consume"; }
+  bool SupportsPlacement(PlacementKind placement) const override {
+    return placement == PlacementKind::kFpgaNic || placement == PlacementKind::kSmartNic;
+  }
+  OffloadPlacementProfile OffloadProfile() const override {
+    OffloadPlacementProfile profile;
+    profile.pipeline.workers = 2;
+    profile.pipeline.worker_service = Nanoseconds(200);
+    profile.pipeline.input_queue_capacity = 16;
+    // ~72 kpps on the AccelNet engine: big bursts overflow its queue.
+    profile.smartnic.fpga_mpps_fraction = 0.001;
+    return profile;
+  }
+  void HandlePacket(AppContext&, Packet) override {}
+};
+
+class OffloadNicConservationTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(OffloadNicConservationTest, EveryIngressPacketEndsOnce) {
+  const auto [seed, smartnic] = GetParam();
+  Simulation sim(seed);
+  Rng rng = sim.rng().Fork();
+  Topology topo(sim);
+  struct Sink : PacketSink {
+    void Receive(Packet) override {}
+    std::string SinkName() const override { return "sink"; }
+  } net, host;
+  std::unique_ptr<OffloadNic> board;
+  if (smartnic) {
+    board = std::make_unique<SmartNic>(sim, SmartNicPresetByName("accelnet-fpga"),
+                                       SmartNicDeviceConfig{});
+  } else {
+    board = std::make_unique<FpgaNic>(sim, FpgaNicConfig{});
+  }
+  ConsumingApp app;
+  board->InstallApp(&app);
+  board->SetNetworkLink(topo.Connect(&net, board.get()));
+  board->SetHostLink(topo.Connect(board.get(), &host));
+
+  constexpr SimTime kHorizon = Milliseconds(20);
+  uint64_t sent = 0;
+  auto send_burst = [&](int count, bool claimed) {
+    for (int i = 0; i < count; ++i) {
+      Packet pkt;
+      pkt.src = 100;
+      pkt.dst = 1;
+      pkt.proto = claimed ? AppProto::kKv : AppProto::kRaw;
+      board->Receive(pkt);
+      ++sent;
+    }
+  };
+  for (int i = 0; i < 400; ++i) {
+    const SimTime at = rng.UniformInt(0, kHorizon);
+    const bool claimed = rng.Bernoulli(0.8);
+    const int count = rng.Bernoulli(0.02) ? static_cast<int>(rng.UniformInt(1100, 1500))
+                                          : static_cast<int>(rng.UniformInt(1, 40));
+    sim.Schedule(at, [&send_burst, count, claimed] { send_burst(count, claimed); });
+  }
+  for (int i = 0; i < 20; ++i) {
+    const bool active = rng.Bernoulli(0.6);
+    sim.Schedule(rng.UniformInt(0, kHorizon), [&board, active] {
+      board->SetAppActive(active);
+    });
+  }
+  for (int i = 0; i < 3; ++i) {
+    const SimTime at = rng.UniformInt(0, kHorizon);
+    const SimDuration length = rng.UniformInt(Microseconds(50), Microseconds(500));
+    sim.Schedule(at, [&board] { board->SetReprogramming(true); });
+    sim.Schedule(at + length, [&board] { board->SetReprogramming(false); });
+  }
+  // Claimed work is in flight when the engine dies: completions pending
+  // (sent 1 us before) and, on the FPGA, packets still in the classifier
+  // stage (100 ns before).
+  const SimTime kill_at = rng.UniformInt(kHorizon / 4, kHorizon / 2);
+  for (SimDuration lead : {Microseconds(1), Nanoseconds(100)}) {
+    sim.Schedule(kill_at - lead, [&] {
+      board->SetAppActive(true);
+      send_burst(8, /*claimed=*/true);
+    });
+  }
+  sim.Schedule(kill_at, [&board] { board->KillEngine(); });
+  // Claimed traffic reaches the dead engine's classifier at least once.
+  sim.Schedule(kHorizon + 1, [&] {
+    board->SetAppActive(true);
+    send_burst(8, /*claimed=*/true);
+  });
+  sim.Run();
+
+  EXPECT_EQ(sent, board->processed_in_hardware() + board->delivered_to_host() +
+                      board->dropped() + board->dead_dropped());
+  EXPECT_GT(board->processed_in_hardware(), 0u);
+  EXPECT_GT(board->delivered_to_host(), 0u);
+  EXPECT_GT(board->dropped(), 0u);
+  EXPECT_GE(board->dead_dropped(), 8u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndBoards, OffloadNicConservationTest,
+    ::testing::Combine(::testing::Values(11u, 22u, 33u), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<uint64_t, bool>>& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_SmartNic" : "_FpgaNic");
+    });
+
 // ---- Umbrella header exposes the full API (compile-time property) ----
 
 TEST(UmbrellaHeaderTest, CoreTypesAreVisible) {

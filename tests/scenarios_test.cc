@@ -172,7 +172,8 @@ TEST(KvsTestbedTest, RegistryBuiltTestbedMatchesHandWiredResults) {
     fpga_config.host_node = kTestbedServerNode;
     fpga_config.device_node = kTestbedDeviceNode;
     LakeCache lake;
-    FpgaNic* fpga = builder.AddFpgaNic(fpga_config, &lake);
+    FpgaNic* fpga = builder.AddFpgaNic(fpga_config);
+    fpga->InstallApp(&lake);
     builder.ConnectPcie(fpga, server, TestbedBuilder::PcieLink(Nanoseconds(2500)));
     fpga->SetAppActive(true);
     builder.StartMeter();
@@ -488,7 +489,8 @@ TEST(PaxosTestbedTest, SpecBuiltGroupMatchesHandWiredResults) {
     fpga_config.device_node = kPaxosLeaderDeviceNode;
     P4xosFpgaApp hw_leader(P4xosRole::kLeader, group, /*role_id=*/1,
                            kPaxosLeaderService);
-    FpgaNic* fpga = builder.AddFpgaNic(fpga_config, &hw_leader);
+    FpgaNic* fpga = builder.AddFpgaNic(fpga_config);
+    fpga->InstallApp(&hw_leader);
     fpga->SetAppActive(false);
     const int leader_port = builder.ConnectToSwitchPort(
         sw, fpga, {kPaxosLeaderService, kPaxosLeaderHostNode, kPaxosLeaderDeviceNode},
