@@ -16,6 +16,11 @@
 // bound. Its completion runs the app after service plus the app's fixed
 // latency, unless the engine was killed meanwhile (then it is counted in
 // dead_dropped, never serviced).
+//
+// A dead engine's draw is modelled per board: an active FpgaNic keeps its
+// app's module draw on the ledger (only the utilization term stops) until
+// recovery parks the modules, while a SmartNic drops to its base datapath
+// at once (tests/device_test.cc, DeadEnginePowerTest).
 #ifndef INCOD_SRC_DEVICE_OFFLOAD_NIC_H_
 #define INCOD_SRC_DEVICE_OFFLOAD_NIC_H_
 

@@ -39,10 +39,19 @@ bool GetU32(const std::vector<uint8_t>& in, size_t* pos, uint32_t* v) {
   return true;
 }
 
-void EncodeName(std::vector<uint8_t>& out, const std::string& name) {
+void RequireValidName(const std::string& name) {
   if (!IsValidDnsName(name)) {
     throw std::invalid_argument("EncodeName: invalid DNS name: " + name);
   }
+}
+
+uint32_t EncodedNameBytes(const std::string& name) {
+  RequireValidName(name);
+  return static_cast<uint32_t>(name.size()) + 2;
+}
+
+void EncodeName(std::vector<uint8_t>& out, const std::string& name) {
+  RequireValidName(name);
   size_t start = 0;
   while (start <= name.size()) {
     size_t dot = name.find('.', start);
@@ -250,8 +259,19 @@ std::optional<DnsMessage> DecodeDnsMessage(const std::vector<uint8_t>& wire) {
 }
 
 uint32_t DnsWireBytes(const DnsMessage& message) {
-  // Encoded DNS payload + Ethernet/IP/UDP headers (14+20+8).
-  return static_cast<uint32_t>(EncodeDnsMessage(message).size()) + 42;
+  // The size EncodeDnsMessage would produce, without building it: an
+  // uncompressed name encodes as its text plus the first length byte and the
+  // root label (each dot becomes a length byte). Ethernet/IP/UDP headers
+  // (14+20+8) + the 12-byte DNS header.
+  uint32_t bytes = 42 + 12;
+  for (const auto& q : message.questions) {
+    bytes += EncodedNameBytes(q.name) + 4;  // QTYPE, QCLASS.
+  }
+  for (const auto& rr : message.answers) {
+    // TYPE, CLASS, TTL, RDLENGTH, RDATA.
+    bytes += EncodedNameBytes(rr.name) + 10 + static_cast<uint32_t>(rr.rdata.size());
+  }
+  return bytes;
 }
 
 }  // namespace incod

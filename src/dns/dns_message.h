@@ -80,7 +80,9 @@ std::vector<uint8_t> EncodeDnsMessage(const DnsMessage& message);
 // Decodes; returns nullopt on malformed input.
 std::optional<DnsMessage> DecodeDnsMessage(const std::vector<uint8_t>& wire);
 
-// Convenience: the UDP payload size of the encoded message plus headers.
+// Frame size: EncodeDnsMessage(message).size() + 42 (Ethernet/IP/UDP
+// headers), computed from the name lengths without encoding. Throws
+// std::invalid_argument exactly where EncodeDnsMessage would.
 uint32_t DnsWireBytes(const DnsMessage& message);
 
 }  // namespace incod

@@ -6,9 +6,10 @@
 // virtual-ish dispatch through RTTI-adjacent machinery. InlineEvent stores
 // the callable in a fixed in-object buffer sized for the hot capture lists
 // (a moved-in Packet plus a couple of pointers — see the static_asserts in
-// net/link.h, host/server.cc and device/smartnic.cc) and only falls back to the
-// heap for oversized or throwing-move captures. Move-only, like the events
-// themselves.
+// net/link.h, host/server.cc and device/offload_nic.cc) and only falls back
+// to the heap for oversized or throwing-move captures. Move-only. The
+// Simulation constructs each one in its slot-pool entry (Emplace) and runs
+// it there, so a scheduled callable is never moved.
 #ifndef INCOD_SRC_SIM_INLINE_EVENT_H_
 #define INCOD_SRC_SIM_INLINE_EVENT_H_
 
@@ -33,14 +34,19 @@ class InlineEvent {
                 !std::is_same_v<std::decay_t<F>, InlineEvent> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineEvent(F&& f) {  // NOLINT(google-explicit-constructor)
-    using D = std::decay_t<F>;
-    if constexpr (FitsInline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
+    Construct(std::forward<F>(f));
+  }
+
+  // Replaces the held callable with `f`, constructed in place: a pooled
+  // InlineEvent (sim/simulation.h) takes its callable with no temporary and
+  // no relocation.
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, InlineEvent> &&
+                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  void Emplace(F&& f) {
+    Reset();
+    Construct(std::forward<F>(f));
   }
 
   InlineEvent(InlineEvent&& other) noexcept : ops_(other.ops_) {
@@ -70,6 +76,14 @@ class InlineEvent {
   void operator()() { ops_->invoke(buf_); }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+  // Destroys the held callable (and its captures) now; leaves it empty.
+  void Reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
 
  private:
   struct Ops {
@@ -105,10 +119,15 @@ class InlineEvent {
       [](void* s) noexcept { delete *std::launder(reinterpret_cast<D**>(s)); },
   };
 
-  void Reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
+  template <typename F>
+  void Construct(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (FitsInline<D>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
+      ops_ = &kHeapOps<D>;
     }
   }
 

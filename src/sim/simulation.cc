@@ -33,9 +33,10 @@ bool Simulation::Cancel(uint64_t id) {
   if (s.gen != gen || s.state != kPending) {
     return false;  // Already ran, already cancelled, or a stale id.
   }
-  // The event body stays in its bucket/heap and is discarded when it
-  // surfaces; only the slot flips, so Cancel is O(1) with no hashing.
+  // The key stays in its bucket/heap and is discarded (freeing the slot)
+  // when it surfaces; the body and its captures go now.
   s.state = kCancelled;
+  Body(slot).Reset();
   --live_events_;
   return true;
 }
@@ -45,6 +46,9 @@ uint32_t Simulation::AllocSlot() {
   if (free_slots_.empty()) {
     slot = static_cast<uint32_t>(slots_.size());
     slots_.push_back(Slot{});
+    if (slot % kPoolBlockEvents == 0) {
+      bodies_.push_back(std::make_unique<InlineEvent[]>(kPoolBlockEvents));
+    }
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
@@ -68,30 +72,29 @@ uint64_t Simulation::ScheduleAtExternal(SimTime at, uint64_t external_seq, Inlin
     at = q.now_;
   }
   const uint32_t slot = q.AllocSlot();
+  q.Body(slot) = std::move(fn);
   const uint64_t id = EncodeId(slot, q.slots_[slot].gen);
   ++q.live_events_;
   // External seqs must stay above every local seq and must not enter the
   // same-tick ring (they would break its seq-monotone order).
+  const Event key{at, external_seq, slot};
   if (q.engine_ == EngineKind::kHeap) {
-    q.heap_.emplace(at, external_seq, slot, std::move(fn));
+    q.heap_.push(key);
   } else {
-    q.InsertCalendar(at, external_seq, slot, std::move(fn));
+    q.InsertCalendar(key);
   }
   return id;
 }
 
 void Simulation::DemoteActiveRun() {
   // Both ranges are sorted by (at, seq); merge them back into the bucket.
-  // Safe even mid-peek: callers re-read active_index_ afterwards, and events
-  // executing out of run_ storage (MinKind::kRun) cannot reach here — their
-  // inserts are at >= now_, whose segment is the active one.
+  // Safe even mid-peek: callers re-read active_index_ afterwards.
   Bucket& b = buckets_[active_index_];
   std::vector<Event> merged;
   merged.reserve((run_.size() - run_head_) + (b.items.size() - b.head));
-  std::merge(std::make_move_iterator(run_.begin() + static_cast<ptrdiff_t>(run_head_)),
-             std::make_move_iterator(run_.end()),
-             std::make_move_iterator(b.items.begin() + static_cast<ptrdiff_t>(b.head)),
-             std::make_move_iterator(b.items.end()), std::back_inserter(merged),
+  std::merge(run_.begin() + static_cast<ptrdiff_t>(run_head_), run_.end(),
+             b.items.begin() + static_cast<ptrdiff_t>(b.head), b.items.end(),
+             std::back_inserter(merged),
              [](const Event& x, const Event& y) { return EventBefore(x, y); });
   b.items = std::move(merged);
   b.head = 0;
@@ -105,11 +108,11 @@ void Simulation::DemoteActiveRun() {
   active_index_ = kNoActive;
 }
 
-void Simulation::InsertSorted(Bucket& b, Event ev) {
+void Simulation::InsertSorted(Bucket& b, const Event& ev) {
   const auto pos = std::upper_bound(
       b.items.begin() + static_cast<ptrdiff_t>(b.head), b.items.end(), ev,
       [](const Event& value, const Event& elem) { return EventBefore(value, elem); });
-  b.items.insert(pos, std::move(ev));
+  b.items.insert(pos, ev);
 }
 
 Simulation::MinRef Simulation::CalendarPeek() {
@@ -118,7 +121,6 @@ Simulation::MinRef Simulation::CalendarPeek() {
   while (same_tick_head_ < same_tick_.size() &&
          SlotCancelled(same_tick_[same_tick_head_].slot)) {
     FreeSlot(same_tick_[same_tick_head_].slot);
-    same_tick_[same_tick_head_].fn = InlineEvent();
     ++same_tick_head_;
   }
   if (same_tick_head_ == same_tick_.size() && !same_tick_.empty()) {
@@ -127,7 +129,7 @@ Simulation::MinRef Simulation::CalendarPeek() {
   }
   MinRef m = CalendarPeekQueues();
   if (same_tick_head_ < same_tick_.size()) {
-    Event& front = same_tick_[same_tick_head_];
+    const Event& front = same_tick_[same_tick_head_];
     // Queued events at Now() with a smaller seq (scheduled earlier for this
     // tick) still win; the ring only holds fresh (largest-seq) schedules.
     if (m.kind == MinKind::kNone || EventBefore(front, *m.ev)) {
@@ -142,13 +144,13 @@ Simulation::MinRef Simulation::CalendarPeekQueues() {
   // that were cancelled while waiting.
   const uint64_t base_seg = Segment(now_);
   while (!far_.empty() && Segment(far_.top().at) < base_seg + kNumBuckets) {
-    Event ev = std::move(const_cast<Event&>(far_.top()));
+    const Event ev = far_.top();
     far_.pop();
     if (SlotCancelled(ev.slot)) {
       FreeSlot(ev.slot);
       continue;
     }
-    InsertCalendar(std::move(ev));
+    InsertCalendar(ev);
   }
   for (;;) {
     if (active_index_ != kNoActive) {
@@ -159,12 +161,10 @@ Simulation::MinRef Simulation::CalendarPeekQueues() {
       Bucket& b = buckets_[active_index_];
       while (run_head_ < run_.size() && SlotCancelled(run_[run_head_].slot)) {
         FreeSlot(run_[run_head_].slot);
-        run_[run_head_].fn = InlineEvent();  // Release captures promptly.
         ++run_head_;
       }
       while (b.head < b.items.size() && SlotCancelled(b.items[b.head].slot)) {
         FreeSlot(b.items[b.head].slot);
-        b.items[b.head].fn = InlineEvent();
         ++b.head;
       }
       const bool run_ok = run_head_ < run_.size();
@@ -174,7 +174,7 @@ Simulation::MinRef Simulation::CalendarPeekQueues() {
       }
       if (items_ok) {
         if (!run_ok) {
-          // Roll the remaining same-segment inserts into stable run storage.
+          // Roll the remaining same-segment inserts into the run.
           run_.clear();
           run_head_ = b.head;
           std::swap(run_, b.items);
@@ -206,7 +206,6 @@ Simulation::MinRef Simulation::CalendarPeekQueues() {
         Bucket& b = buckets_[bucket];
         while (b.head < b.items.size() && SlotCancelled(b.items[b.head].slot)) {
           FreeSlot(b.items[b.head].slot);
-          b.items[b.head].fn = InlineEvent();
           ++b.head;
         }
         if (b.head == b.items.size()) {
@@ -241,7 +240,7 @@ Simulation::MinRef Simulation::CalendarPeekQueues() {
     if (far_.empty()) {
       return MinRef{nullptr, MinKind::kNone};
     }
-    return MinRef{&const_cast<Event&>(far_.top()), MinKind::kFar};
+    return MinRef{&far_.top(), MinKind::kFar};
   }
 }
 
@@ -260,9 +259,9 @@ SimTime Simulation::PeekNextTime() {
   return CalendarPeek().ev->at;
 }
 
-void Simulation::MaybeAdaptWidth() {
+bool Simulation::MaybeAdaptWidth() {
   if (--adapt_countdown_ != 0) {
-    return;
+    return false;
   }
   adapt_countdown_ = kAdaptInterval;
   const uint64_t span = static_cast<uint64_t>(now_ - adapt_window_start_);
@@ -286,7 +285,9 @@ void Simulation::MaybeAdaptWidth() {
   if (target > width_log2_ + 1 || target < width_log2_ - 1 ||
       (target > width_log2_ && target == width_floor_log2_)) {
     Rebuild(target);
+    return true;
   }
+  return false;
 }
 
 void Simulation::Rebuild(int new_width_log2) {
@@ -296,7 +297,7 @@ void Simulation::Rebuild(int new_width_log2) {
     if (SlotCancelled(run_[j].slot)) {
       FreeSlot(run_[j].slot);
     } else {
-      pending.push_back(std::move(run_[j]));
+      pending.push_back(run_[j]);
     }
   }
   run_.clear();
@@ -308,7 +309,7 @@ void Simulation::Rebuild(int new_width_log2) {
     if (SlotCancelled(same_tick_[j].slot)) {
       FreeSlot(same_tick_[j].slot);
     } else {
-      pending.push_back(std::move(same_tick_[j]));
+      pending.push_back(same_tick_[j]);
     }
   }
   same_tick_.clear();
@@ -319,7 +320,7 @@ void Simulation::Rebuild(int new_width_log2) {
       if (SlotCancelled(b.items[j].slot)) {
         FreeSlot(b.items[j].slot);
       } else {
-        pending.push_back(std::move(b.items[j]));
+        pending.push_back(b.items[j]);
       }
     }
     b.items.clear();
@@ -330,78 +331,79 @@ void Simulation::Rebuild(int new_width_log2) {
   // Reinsert under the new geometry; events past the (new) window spill to
   // the far heap, and far events now inside it migrate back on the next
   // peek.
-  for (Event& ev : pending) {
-    InsertCalendar(std::move(ev));
+  for (const Event& ev : pending) {
+    InsertCalendar(ev);
   }
 }
 
-bool Simulation::RunNext() {
-  if (queue_ != this) {
-    return queue_->RunNext();
-  }
+void Simulation::Execute(const Event& ev) {
+  --live_events_;
+  slots_[ev.slot].state = kRunning;
+  now_ = ev.at;
+  ++events_executed_;
+  // Frees the slot only once the body returned (or threw): until then the
+  // body is in use, and a schedule made by it must not reuse the slot.
+  struct Release {
+    Simulation* sim;
+    uint32_t slot;
+    ~Release() {
+      sim->Body(slot).Reset();
+      sim->FreeSlot(slot);
+    }
+  } release{this, ev.slot};
+  Body(ev.slot)();
+}
+
+bool Simulation::RunNextAtOrBefore(SimTime last) {
   if (live_events_ == 0) {
     return false;
   }
   if (engine_ == EngineKind::kHeap) {
     PurgeHeapTop();
-    Event ev = std::move(const_cast<Event&>(heap_.top()));
+    const Event ev = heap_.top();
+    if (ev.at > last) {
+      return false;
+    }
     heap_.pop();
-    --live_events_;
-    // Free before running so Cancel() of the running event's own id reports
-    // false (it is no longer pending) instead of poisoning a future event.
-    FreeSlot(ev.slot);
-    now_ = ev.at;
-    ++events_executed_;
-    ev.fn();
+    Execute(ev);
     return true;
   }
-  // Width adaptation may Rebuild() (relocating queued events), so it runs
-  // before we take a reference to the minimum event, never after.
-  MaybeAdaptWidth();
-  const MinRef m = CalendarPeek();
-  --live_events_;
-  FreeSlot(m.ev->slot);
-  now_ = m.ev->at;
-  ++events_executed_;
+  MinRef m = CalendarPeek();
+  if (m.ev->at > last) {
+    return false;
+  }
+  // Width adaptation counts executed events only. A Rebuild relocates every
+  // queued key, so peek again; the minimum itself cannot change.
+  if (MaybeAdaptWidth()) {
+    m = CalendarPeek();
+  }
+  const Event ev = *m.ev;
   switch (m.kind) {
-    case MinKind::kRun: {
-      // Stable storage: execute in place with zero moves. Inserts during
-      // fn() target the bucket vector, never run_.
+    case MinKind::kRun:
       ++run_head_;
-      m.ev->fn();
-      return true;
-    }
-    case MinKind::kItems: {
-      // A same-segment insert overtook the run: its storage can move while
-      // fn() schedules, so move the event out first.
-      Bucket& b = buckets_[active_index_];
-      Event ev = std::move(b.items[b.head]);
-      ++b.head;
-      ev.fn();
-      return true;
-    }
-    case MinKind::kFar: {
-      Event ev = std::move(const_cast<Event&>(far_.top()));
+      break;
+    case MinKind::kItems:
+      ++buckets_[active_index_].head;
+      break;
+    case MinKind::kFar:
       far_.pop();
-      ev.fn();
-      return true;
-    }
-    case MinKind::kSameTick: {
-      // fn() may append to the ring; move out first so growth can't
-      // invalidate the executing event.
-      Event ev = std::move(same_tick_[same_tick_head_]);
+      break;
+    case MinKind::kSameTick:
       ++same_tick_head_;
       if (same_tick_head_ == same_tick_.size()) {
         same_tick_.clear();
         same_tick_head_ = 0;
       }
-      ev.fn();
-      return true;
-    }
-    case MinKind::kNone:
       break;
+    case MinKind::kNone:
+      return false;
   }
-  return false;
+  Execute(ev);
+  return true;
+}
+
+bool Simulation::RunNext() {
+  return queue_->RunNextAtOrBefore(kNoEventTime);
 }
 
 void Simulation::Run() {
@@ -410,25 +412,22 @@ void Simulation::Run() {
 }
 
 void Simulation::RunUntil(SimTime t) {
-  if (queue_ != this) {
-    queue_->RunUntil(t);
-    return;
+  Simulation& q = *queue_;
+  while (q.RunNextAtOrBefore(t)) {
   }
-  while (live_events_ > 0 && PeekNextTime() <= t) {
-    RunNext();
-  }
-  if (now_ < t) {
-    now_ = t;
+  if (q.now_ < t) {
+    q.now_ = t;
   }
 }
 
 void Simulation::RunWhileBefore(SimTime bound) {
-  if (queue_ != this) {
-    queue_->RunWhileBefore(bound);
+  Simulation& q = *queue_;
+  // Event times are never negative, so bound <= 0 runs nothing (and bound - 1
+  // cannot underflow).
+  if (bound <= 0) {
     return;
   }
-  while (live_events_ > 0 && PeekNextTime() < bound) {
-    RunNext();
+  while (q.RunNextAtOrBefore(bound - 1)) {
   }
 }
 

@@ -5,7 +5,13 @@
 // results are bit-for-bit reproducible with FIFO tie-breaking among
 // same-time events.
 //
-// Two interchangeable engines implement the event set:
+// Schedule constructs the callback once, in place, in a slot pool of
+// InlineEvent bodies that grows in fixed blocks and never moves. The queues
+// only ever hold 24-byte (time, sequence, slot) keys; the body is executed
+// where it was built and destroyed once it returns (or at once on Cancel).
+// Each executed event costs one peek: peek, stop if past the bound, pop, run.
+//
+// Two interchangeable engines order the keys:
 //
 //  * kCalendar (default): a calendar queue — a ring of power-of-two-width
 //    time buckets covering a sliding window ahead of Now(), with a binary
@@ -17,13 +23,15 @@
 //  * kHeap: the classic binary-heap engine, kept only as the reference for
 //    differential testing (tests/engine_diff_test.cc).
 //
-// Both engines share the slot table, sequence numbering, and counters, so
-// any divergence in event order is a bug the differential tests catch.
+// Both engines share the slot table and body pool, sequence numbering, and
+// counters, so any divergence in event order is a bug the differential tests
+// catch.
 #ifndef INCOD_SRC_SIM_SIMULATION_H_
 #define INCOD_SRC_SIM_SIMULATION_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -66,8 +74,8 @@ class Simulation {
   // Schedules `fn` (any void() callable) to run `delay` ns from now.
   // Negative delays are clamped to zero (run "immediately", after
   // already-queued events at Now()). Returns an id usable with Cancel().
-  // Templated so the callable is stored (as an InlineEvent) directly in its
-  // queue slot — one copy, no intermediate moves, no heap allocation for
+  // Templated so the callable is constructed (as an InlineEvent) directly in
+  // its pool slot — one copy, never moved afterwards, no heap allocation for
   // captures up to InlineEvent::kInlineCapacity.
   template <typename F>
   uint64_t Schedule(SimDuration delay, F&& fn) {
@@ -91,7 +99,8 @@ class Simulation {
   // identically. `at` is clamped to Now().
   uint64_t ScheduleAtExternal(SimTime at, uint64_t external_seq, InlineEvent fn);
 
-  // Cancels a pending event in O(1). Returns false if it already ran / was
+  // Cancels a pending event in O(1) and destroys its callable (releasing its
+  // captures) at once. Returns false if it already ran, is running, or was
   // cancelled.
   bool Cancel(uint64_t id);
 
@@ -127,19 +136,16 @@ class Simulation {
   // Root RNG. Components should call rng().Fork() once at setup.
   Rng& rng() { return rng_; }
 
+  // Callable bodies per pool block. The pool adds one block whenever the
+  // number of simultaneously pending events outgrows it; blocks never move.
+  static constexpr size_t kPoolBlockEvents = 256;
+
  private:
+  // A queue entry: the callable itself stays in its pool slot.
   struct Event {
     SimTime at = 0;
     uint64_t seq = 0;
     uint32_t slot = 0;
-    InlineEvent fn;
-
-    Event() = default;
-    template <typename F>
-    Event(SimTime at_, uint64_t seq_, uint32_t slot_, F&& fn_)
-        : at(at_), seq(seq_), slot(slot_), fn(std::forward<F>(fn_)) {}
-    Event(Event&&) = default;
-    Event& operator=(Event&&) = default;
   };
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
@@ -158,19 +164,22 @@ class Simulation {
   // Where CalendarPeek found the minimum event.
   enum class MinKind : uint8_t {
     kNone,      // No live events.
-    kRun,       // run_[run_head_]: stable storage, executed in place.
+    kRun,       // run_[run_head_].
     kItems,     // Active bucket's items (same-segment insert overtook the run).
     kFar,       // Far-heap top (window empty).
     kSameTick,  // Same-tick FIFO ring front (at == Now()).
   };
   struct MinRef {
-    Event* ev = nullptr;
+    const Event* ev = nullptr;
     MinKind kind = MinKind::kNone;
   };
   // Cancellation slots. An event id encodes (slot index, generation); the
   // generation bumps on every free, so stale ids from already-run events
-  // fail the O(1) comparison instead of needing a pending-id hash set.
-  enum SlotState : uint8_t { kFree, kPending, kCancelled };
+  // fail the O(1) comparison instead of needing a pending-id hash set. Kept
+  // dense, apart from the bodies, so the cancelled check in every peek stays
+  // in cache. A running event's slot is kRunning: not pending (so Cancel of
+  // its own id fails) and not free (so nothing it schedules reuses its body).
+  enum SlotState : uint8_t { kFree, kPending, kCancelled, kRunning };
   struct Slot {
     uint32_t gen = 1;
     SlotState state = kFree;
@@ -198,16 +207,25 @@ class Simulation {
   static uint64_t EncodeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(slot) << 32) | gen;
   }
+  InlineEvent& Body(uint32_t slot) {
+    return bodies_[slot / kPoolBlockEvents][slot % kPoolBlockEvents];
+  }
 
   template <typename F>
   uint64_t DoSchedule(SimTime at, F&& fn) {
     static_assert(std::is_invocable_r_v<void, std::decay_t<F>&>,
                   "events must be void() callables");
     const uint32_t slot = AllocSlot();
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineEvent>) {
+      Body(slot) = std::forward<F>(fn);  // Already type-erased: relocate it.
+    } else {
+      Body(slot).Emplace(std::forward<F>(fn));
+    }
     const uint64_t id = EncodeId(slot, slots_[slot].gen);
     ++live_events_;
+    const Event key{at, next_seq_++, slot};
     if (engine_ == EngineKind::kHeap) {
-      heap_.emplace(at, next_seq_++, slot, std::forward<F>(fn));
+      heap_.push(key);
     } else if (at == now_) {
       // Same-tick FIFO ring: fresh delay-0 schedules carry the largest seq
       // at Now(), so a plain append keeps the ring sorted — no same-segment
@@ -217,9 +235,9 @@ class Simulation {
         same_tick_.clear();
         same_tick_head_ = 0;
       }
-      same_tick_.emplace_back(at, next_seq_++, slot, std::forward<F>(fn));
+      same_tick_.push_back(key);
     } else {
-      InsertCalendar(at, next_seq_++, slot, std::forward<F>(fn));
+      InsertCalendar(key);
     }
     return id;
   }
@@ -228,14 +246,11 @@ class Simulation {
   void FreeSlot(uint32_t slot);
   bool SlotCancelled(uint32_t slot) const { return slots_[slot].state == kCancelled; }
 
-  // Places an event with as few callable copies as possible: the common path
-  // constructs the Event (and its InlineEvent) directly in its bucket slot.
-  template <typename F>
-  void InsertCalendar(SimTime at, uint64_t seq, uint32_t slot, F&& fn) {
-    const uint64_t seg = Segment(at);
+  void InsertCalendar(const Event& ev) {
+    const uint64_t seg = Segment(ev.at);
     if (seg >= Segment(now_) + kNumBuckets) {
       ++far_inserts_;
-      far_.emplace(at, seq, slot, std::forward<F>(fn));
+      far_.push(ev);
       return;
     }
     ++near_inserts_;
@@ -256,27 +271,23 @@ class Simulation {
         b.head = 0;
       }
       MarkOccupied(index);
-      b.items.emplace_back(at, seq, slot, std::forward<F>(fn));
+      b.items.push_back(ev);
       return;
     }
-    const Event& back = b.items.back();
     // Common case: sorts last (same-tick events carry the largest seq).
-    if (back.at < at || (back.at == at && back.seq < seq)) {
-      b.items.emplace_back(at, seq, slot, std::forward<F>(fn));
+    if (EventBefore(b.items.back(), ev)) {
+      b.items.push_back(ev);
       return;
     }
-    InsertSorted(b, Event(at, seq, slot, std::forward<F>(fn)));
+    InsertSorted(b, ev);
   }
-  void InsertCalendar(Event&& ev) {
-    InsertCalendar(ev.at, ev.seq, ev.slot, std::move(ev.fn));
-  }
-  void InsertSorted(Bucket& b, Event ev);
+  void InsertSorted(Bucket& b, const Event& ev);
   // Folds the active run (and the bucket's overtaking inserts) back into its
   // bucket and clears the active state, re-arming the occupancy-bitmap scan.
   void DemoteActiveRun();
-  // Re-evaluates the bucket width from the recent event rate; re-buckets the
-  // near set when the regime changed.
-  void MaybeAdaptWidth();
+  // Counts one executed event toward the next width re-evaluation; re-buckets
+  // the near set (returning true) when the event rate moved the regime.
+  bool MaybeAdaptWidth();
   void Rebuild(int new_width_log2);
   // Drops cancelled events it passes (freeing their slots), migrates due far
   // events into buckets, and returns the location of the minimum live event
@@ -287,6 +298,13 @@ class Simulation {
   void PurgeHeapTop();
   // Time of the next live event. Precondition: live_events_ > 0.
   SimTime PeekNextTime();
+  // The one step behind Run, RunUntil, RunWhileBefore and RunNext: peeks
+  // once, and if the minimum event is due at or before `last`, pops it and
+  // runs it. Returns false (running nothing) otherwise.
+  bool RunNextAtOrBefore(SimTime last);
+  // Runs the popped event's body in place, then destroys it and frees the
+  // slot.
+  void Execute(const Event& ev);
 
   void MarkOccupied(size_t bucket) {
     occupied_[bucket >> 6] |= uint64_t{1} << (bucket & 63);
@@ -313,8 +331,8 @@ class Simulation {
   std::vector<Bucket> buckets_;
   std::vector<uint64_t> occupied_;  // Bitmap: one bit per bucket.
   // The active segment's events, swapped out of their bucket so the hot pop
-  // path executes them in place from stable storage (inserts that land in
-  // the active segment go to the bucket vector and merge by comparison).
+  // path reads them in order (inserts that land in the active segment go to
+  // the bucket vector and merge by comparison).
   std::vector<Event> run_;
   size_t run_head_ = 0;
   size_t active_index_ = kNoActive;
@@ -332,6 +350,10 @@ class Simulation {
 
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
+  // Body pool: slot i's callable is bodies_[i / kPoolBlockEvents]
+  // [i % kPoolBlockEvents]. Added one block at a time, never reallocated, so
+  // a running body stays put while its callback schedules.
+  std::vector<std::unique_ptr<InlineEvent[]>> bodies_;
 
   // The Simulation whose queue this instance schedules into: `this` for a
   // normal Simulation, the owner for a shard view.

@@ -283,6 +283,45 @@ TEST(FpgaNicTest, SecondAppInstallRejected) {
   EXPECT_THROW(FpgaNic(sim, FpgaNicConfig{}).SetAppActive(true), std::logic_error);
 }
 
+// ---- Dead-engine power: the two boards differ ----
+
+// Serves a few claimed packets so the utilization term is non-zero, then
+// kills the engine with the app still active.
+void ServeThenKill(BoardHarness& h) {
+  h.board->SetAppActive(true);
+  for (int i = 0; i < 4; ++i) {
+    h.board->Receive(h.KvPacket(100, 1));
+  }
+  h.sim.RunUntil(Microseconds(50));
+  ASSERT_EQ(h.app.processed, 4);
+  ASSERT_GT(h.board->Utilization(), 0.0);
+  h.board->KillEngine();
+}
+
+TEST(DeadEnginePowerTest, FpgaNicKeepsModuleDrawUntilParked) {
+  FpgaHarness h;
+  const double ledger = 17.8;  // Shell 11 + PCIe 2 + logic 2 + dram_if 4.8.
+  ServeThenKill(h);
+  // Only the utilization term stops; the modules keep their active draw.
+  EXPECT_GT(h.board->Utilization(), 0.0);
+  EXPECT_NEAR(h.fpga.PowerWatts(), ledger, 1e-9);
+  // Recovery parks the board: deactivate, clock-gate, reset memory.
+  h.fpga.SetAppActive(false);
+  h.fpga.SetClockGating(true);
+  h.fpga.SetMemoryReset(true);
+  EXPECT_NEAR(h.fpga.PowerWatts(), 15.08, 1e-9);
+}
+
+TEST(DeadEnginePowerTest, SmartNicDropsToBaseDatapathAtOnce) {
+  BoardHarness h(MakeSmartNicBoard);
+  ServeThenKill(h);
+  // Still active, utilization still in the window, yet the engine is gone:
+  // accelnet-fpga's 17 W idle minus the engine's 30 % share.
+  EXPECT_TRUE(h.board->app_active());
+  EXPECT_GT(h.board->Utilization(), 0.0);
+  EXPECT_NEAR(h.board->PowerWatts(), 17.0 * (1.0 - SmartNic::kEngineIdleFraction), 1e-9);
+}
+
 // ---- Switch ASIC ----
 
 TEST(SwitchAsicTest, IdlePowerIsSameWithAndWithoutPrograms) {

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -184,6 +185,85 @@ TEST_P(DnsFuzzTest, RandomBytesNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DnsFuzzTest, ::testing::Values(11u, 22u, 33u));
+
+// ---- DnsWireBytes (closed form) agrees with the encoder ----
+
+// A valid name of 1-8 labels, 1-63 bytes each, at most 253 bytes in all.
+std::string RandomDnsName(Rng& rng) {
+  const int labels = static_cast<int>(rng.UniformInt(1, 8));
+  std::string name;
+  for (int i = 0; i < labels; ++i) {
+    const size_t used = name.empty() ? 0 : name.size() + 1;  // With the dot.
+    if (used >= 253) {
+      break;
+    }
+    const size_t room = 253 - used;
+    const size_t len = std::min<size_t>(static_cast<size_t>(rng.UniformInt(1, 63)), room);
+    if (!name.empty()) {
+      name.push_back('.');
+    }
+    for (size_t c = 0; c < len; ++c) {
+      name.push_back(static_cast<char>('a' + rng.UniformInt(0, 25)));
+    }
+  }
+  return name;
+}
+
+class DnsWireBytesTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DnsWireBytesTest, MatchesEncodedSizePlusHeaders) {
+  Rng rng(GetParam());
+  for (int iter = 0; iter < 500; ++iter) {
+    DnsMessage m;
+    m.id = static_cast<uint16_t>(rng.UniformInt(0, 65535));
+    m.is_response = rng.Bernoulli(0.5);
+    const int questions = static_cast<int>(rng.UniformInt(1, 3));
+    for (int q = 0; q < questions; ++q) {
+      m.questions.push_back(DnsQuestion{RandomDnsName(rng), kDnsTypeA, kDnsClassIn});
+    }
+    const int answers = static_cast<int>(rng.UniformInt(0, 3));
+    for (int a = 0; a < answers; ++a) {
+      DnsResourceRecord rr;
+      rr.name = RandomDnsName(rng);
+      const bool aaaa = rng.Bernoulli(0.5);
+      rr.rtype = aaaa ? kDnsTypeAaaa : kDnsTypeA;
+      for (int b = 0; b < (aaaa ? 16 : 4); ++b) {
+        rr.rdata.push_back(static_cast<uint8_t>(rng.UniformInt(0, 255)));
+      }
+      m.answers.push_back(std::move(rr));
+    }
+    ASSERT_TRUE(IsValidDnsName(m.questions[0].name));
+    ASSERT_EQ(DnsWireBytes(m), EncodeDnsMessage(m).size() + 42) << "iteration " << iter;
+  }
+}
+
+TEST_P(DnsWireBytesTest, InvalidNamesThrowLikeTheEncoder) {
+  Rng rng(GetParam());
+  const std::string valid = RandomDnsName(rng);
+  const std::string invalid[] = {
+      valid + "..x",                          // Empty label.
+      valid + "." + std::string(64, 'x'),     // 64-byte label.
+      std::string(63, 'a') + "." + std::string(63, 'b') + "." + std::string(63, 'c') +
+          "." + std::string(63, 'd'),         // 255 bytes in all.
+  };
+  for (const std::string& bad : invalid) {
+    ASSERT_FALSE(IsValidDnsName(bad));
+    DnsMessage in_question;
+    in_question.questions.push_back(DnsQuestion{bad, kDnsTypeA, kDnsClassIn});
+    EXPECT_THROW(DnsWireBytes(in_question), std::invalid_argument) << bad;
+    EXPECT_THROW(EncodeDnsMessage(in_question), std::invalid_argument) << bad;
+    DnsMessage in_answer;
+    in_answer.questions.push_back(DnsQuestion{valid, kDnsTypeA, kDnsClassIn});
+    DnsResourceRecord rr;
+    rr.name = bad;
+    rr.rdata = Ipv4ToRdata(0x0a000001);
+    in_answer.answers.push_back(std::move(rr));
+    EXPECT_THROW(DnsWireBytes(in_answer), std::invalid_argument) << bad;
+    EXPECT_THROW(EncodeDnsMessage(in_answer), std::invalid_argument) << bad;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DnsWireBytesTest, ::testing::Values(11u, 22u, 33u));
 
 // ---- Mutated valid messages never crash the decoder ----
 

@@ -1,7 +1,9 @@
 // Tests for the discrete-event engine and RNG.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -247,6 +249,164 @@ TEST(SimulationTest, HeapEngineMatchesSemantics) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(sim.events_executed(), 2u);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulationTest, PoolGrowthKeepsTheRunningEventIntact) {
+  // A running event's body lives in the slot pool; scheduling three blocks'
+  // worth of events from inside it adds blocks, which must not move it.
+  struct Grower {
+    Simulation* sim;
+    uint64_t* scheduled_ran;
+    bool* intact;
+    std::array<uint8_t, 96> payload;
+    uint64_t Checksum() const {
+      uint64_t sum = 0;
+      for (const uint8_t b : payload) {
+        sum = sum * 131 + b;
+      }
+      return sum;
+    }
+    void operator()() {
+      const uint64_t before = Checksum();
+      for (size_t i = 0; i < 3 * Simulation::kPoolBlockEvents; ++i) {
+        sim->Schedule(static_cast<SimDuration>(1 + i % 7), [ran = scheduled_ran] { ++*ran; });
+      }
+      *intact = Checksum() == before;
+    }
+  };
+  static_assert(sizeof(Grower) == 120 && sizeof(Grower) <= InlineEvent::kInlineCapacity);
+  Simulation sim;
+  uint64_t ran = 0;
+  bool intact = false;
+  Grower grower{&sim, &ran, &intact, {}};
+  for (size_t i = 0; i < grower.payload.size(); ++i) {
+    grower.payload[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  sim.Schedule(Microseconds(1), grower);
+  sim.Run();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(ran, 3 * Simulation::kPoolBlockEvents);
+}
+
+TEST(SimulationTest, CancelReleasesCapturesAtOnce) {
+  for (const auto kind : {Simulation::EngineKind::kCalendar, Simulation::EngineKind::kHeap}) {
+    Simulation sim(1, kind);
+    auto owned = std::make_shared<int>(7);
+    const std::weak_ptr<int> watch = owned;
+    bool ran = false;
+    const uint64_t id = sim.Schedule(Milliseconds(5), [owned, &ran] { ran = *owned == 7; });
+    owned.reset();
+    EXPECT_FALSE(watch.expired());  // The pending event holds the capture.
+    EXPECT_TRUE(sim.Cancel(id));
+    EXPECT_TRUE(watch.expired());  // Released by Cancel, not when the key surfaces.
+    sim.Run();
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(sim.pending_events(), 0u);
+  }
+}
+
+// A seeded random event stream for the engine differential below. Every
+// executed event logs (Now, tag) and, by its own LCG, schedules same-tick
+// bursts, near hops, and far timers past the calendar window, then cancels
+// pending, running (its own) and stale ids, logging each Cancel result.
+// Dense and sparse phases alternate so the calendar re-buckets.
+struct EngineStream {
+  Simulation sim;
+  std::vector<uint64_t> log;
+  std::vector<uint64_t> ids;  // By tag; every id ever issued.
+  uint64_t budget = 60000;    // Events still allowed to be scheduled.
+  uint64_t cancels = 0;       // Cancels that hit a pending event.
+
+  explicit EngineStream(Simulation::EngineKind kind) : sim(5, kind) {}
+
+  void Spawn(SimDuration delay, uint64_t state) {
+    if (budget == 0) {
+      return;
+    }
+    --budget;
+    const uint64_t tag = ids.size();
+    ids.push_back(0);
+    ids[tag] = sim.Schedule(delay, [this, tag, state] { Fire(tag, state); });
+  }
+
+  void Fire(uint64_t tag, uint64_t state) {
+    log.push_back(static_cast<uint64_t>(sim.Now()));
+    log.push_back(tag);
+    const auto next = [&state] {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      return state >> 33;
+    };
+    // Phase by tag: dense (tens of ns) then sparse (tens of us) gaps.
+    const SimDuration scale = (tag / 20000) % 2 == 0 ? 1 : 1000;
+    const uint64_t children = next() % 3;
+    for (uint64_t c = 0; c < children; ++c) {
+      const uint64_t r = next();
+      if (r % 9 == 0) {
+        for (int k = 0; k < 3; ++k) {
+          Spawn(0, next());  // Same-tick burst.
+        }
+      } else if (r % 13 == 0) {
+        Spawn(Milliseconds(static_cast<int64_t>(100 + r % 400)), next());  // Far timer.
+      } else {
+        Spawn(scale * static_cast<SimDuration>(10 * (r % 40)), next());  // Near hop.
+      }
+    }
+    const uint64_t action = next() % 8;
+    if (action == 0) {
+      log.push_back(sim.Cancel(ids[tag]) ? 1 : 0);  // Running: must fail.
+    } else if (action <= 2) {
+      const bool cancelled = sim.Cancel(ids[next() % ids.size()]);  // Pending or stale.
+      cancels += cancelled ? 1 : 0;
+      log.push_back(cancelled ? 1 : 0);
+    }
+  }
+
+  // Checkpoint after a bound: what ran so far, and what is left.
+  void Mark() {
+    log.push_back(~uint64_t{0});
+    log.push_back(sim.events_executed());
+    log.push_back(sim.pending_events());
+    log.push_back(static_cast<uint64_t>(sim.Now()));
+  }
+};
+
+std::vector<uint64_t> RunEngineStream(Simulation::EngineKind kind) {
+  EngineStream s(kind);
+  uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 64; ++i) {
+    s.Spawn(10 * (i % 8), state + static_cast<uint64_t>(i));
+  }
+  // Interleaved bounds on a 10 ns grid, so bounds often tie event times.
+  uint64_t bounds = 0;
+  while (s.sim.pending_events() > 0 && bounds < 20000) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    // Mostly short steps; one in eight reaches out to the far timers.
+    const SimTime step = (state >> 50) % 8 == 0 ? Milliseconds(50) : Microseconds(5);
+    const SimTime bound =
+        s.sim.Now() + 10 * static_cast<SimTime>((state >> 33) % static_cast<uint64_t>(step / 10));
+    if ((state >> 40) % 2 == 0) {
+      s.sim.RunUntil(bound);
+    } else {
+      s.sim.RunWhileBefore(bound);
+    }
+    s.Mark();
+    ++bounds;
+  }
+  s.sim.Run();
+  s.Mark();
+  EXPECT_EQ(s.budget, 0u) << "the stream should exhaust its budget";
+  EXPECT_GT(s.cancels, 100u);
+  return s.log;
+}
+
+TEST(SimulationTest, CalendarMatchesHeapUnderInterleavedBounds) {
+  const std::vector<uint64_t> calendar = RunEngineStream(Simulation::EngineKind::kCalendar);
+  const std::vector<uint64_t> heap = RunEngineStream(Simulation::EngineKind::kHeap);
+  ASSERT_GT(calendar.size(), 100000u);
+  ASSERT_EQ(calendar.size(), heap.size());
+  for (size_t i = 0; i < calendar.size(); ++i) {
+    ASSERT_EQ(calendar[i], heap[i]) << "diverged at log entry " << i;
+  }
 }
 
 TEST(SimulationTest, SchedulePeriodicStopsWhenCallbackReturnsFalse) {
