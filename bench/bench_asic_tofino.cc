@@ -65,7 +65,7 @@ AsicRun MeasureAt(double utilization, bool with_p4xos, bool with_diag) {
     sw.Receive(pkt);
   }
   AsicRun run;
-  run.normalized_forwarding = sw.ForwardingOnlyWatts() / config.max_power_watts;
+  run.normalized_forwarding = sw.ForwardingOnlyWatts() / SwitchAsic::kMaxPowerWatts;
   run.normalized_with_programs = sw.NormalizedPower();
   return run;
 }
@@ -97,9 +97,8 @@ int main() {
   table.WriteCsv(std::cout);
 
   // Min-max spread of the base device.
-  SwitchAsicConfig config;
   std::cout << "\nmin-max forwarding spread: "
-            << 100.0 * (1.0 - config.idle_power_fraction) << "% (paper: <20%)\n";
+            << 100.0 * (1.0 - SwitchAsic::kIdlePowerFraction) << "% (paper: <20%)\n";
 
   // Ops-per-watt ladder (§6): messages per watt at peak for each target.
   // Software: 178 Kmsg/s at ~52 W wall; FPGA: 10 Mmsg/s at ~47.6 W system
@@ -117,7 +116,7 @@ int main() {
   const double asic_rate = 0.1 * 2.5e9;
   std::cout << "\nASIC at 10% utilization: " << asic_rate / 178e3
             << "x software peak throughput (paper: ~x1000 vs a server)\n";
-  const double asic_dynamic = 350.0 * (1.0 - config.idle_power_fraction) * 0.1 +
+  const double asic_dynamic = 350.0 * (1.0 - SwitchAsic::kIdlePowerFraction) * 0.1 +
                               350.0 * 0.02 * 0.1;  // forwarding + p4xos share
   const double server_dynamic =
       I7LibpaxosCurve().Evaluate(178e3 > 0 ? 1.0 : 0.0) - I7LibpaxosCurve().Evaluate(0.0);

@@ -124,7 +124,6 @@ int main() {
   zone.FillSynthetic(10000);
   DnsSwitchConfig dns_config;
   dns_config.dns_service = 1;
-  dns_config.max_labels = 4;
   DnsSwitchProgram dns(&zone, dns_config);
   sw.LoadProgram(&dns);
 

@@ -33,8 +33,8 @@ int main() {
     Rng trace_rng = rng.Fork();
     const auto trace = SynthesizePowerTrace(c.config, trace_rng);
     for (double window : {3.0, 30.0, 60.0}) {
-      const auto stats = AnalyzePowerVariation(trace, c.config.sample_period_seconds,
-                                               window);
+      const auto stats =
+          AnalyzePowerVariation(trace, kPowerTraceSamplePeriodSeconds, window);
       dynamo.AddRow({std::string(c.name), window, 100.0 * stats.median,
                      100.0 * stats.p99,
                      std::string(SafeForInNetworkPlacement(stats) ? "yes" : "no")});

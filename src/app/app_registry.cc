@@ -31,17 +31,13 @@ PaxosGroupConfig RequireGroup(const AppFactoryEnv& env) {
 std::unique_ptr<App> MakeKvs(PlacementKind placement, const AppFactoryEnv& env) {
   switch (placement) {
     case PlacementKind::kHost:
-      return std::make_unique<MemcachedServer>(env.memcached);
+      return std::make_unique<MemcachedServer>();
     case PlacementKind::kFpgaNic:
     case PlacementKind::kSmartNic:
       return std::make_unique<LakeCache>(env.lake);
-    case PlacementKind::kSwitchAsic: {
-      KvSwitchCacheConfig config = env.netcache;
-      if (env.service != 0) {
-        config.kvs_service = env.service;
-      }
-      return std::make_unique<KvSwitchCache>(config);
-    }
+    case PlacementKind::kSwitchAsic:
+      return std::make_unique<KvSwitchCache>(
+          KvSwitchCacheConfig{.kvs_service = env.service});
   }
   return nullptr;
 }
@@ -49,17 +45,13 @@ std::unique_ptr<App> MakeKvs(PlacementKind placement, const AppFactoryEnv& env) 
 std::unique_ptr<App> MakeDns(PlacementKind placement, const AppFactoryEnv& env) {
   switch (placement) {
     case PlacementKind::kHost:
-      return std::make_unique<NsdServer>(RequireZone(env), env.nsd);
+      return std::make_unique<NsdServer>(RequireZone(env));
     case PlacementKind::kFpgaNic:
     case PlacementKind::kSmartNic:
-      return std::make_unique<EmuDns>(RequireZone(env), env.emu_dns);
-    case PlacementKind::kSwitchAsic: {
-      DnsSwitchConfig config = env.switch_dns;
-      if (env.service != 0) {
-        config.dns_service = env.service;
-      }
-      return std::make_unique<DnsSwitchProgram>(RequireZone(env), config);
-    }
+      return std::make_unique<EmuDns>(RequireZone(env));
+    case PlacementKind::kSwitchAsic:
+      return std::make_unique<DnsSwitchProgram>(RequireZone(env),
+                                                DnsSwitchConfig{env.service});
   }
   return nullptr;
 }
@@ -79,7 +71,7 @@ std::unique_ptr<App> MakePaxosRole(P4xosRole role, PlacementKind placement,
     case PlacementKind::kFpgaNic:
     case PlacementKind::kSmartNic:
       return std::make_unique<P4xosFpgaApp>(role, std::move(group), env.paxos_role_id,
-                                            env.service, env.p4xos);
+                                            env.service);
     case PlacementKind::kSwitchAsic:
       return std::make_unique<P4xosSwitchProgram>(role, std::move(group),
                                                   env.paxos_role_id, env.service);
@@ -168,9 +160,8 @@ AppRegistry& AppRegistry::Global() {
                 [](PlacementKind placement, const AppFactoryEnv& env)
                     -> std::unique_ptr<App> {
                   (void)placement;
-                  return std::make_unique<SoftwareLearner>(
-                      RequireGroup(env), env.paxos_software,
-                      env.paxos_learner_gap_timeout);
+                  return std::make_unique<SoftwareLearner>(RequireGroup(env),
+                                                           env.paxos_software);
                 });
     return r;
   }();

@@ -43,15 +43,8 @@ struct AppFactoryEnv {
   uint32_t paxos_role_id = 1;
 
   // Per-family construction knobs (defaults match the paper's calibration).
-  MemcachedConfig memcached{};
   LakeConfig lake{};
-  KvSwitchCacheConfig netcache{};
-  NsdConfig nsd{};
-  EmuDnsConfig emu_dns{};
-  DnsSwitchConfig switch_dns{};
   PaxosSoftwareConfig paxos_software{};
-  P4xosFpgaConfig p4xos{};
-  SimDuration paxos_learner_gap_timeout = Milliseconds(50);
 
   AppFactoryEnv() { paxos_software = LibpaxosConfig(); }
 };

@@ -12,7 +12,7 @@ bool DiagProgram::Process(SwitchAsic& sw, Packet& packet) {
 }
 
 SwitchAsic::SwitchAsic(Simulation& sim, SwitchAsicConfig config)
-    : L2Switch(sim, config.name, config.pipeline_latency),
+    : L2Switch(sim, config.name, kPipelineLatency),
       config_(config),
       observed_rate_(config.rate_window),
       proto_filter_(kNumAppProtos),
@@ -93,8 +93,8 @@ void SwitchAsic::TransmitFromPipeline(Packet packet) {
 }
 
 double SwitchAsic::LineRatePps() const {
-  const double total_bps = config_.num_ports * config_.port_gbps * 1e9;
-  return total_bps / (8.0 * config_.reference_packet_bytes);
+  const double total_bps = kNumPorts * kPortGbps * 1e9;
+  return total_bps / (8.0 * kReferencePacketBytes);
 }
 
 double SwitchAsic::ObservedPps() const { return observed_rate_.RatePerSecond(sim_.Now()); }
@@ -104,8 +104,7 @@ double SwitchAsic::UtilizationFraction() const {
 }
 
 double SwitchAsic::BaseWatts(double utilization) const {
-  return config_.max_power_watts *
-         (config_.idle_power_fraction + (1.0 - config_.idle_power_fraction) * utilization);
+  return kMaxPowerWatts * (kIdlePowerFraction + (1.0 - kIdlePowerFraction) * utilization);
 }
 
 double SwitchAsic::ProgramOverheadFraction() const {

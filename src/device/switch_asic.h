@@ -57,17 +57,18 @@ class DiagProgram : public SwitchProgram {
 
 struct SwitchAsicConfig {
   std::string name = "tofino";
-  int num_ports = 32;
-  double port_gbps = 40.0;              // 32 x 40G = 1.28 Tbps (§6).
-  double max_power_watts = 350.0;       // Absolute scale (vendor-typical).
-  double idle_power_fraction = 0.84;    // Min-max spread < 20 % (§6).
-  SimDuration pipeline_latency = Nanoseconds(400);
   SimDuration rate_window = Milliseconds(100);
-  uint32_t reference_packet_bytes = 64;  // Line-rate pps basis.
 };
 
 class SwitchAsic : public L2Switch, public PowerSource {
  public:
+  static constexpr int kNumPorts = 32;
+  static constexpr double kPortGbps = 40.0;           // 32 x 40G = 1.28 Tbps (§6).
+  static constexpr double kMaxPowerWatts = 350.0;     // Absolute scale (vendor-typical).
+  static constexpr double kIdlePowerFraction = 0.84;  // Min-max spread < 20 % (§6).
+  static constexpr SimDuration kPipelineLatency = Nanoseconds(400);
+  static constexpr uint32_t kReferencePacketBytes = 64;  // Line-rate pps basis.
+
   SwitchAsic(Simulation& sim, SwitchAsicConfig config);
 
   // Loads an additional program (not owned). Multiple programs stack (the
@@ -99,15 +100,13 @@ class SwitchAsic : public L2Switch, public PowerSource {
   double ProtoConsumedRatePerSecond(AppProto proto) const;
 
   double PowerWatts() const override;
-  double NormalizedPower() const { return PowerWatts() / config_.max_power_watts; }
+  double NormalizedPower() const { return PowerWatts() / kMaxPowerWatts; }
   // Power of the same load with L2 forwarding only (for §6 comparisons).
   double ForwardingOnlyWatts() const;
 
   std::string PowerName() const override { return config_.name; }
 
   uint64_t consumed_in_pipeline() const { return consumed_.value(); }
-
-  const SwitchAsicConfig& asic_config() const { return config_; }
 
  protected:
   bool ProcessInPipeline(Packet& packet) override;

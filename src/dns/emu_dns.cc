@@ -9,8 +9,7 @@
 
 namespace incod {
 
-EmuDns::EmuDns(const Zone* zone, EmuDnsConfig config)
-    : zone_state_(zone), config_(config) {}
+EmuDns::EmuDns(const Zone* zone) : zone_state_(zone) {}
 
 std::vector<ModulePowerSpec> EmuDns::PowerModules() const {
   // Classifier (added by this paper, §3.3) plus the Emu main logical core.
@@ -25,8 +24,8 @@ std::vector<ModulePowerSpec> EmuDns::PowerModules() const {
 FpgaPipelineSpec EmuDns::PipelineSpec() const {
   FpgaPipelineSpec spec;
   spec.workers = 1;  // Non-pipelined design (§4.4).
-  spec.worker_service = config_.service_time;
-  spec.pipeline_latency = config_.egress_latency;
+  spec.worker_service = kServiceTime;
+  spec.pipeline_latency = kEgressLatency;
   spec.input_queue_capacity = 256;
   return spec;
 }
@@ -38,7 +37,7 @@ void EmuDns::HandlePacket(AppContext& ctx, Packet packet) {
     return;
   }
   if (!query->questions.empty() &&
-      CountLabels(query->questions.front().name) > config_.max_labels) {
+      CountLabels(query->questions.front().name) > kMaxLabels) {
     // Parser depth exceeded: let the host handle it (worst case the client
     // treats it as an iterative request, §9.2).
     punted_.Increment();
@@ -51,15 +50,8 @@ void EmuDns::HandlePacket(AppContext& ctx, Packet packet) {
   } else if (resp.rcode == DnsRcode::kNxDomain) {
     nxdomain_.Increment();
   }
-  Packet out;
-  out.dst = packet.src;
-  out.src = ctx.self_node() != 0 ? ctx.self_node() : packet.dst;
-  out.proto = AppProto::kDns;
-  out.size_bytes = DnsWireBytes(resp);
-  out.id = packet.id;
-  out.created_at = ctx.sim().Now();
-  out.payload = std::move(resp);
-  ctx.Reply(std::move(out));
+  const NodeId src = ctx.self_node() != 0 ? ctx.self_node() : packet.dst;
+  ctx.Reply(NsdServer::MakeReply(src, packet, std::move(resp), ctx.sim().Now()));
 }
 
 }  // namespace incod

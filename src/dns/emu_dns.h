@@ -25,21 +25,17 @@
 
 namespace incod {
 
-struct EmuDnsConfig {
-  // Non-pipelined service time: peak ~1 Mqps (§4.4).
-  SimDuration service_time = Microseconds(1);
-  SimDuration egress_latency = Nanoseconds(200);
-  // Hardware parser label budget; deeper names go to the host.
-  int max_labels = 8;
-  // On-chip table capacity (BRAM).
-  size_t max_records = 65536;
-};
-
 class EmuDns : public App {
  public:
+  // Non-pipelined service time: peak ~1 Mqps (§4.4).
+  static constexpr SimDuration kServiceTime = Microseconds(1);
+  static constexpr SimDuration kEgressLatency = Nanoseconds(200);
+  // Hardware parser label budget; deeper names go to the host.
+  static constexpr int kMaxLabels = 8;
+
   // The zone is shared (read-only) with the host's NSD so both sides answer
   // identically.
-  explicit EmuDns(const Zone* zone, EmuDnsConfig config = {});
+  explicit EmuDns(const Zone* zone);
 
   AppProto proto() const override { return AppProto::kDns; }
   std::string AppName() const override { return "emu-dns"; }
@@ -73,7 +69,6 @@ class EmuDns : public App {
 
  private:
   ZoneStateHolder zone_state_;
-  EmuDnsConfig config_;
   Counter answered_;
   Counter nxdomain_;
   Counter punted_;

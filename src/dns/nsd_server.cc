@@ -7,12 +7,11 @@
 
 namespace incod {
 
-NsdServer::NsdServer(const Zone* zone, NsdConfig config)
-    : zone_state_(zone), config_(config) {}
+NsdServer::NsdServer(const Zone* zone) : zone_state_(zone) {}
 
 SimDuration NsdServer::CpuTimePerRequest(const Packet& packet) const {
   (void)packet;
-  return config_.query_cpu_time;
+  return kQueryCpuTime;
 }
 
 DnsMessage NsdServer::Resolve(const Zone& zone, const DnsMessage& query) {
@@ -46,6 +45,19 @@ DnsMessage NsdServer::Resolve(const Zone& zone, const DnsMessage& query) {
   return resp;
 }
 
+Packet NsdServer::MakeReply(NodeId src, const Packet& query, DnsMessage response,
+                            SimTime now) {
+  Packet out;
+  out.src = src;
+  out.dst = query.src;
+  out.proto = AppProto::kDns;
+  out.size_bytes = DnsWireBytes(response);
+  out.id = query.id;
+  out.created_at = now;
+  out.payload = std::move(response);
+  return out;
+}
+
 void NsdServer::HandlePacket(AppContext& ctx, Packet packet) {
   const DnsMessage* query = PayloadIf<DnsMessage>(packet);
   if (query == nullptr) {
@@ -64,15 +76,7 @@ void NsdServer::HandlePacket(AppContext& ctx, Packet packet) {
       malformed_.Increment();
       break;
   }
-  Packet out;
-  out.src = ctx.self_node();
-  out.dst = packet.src;
-  out.proto = AppProto::kDns;
-  out.size_bytes = DnsWireBytes(resp);
-  out.id = packet.id;
-  out.created_at = ctx.sim().Now();
-  out.payload = std::move(resp);
-  ctx.Reply(std::move(out));
+  ctx.Reply(MakeReply(ctx.self_node(), packet, std::move(resp), ctx.sim().Now()));
 }
 
 }  // namespace incod

@@ -19,14 +19,13 @@
 
 namespace incod {
 
-struct NsdConfig {
-  int threads = 4;
-  SimDuration query_cpu_time = Nanoseconds(2680);
-};
-
 class NsdServer : public App {
  public:
-  explicit NsdServer(const Zone* zone, NsdConfig config = {});
+  // Worker threads and per-query service time (§4.4 calibration above).
+  static constexpr int kThreads = 4;
+  static constexpr SimDuration kQueryCpuTime = Nanoseconds(2680);
+
+  explicit NsdServer(const Zone* zone);
 
   AppProto proto() const override { return AppProto::kDns; }
   std::string AppName() const override { return "nsd"; }
@@ -34,7 +33,7 @@ class NsdServer : public App {
     return placement == PlacementKind::kHost;
   }
   HostPlacementProfile HostProfile() const override {
-    return HostPlacementProfile{config_.threads, std::nullopt};
+    return HostPlacementProfile{kThreads, std::nullopt};
   }
 
   SimDuration CpuTimePerRequest(const Packet& packet) const override;
@@ -52,10 +51,14 @@ class NsdServer : public App {
   // Builds an authoritative response for a query against a zone; shared with
   // the hardware implementations so all placements reply identically.
   static DnsMessage Resolve(const Zone& zone, const DnsMessage& query);
+  // The reply packet carrying `response` back to the sender of `query`, sized
+  // as its wire encoding. Every placement replies through this; only the
+  // source address differs between them.
+  static Packet MakeReply(NodeId src, const Packet& query, DnsMessage response,
+                          SimTime now);
 
  private:
   ZoneStateHolder zone_state_;
-  NsdConfig config_;
   Counter answered_;
   Counter nxdomain_;
   Counter malformed_;

@@ -27,7 +27,7 @@ void DnsSwitchProgram::HandlePacket(AppContext& ctx, Packet packet) {
     return;
   }
   const DnsQuestion& question = query.questions.front();
-  if (CountLabels(question.name) > config_.max_labels ||
+  if (CountLabels(question.name) > kMaxLabels ||
       question.qtype != kDnsTypeA || question.qclass != kDnsClassIn) {
     // Beyond the pipeline parser: "treated as iterative requests" — the
     // host answers instead (§9.2).
@@ -41,15 +41,7 @@ void DnsSwitchProgram::HandlePacket(AppContext& ctx, Packet packet) {
   } else {
     answered_.Increment();
   }
-  Packet out;
-  out.src = packet.dst;
-  out.dst = packet.src;
-  out.proto = AppProto::kDns;
-  out.size_bytes = DnsWireBytes(resp);
-  out.id = packet.id;
-  out.created_at = ctx.sim().Now();
-  out.payload = std::move(resp);
-  ctx.Reply(std::move(out));
+  ctx.Reply(NsdServer::MakeReply(packet.dst, packet, std::move(resp), ctx.sim().Now()));
 }
 
 }  // namespace incod

@@ -25,14 +25,15 @@ namespace incod {
 
 struct DnsSwitchConfig {
   NodeId dns_service = 0;  // Address of the DNS service this program fronts.
-  // Hardware parser depth: the paper calls this the biggest challenge for
-  // DNS on an ASIC. Tofino parsers manage fewer labels than an FPGA.
-  int max_labels = 4;
-  double power_overhead_at_full_load = 0.015;
 };
 
 class DnsSwitchProgram : public SwitchHostedApp {
  public:
+  // Hardware parser depth: the paper calls this the biggest challenge for
+  // DNS on an ASIC. Tofino parsers manage fewer labels than an FPGA.
+  static constexpr int kMaxLabels = 4;
+  static constexpr double kPowerOverheadAtFullLoad = 0.015;
+
   // The zone is shared read-only with the authoritative software server.
   DnsSwitchProgram(const Zone* zone, DnsSwitchConfig config);
 
@@ -40,7 +41,7 @@ class DnsSwitchProgram : public SwitchHostedApp {
   std::string AppName() const override { return "switch-dns"; }
   OffloadPlacementProfile OffloadProfile() const override {
     OffloadPlacementProfile profile;
-    profile.switch_power_overhead_at_full_load = config_.power_overhead_at_full_load;
+    profile.switch_power_overhead_at_full_load = kPowerOverheadAtFullLoad;
     return profile;
   }
 

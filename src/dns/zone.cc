@@ -80,13 +80,13 @@ int Zone::LoadZoneText(const std::string& text) {
   return loaded;
 }
 
-std::string Zone::SyntheticName(size_t i, const std::string& suffix) {
-  return "host" + std::to_string(i) + "." + suffix;
+std::string Zone::SyntheticName(size_t i) {
+  return "host" + std::to_string(i) + ".bench.example";
 }
 
-void Zone::FillSynthetic(size_t count, const std::string& suffix) {
+void Zone::FillSynthetic(size_t count) {
   for (size_t i = 0; i < count; ++i) {
-    AddRecord(SyntheticName(i, suffix), 0x0a000000u + static_cast<uint32_t>(i));
+    AddRecord(SyntheticName(i), 0x0a000000u + static_cast<uint32_t>(i));
   }
 }
 

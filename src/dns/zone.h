@@ -41,11 +41,11 @@ class Zone {
   // a malformed line (loading stops there).
   int LoadZoneText(const std::string& text);
 
-  // Populates `count` synthetic records host0.<suffix> ... for benchmarks.
-  void FillSynthetic(size_t count, const std::string& suffix = "bench.example");
+  // Populates `count` synthetic records host0.bench.example ... for benchmarks.
+  void FillSynthetic(size_t count);
 
   // Synthetic record name for index i (matches FillSynthetic).
-  static std::string SyntheticName(size_t i, const std::string& suffix = "bench.example");
+  static std::string SyntheticName(size_t i);
 
  private:
   std::unordered_map<std::string, Record> records_;

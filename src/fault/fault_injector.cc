@@ -157,11 +157,8 @@ FaultPlanSpec MakeRandomFaultPlan(Rng& rng,
       plan.events.push_back(std::move(spec));
     }
   }
-  SimDuration min_gap =
-      config.min_flap_gap > 0 ? config.min_flap_gap : horizon / 100;
-  SimDuration max_gap =
-      config.max_flap_gap > 0 ? config.max_flap_gap : horizon / 10;
-  max_gap = std::max(max_gap, min_gap);
+  const SimDuration min_gap = horizon / 100;
+  const SimDuration max_gap = horizon / 10;
   for (const std::string& name : link_names) {
     const int flaps =
         static_cast<int>(rng.UniformInt(0, config.max_flaps_per_link));

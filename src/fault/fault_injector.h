@@ -126,9 +126,8 @@ class FaultInjector {
 struct RandomFaultPlanConfig {
   SimTime horizon = 0;                // Faults land in (0, horizon].
   double death_probability = 0.5;     // Per target.
-  int max_flaps_per_link = 2;         // Paired down -> up, bounded gap.
-  SimDuration min_flap_gap = 0;       // 0: horizon / 100.
-  SimDuration max_flap_gap = 0;       // 0: horizon / 10.
+  // Paired down -> up, the up horizon/100 to horizon/10 after the down.
+  int max_flaps_per_link = 2;
   int max_brownouts = 2;
   double min_cap_watts = 0;
   double max_cap_watts = 0;           // <= min: no brownouts generated.

@@ -139,7 +139,7 @@ void Server::MaybeSendCnp(const Packet& packet) {
   const SimTime now = sim_.Now();
   auto [it, first] = last_cnp_at_.try_emplace(packet.src, now);
   if (!first) {
-    if (now - it->second < config_.flow.cnp_min_interval) {
+    if (now - it->second < kCnpMinInterval) {
       return;
     }
     it->second = now;
@@ -166,7 +166,7 @@ void Server::StartService(BoundApp& bound, size_t thread_index) {
   // vs the DPDK poll-mode fast path (the kDpdk "low per-packet cost"
   // contract above).
   const SimDuration rx_cost = config_.stack == NetStackType::kDpdk
-                                  ? config_.dpdk_stack_rx_cost
+                                  ? kDpdkStackRxCost
                                   : config_.stack_rx_cost;
   SimDuration service =
       rx_cost + bound.app->CpuTimePerRequest(pkt) + config_.stack_tx_cost;
@@ -259,7 +259,7 @@ double Server::RaplPackageWatts() const {
 void Server::MaybeSampleUtilization() const {
   const SimTime now = sim_.Now();
   const SimDuration dt = now - last_sample_at_;
-  if (dt < config_.utilization_sample_period) {
+  if (dt < kUtilizationSamplePeriod) {
     return;
   }
   SimDuration busy = 0;

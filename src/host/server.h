@@ -48,11 +48,8 @@ struct ServerConfig {
   int num_cores = 4;
   PiecewiseLinearCurve power_curve = I7SyntheticCurve();
   NetStackType stack = NetStackType::kKernel;
-  SimDuration stack_rx_cost = Microseconds(1);    // Per-request rx cost (kKernel).
-  // Per-request rx cost on the kDpdk stack: poll-mode drivers skip the
-  // kernel's socket path, so the per-packet cost is ~5x smaller. Which of
-  // the two costs applies follows `stack` (see StartService).
-  SimDuration dpdk_stack_rx_cost = Nanoseconds(200);
+  // Per-request rx cost on the kKernel stack; kDpdk pays Server::kDpdkStackRxCost.
+  SimDuration stack_rx_cost = Microseconds(1);
   SimDuration stack_tx_cost = Nanoseconds(500);   // Added to each reply.
   int dpdk_poll_cores = 1;                        // Cores pinned to polling (kDpdk).
   size_t rx_queue_capacity = 1024;                // Per worker thread.
@@ -62,7 +59,6 @@ struct ServerConfig {
   // each interrupt batch a mechanistic NIC (HostNicSpec) delivers. Bigger
   // coalescing batches amortize this over more requests.
   SimDuration interrupt_cpu_cost = Microseconds(1);
-  SimDuration utilization_sample_period = Milliseconds(1);
   // Host ingress flow control: pause the uplink at rx-backlog watermarks,
   // CNP-notify senders of ECN-marked arrivals (requires a PFC uplink).
   HostFlowConfig flow;
@@ -70,6 +66,16 @@ struct ServerConfig {
 
 class Server : public PacketSink, public PowerSource, public AppContext {
  public:
+  // Per-request rx cost on the kDpdk stack: poll-mode drivers skip the
+  // kernel's socket path, so the per-packet cost is ~5x smaller. Which of
+  // the two costs applies follows `stack` (see StartService).
+  static constexpr SimDuration kDpdkStackRxCost = Nanoseconds(200);
+  // Core utilization is averaged over at least this long.
+  static constexpr SimDuration kUtilizationSamplePeriod = Milliseconds(1);
+  // Per-source CNP pacing: at most one CNP per source per interval (DCQCN's
+  // N-microsecond CNP timer on the notification point).
+  static constexpr SimDuration kCnpMinInterval = Microseconds(50);
+
   Server(Simulation& sim, ServerConfig config);
 
   // Binds an application (not owned). Any App supporting the host placement

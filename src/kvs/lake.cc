@@ -38,8 +38,8 @@ std::vector<ModulePowerSpec> LakeCache::PowerModules() const {
 FpgaPipelineSpec LakeCache::PipelineSpec() const {
   FpgaPipelineSpec spec;
   spec.workers = config_.num_pes;
-  spec.worker_service = config_.pe_service;
-  spec.pipeline_latency = config_.pipeline_latency;
+  spec.worker_service = kPeService;
+  spec.pipeline_latency = kPipelineLatency;
   spec.input_queue_capacity = 512;
   return spec;
 }
@@ -62,16 +62,14 @@ void LakeCache::HandlePacket(AppContext& ctx, Packet packet) {
       uint32_t bytes = 0;
       if (l1_->Get(req.key, &bytes)) {
         l1_hits_.Increment();
-        Reply(ctx, packet, KvResponse{KvOp::kGet, req.key, true, bytes},
-              config_.l1_reply_delay);
+        Reply(ctx, packet, KvResponse{KvOp::kGet, req.key, true, bytes}, kL1ReplyDelay);
         return;
       }
       if (l2_ != nullptr && l2_->Get(req.key, &bytes)) {
         l2_hits_.Increment();
         // Promote to L1 for subsequent hits.
         l1_->Set(req.key, bytes);
-        Reply(ctx, packet, KvResponse{KvOp::kGet, req.key, true, bytes},
-              config_.l2_reply_delay);
+        Reply(ctx, packet, KvResponse{KvOp::kGet, req.key, true, bytes}, kL2ReplyDelay);
         return;
       }
       misses_to_host_.Increment();

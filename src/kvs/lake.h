@@ -31,18 +31,19 @@ struct LakeConfig {
   bool use_dram = true;            // L2 cache in on-board DRAM.
   bool use_sram = true;            // Free-chunk list in SRAM (power only).
   size_t l2_entries = 33'000'000;  // 4GB DRAM: 33M 64B-chunk entries (§5.3).
-  // Per-PE initiation interval: 3.3 Mqps per PE (§5.2).
-  SimDuration pe_service = Nanoseconds(303);
-  // Constant pipeline traversal cost (parse + hash + egress).
-  SimDuration pipeline_latency = Nanoseconds(800);
-  // Additional L1 (BRAM) lookup-to-reply time: total on-chip hit <= 1.4 us.
-  SimDuration l1_reply_delay = Nanoseconds(300);
-  // Additional DRAM access time for an L2 hit (total ~1.9 us, §5.3).
-  SimDuration l2_reply_delay = Nanoseconds(800);
 };
 
 class LakeCache : public App {
  public:
+  // Per-PE initiation interval: 3.3 Mqps per PE (§5.2).
+  static constexpr SimDuration kPeService = Nanoseconds(303);
+  // Constant pipeline traversal cost (parse + hash + egress).
+  static constexpr SimDuration kPipelineLatency = Nanoseconds(800);
+  // Additional L1 (BRAM) lookup-to-reply time: total on-chip hit <= 1.4 us.
+  static constexpr SimDuration kL1ReplyDelay = Nanoseconds(300);
+  // Additional DRAM access time for an L2 hit (total ~1.9 us, §5.3).
+  static constexpr SimDuration kL2ReplyDelay = Nanoseconds(800);
+
   explicit LakeCache(LakeConfig config = {});
 
   AppProto proto() const override { return AppProto::kKv; }

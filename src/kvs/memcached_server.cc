@@ -7,18 +7,18 @@
 namespace incod {
 
 MemcachedServer::MemcachedServer(MemcachedConfig config)
-    : config_(config), store_(config.capacity_entries) {}
+    : config_(config), store_(kCapacityEntries) {}
 
 SimDuration MemcachedServer::CpuTimePerRequest(const Packet& packet) const {
   const KvRequest& req = PayloadAs<KvRequest>(packet);
   switch (req.op) {
     case KvOp::kGet:
-      return config_.get_cpu_time;
+      return kGetCpuTime;
     case KvOp::kSet:
     case KvOp::kDelete:
-      return config_.set_cpu_time;
+      return kSetCpuTime;
   }
-  return config_.get_cpu_time;
+  return kGetCpuTime;
 }
 
 void MemcachedServer::HandlePacket(AppContext& ctx, Packet packet) {

@@ -16,14 +16,16 @@
 namespace incod {
 
 struct MemcachedConfig {
-  size_t capacity_entries = 1 << 22;  // 4M entries in host DRAM.
   int threads = 4;
-  SimDuration get_cpu_time = Nanoseconds(2500);
-  SimDuration set_cpu_time = Nanoseconds(2800);
 };
 
 class MemcachedServer : public App {
  public:
+  static constexpr size_t kCapacityEntries = 1 << 22;  // 4M entries in host DRAM.
+  // Application service time per request (§4.2 calibration above).
+  static constexpr SimDuration kGetCpuTime = Nanoseconds(2500);
+  static constexpr SimDuration kSetCpuTime = Nanoseconds(2800);
+
   explicit MemcachedServer(MemcachedConfig config = {});
 
   AppProto proto() const override { return AppProto::kKv; }

@@ -10,7 +10,7 @@ namespace incod {
 KvSwitchCache::KvSwitchCache(KvSwitchCacheConfig config)
     : config_(config),
       cache_(config.cache_entries),
-      sketch_(config.sketch_width, config.sketch_depth) {
+      sketch_(kSketchWidth, kSketchDepth) {
   if (config_.kvs_service == 0) {
     throw std::invalid_argument("KvSwitchCache: kvs_service required");
   }
@@ -44,7 +44,7 @@ void KvSwitchCache::ObserveResponse(const Packet& packet, const KvResponse& resp
   if (response.op != KvOp::kGet || !response.hit) {
     return;
   }
-  if (response.value_bytes > config_.max_value_bytes) {
+  if (response.value_bytes > kMaxValueBytes) {
     return;  // Does not fit the register-array slot.
   }
   if (sketch_.Estimate(response.key) >= config_.hot_threshold) {

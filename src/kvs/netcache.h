@@ -27,24 +27,25 @@ namespace incod {
 struct KvSwitchCacheConfig {
   NodeId kvs_service = 0;      // Address of the KVS this cache fronts.
   size_t cache_entries = 65536;  // Register-array budget (NetCache: 64K items).
-  uint32_t max_value_bytes = 128;  // Values above this are not cacheable.
   // A key becomes cache-worthy after this many estimated accesses.
   uint64_t hot_threshold = 8;
-  size_t sketch_width = 4096;
-  size_t sketch_depth = 3;
-  // §6-style power accounting relative to L2 forwarding.
-  double power_overhead_at_full_load = 0.02;
 };
 
 class KvSwitchCache : public SwitchHostedApp {
  public:
+  static constexpr uint32_t kMaxValueBytes = 128;  // Values above this are not cacheable.
+  static constexpr size_t kSketchWidth = 4096;
+  static constexpr size_t kSketchDepth = 3;
+  // §6-style power accounting relative to L2 forwarding.
+  static constexpr double kPowerOverheadAtFullLoad = 0.02;
+
   explicit KvSwitchCache(KvSwitchCacheConfig config);
 
   AppProto proto() const override { return AppProto::kKv; }
   std::string AppName() const override { return "netcache-kv"; }
   OffloadPlacementProfile OffloadProfile() const override {
     OffloadPlacementProfile profile;
-    profile.switch_power_overhead_at_full_load = config_.power_overhead_at_full_load;
+    profile.switch_power_overhead_at_full_load = kPowerOverheadAtFullLoad;
     return profile;
   }
 

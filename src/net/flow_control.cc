@@ -14,10 +14,10 @@ DcqcnRateController::DcqcnRateController(Simulation& sim, DcqcnConfig config)
       rate_(config.line_rate_pps),
       target_rate_(config.line_rate_pps),
       alpha_(1.0) {
-  if (config_.line_rate_pps <= 0 || config_.min_rate_pps <= 0) {
-    throw std::invalid_argument("DcqcnRateController: rates must be > 0");
+  if (config_.line_rate_pps <= 0) {
+    throw std::invalid_argument("DcqcnRateController: line rate must be > 0");
   }
-  if (config_.min_rate_pps > config_.line_rate_pps) {
+  if (kMinRatePps > config_.line_rate_pps) {
     throw std::invalid_argument("DcqcnRateController: min rate above line rate");
   }
 }
@@ -68,8 +68,8 @@ void DcqcnRateController::Pump() {
 void DcqcnRateController::OnCnp() {
   ++cnps_;
   target_rate_ = rate_;
-  rate_ = std::max(config_.min_rate_pps, rate_ * (1.0 - alpha_ / 2.0));
-  alpha_ = (1.0 - config_.alpha_gain) * alpha_ + config_.alpha_gain;
+  rate_ = std::max(kMinRatePps, rate_ * (1.0 - alpha_ / 2.0));
+  alpha_ = (1.0 - kAlphaGain) * alpha_ + kAlphaGain;
   rounds_ = 0;
   EnsureRecoveryTimer();
 }
@@ -86,19 +86,19 @@ void DcqcnRateController::EnsureRecoveryTimer() {
     return;
   }
   recovery_scheduled_ = true;
-  sim_.Schedule(config_.recovery_period, [this] { RecoveryTick(); });
+  sim_.Schedule(kRecoveryPeriod, [this] { RecoveryTick(); });
 }
 
 void DcqcnRateController::RecoveryTick() {
   recovery_scheduled_ = false;
-  alpha_ *= (1.0 - config_.alpha_gain);
+  alpha_ *= (1.0 - kAlphaGain);
   ++rounds_;
   // Target rate climbs additively each period, hyper-additively once the
   // sender has been CNP-free long enough; the current rate closes half the
   // gap to the target per period (DCQCN fast recovery).
-  target_rate_ = std::min(config_.line_rate_pps, target_rate_ + config_.additive_step_pps);
-  if (rounds_ > config_.hyper_after_rounds) {
-    target_rate_ = std::min(config_.line_rate_pps, target_rate_ + config_.hyper_step_pps);
+  target_rate_ = std::min(config_.line_rate_pps, target_rate_ + kAdditiveStepPps);
+  if (rounds_ > kHyperAfterRounds) {
+    target_rate_ = std::min(config_.line_rate_pps, target_rate_ + kHyperStepPps);
   }
   rate_ = std::min(config_.line_rate_pps, 0.5 * (rate_ + target_rate_));
   if (rate_ >= 0.999 * config_.line_rate_pps) {

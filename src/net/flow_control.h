@@ -71,24 +71,13 @@ struct HostFlowConfig {
   size_t pause_high_watermark = 256;   // Total queued rx packets, all threads.
   size_t pause_low_watermark = 64;
   bool cnp = false;                    // Send CNPs for ECN-marked ingress.
-  // Per-source CNP pacing: at most one CNP per source per interval (DCQCN's
-  // N-microsecond CNP timer on the notification point).
-  SimDuration cnp_min_interval = Microseconds(50);
 };
 
 // DCQCN-flavored rate-control parameters (LoadClientConfig::dcqcn).
 struct DcqcnConfig {
   bool enabled = false;
-  double line_rate_pps = 1.0e6;   // Injection cap when uncongested.
-  double min_rate_pps = 1.0e4;    // Multiplicative-decrease floor.
-  // g: on CNP, alpha <- (1-g)*alpha + g and rate <- rate*(1 - alpha/2);
-  // each recovery period without a CNP decays alpha by (1-g).
-  double alpha_gain = 1.0 / 16.0;
-  SimDuration recovery_period = Microseconds(300);
-  double additive_step_pps = 2.0e4;   // Target-rate AI step per period.
-  int hyper_after_rounds = 5;         // HAI kicks in after this many periods.
-  double hyper_step_pps = 1.0e5;
-  size_t pacer_capacity = 1 << 16;    // Submitted packets waiting to be paced.
+  double line_rate_pps = 1.0e6;     // Injection cap when uncongested.
+  size_t pacer_capacity = 1 << 16;  // Submitted packets waiting to be paced.
 };
 
 // Sender rate machine: paces submitted packets at the current rate, decreases
@@ -96,6 +85,15 @@ struct DcqcnConfig {
 // rate with an empty pacer, so simulations terminate).
 class DcqcnRateController {
  public:
+  static constexpr double kMinRatePps = 1.0e4;  // Multiplicative-decrease floor.
+  // g: on CNP, alpha <- (1-g)*alpha + g and rate <- rate*(1 - alpha/2);
+  // each recovery period without a CNP decays alpha by (1-g).
+  static constexpr double kAlphaGain = 1.0 / 16.0;
+  static constexpr SimDuration kRecoveryPeriod = Microseconds(300);
+  static constexpr double kAdditiveStepPps = 2.0e4;  // Target-rate AI step per period.
+  static constexpr int kHyperAfterRounds = 5;  // HAI kicks in after this many periods.
+  static constexpr double kHyperStepPps = 1.0e5;
+
   DcqcnRateController(Simulation& sim, DcqcnConfig config);
 
   // The link (and the sending endpoint identity) paced packets leave on.

@@ -50,10 +50,8 @@ void P4xosRoleState::Restore(const AppState& state) {
 }
 
 P4xosFpgaApp::P4xosFpgaApp(P4xosRole role, PaxosGroupConfig group, uint32_t role_id,
-                           NodeId role_address, P4xosFpgaConfig config)
-    : role_address_(role_address),
-      config_(config),
-      state_(role, std::move(group), role_id) {}
+                           NodeId role_address)
+    : role_address_(role_address), state_(role, std::move(group), role_id) {}
 
 std::string P4xosFpgaApp::AppName() const {
   return std::string("p4xos-fpga-") + P4xosRoleName(role());
@@ -62,14 +60,14 @@ std::string P4xosFpgaApp::AppName() const {
 std::vector<ModulePowerSpec> P4xosFpgaApp::PowerModules() const {
   // A single main logical core compiled from P4, on-chip memory only
   // (Figure 2). No DRAM/SRAM interfaces: base power ~10 W below LaKe.
-  return {MakeModuleSpec("p4xos_core", config_.core_watts, kLogicStaticFraction, 1.0)};
+  return {MakeModuleSpec("p4xos_core", kCoreWatts, kLogicStaticFraction, 1.0)};
 }
 
 FpgaPipelineSpec P4xosFpgaApp::PipelineSpec() const {
   FpgaPipelineSpec spec;
   spec.workers = 1;
-  spec.worker_service = config_.initiation_interval;
-  spec.pipeline_latency = config_.pipeline_latency;
+  spec.worker_service = kInitiationInterval;
+  spec.pipeline_latency = kPipelineLatency;
   spec.input_queue_capacity = 1024;
   return spec;
 }

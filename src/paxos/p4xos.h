@@ -24,16 +24,6 @@ enum class P4xosRole { kLeader, kAcceptor };
 
 const char* P4xosRoleName(P4xosRole role);
 
-struct P4xosFpgaConfig {
-  // Fully pipelined: 10 Mmsg/s on NetFPGA SUME (§3.2).
-  SimDuration initiation_interval = Nanoseconds(100);
-  SimDuration pipeline_latency = Nanoseconds(1300);
-  // Main logical core power: P4xos base is ~10 W below LaKe (§4.3), i.e.
-  // logic only, no external memories.
-  double core_watts = 1.6;
-  double dynamic_watts = 1.2;  // +1.2 W max under load (§4.3).
-};
-
 // Role state shared by both hardware placements: snapshot/restore through
 // the typed PaxosAppState (the generic state-transfer path).
 class P4xosRoleState {
@@ -56,12 +46,20 @@ class P4xosRoleState {
 
 class P4xosFpgaApp : public App {
  public:
+  // Fully pipelined: 10 Mmsg/s on NetFPGA SUME (§3.2).
+  static constexpr SimDuration kInitiationInterval = Nanoseconds(100);
+  static constexpr SimDuration kPipelineLatency = Nanoseconds(1300);
+  // Main logical core power: P4xos base is ~10 W below LaKe (§4.3), i.e.
+  // logic only, no external memories.
+  static constexpr double kCoreWatts = 1.6;
+  static constexpr double kDynamicWatts = 1.2;  // +1.2 W max under load (§4.3).
+
   // `role_address`: the address this role answers on. For a leader this is
   // usually the group's leader_service (the switch routes it here); for an
   // acceptor, the device's own address. `role_id` is the leader's ballot or
   // the acceptor's id, depending on `role`.
   P4xosFpgaApp(P4xosRole role, PaxosGroupConfig group, uint32_t role_id,
-               NodeId role_address, P4xosFpgaConfig config = {});
+               NodeId role_address);
 
   AppProto proto() const override { return AppProto::kPaxos; }
   std::string AppName() const override;
@@ -75,7 +73,7 @@ class P4xosFpgaApp : public App {
     OffloadPlacementProfile profile;
     profile.pipeline = PipelineSpec();
     profile.power_modules = PowerModules();
-    profile.dynamic_watts_at_capacity = config_.dynamic_watts;
+    profile.dynamic_watts_at_capacity = kDynamicWatts;
     // SmartNIC firmware (§10): fixed-function ASIC engines lose some
     // flexibility-dependent speed; SoC cores run the role logic slowly.
     profile.smartnic.asic_mpps_fraction = 0.9;
@@ -105,7 +103,6 @@ class P4xosFpgaApp : public App {
   NodeId ReplySource() const;
 
   NodeId role_address_;
-  P4xosFpgaConfig config_;
   P4xosRoleState state_;
   Counter handled_;
 };

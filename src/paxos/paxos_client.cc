@@ -6,7 +6,10 @@
 namespace incod {
 
 PaxosClient::PaxosClient(Simulation& sim, PaxosClientConfig config)
-    : sim_(sim), config_(std::move(config)), rng_(sim.rng().Fork()) {
+    : sim_(sim), config_(std::move(config)) {
+  // The client draws nothing, but its fork of the root stream stays: every
+  // component built after it forks from the stream this advances.
+  sim.rng().Fork();
   if (config_.requests_per_second <= 0) {
     throw std::invalid_argument("PaxosClient: rate must be > 0");
   }
@@ -36,10 +39,7 @@ void PaxosClient::SendNext() {
   if (sim_.Now() >= stop_at_) {
     return;
   }
-  const double mean_gap = 1.0 / config_.requests_per_second;
-  const SimDuration gap =
-      config_.poisson_arrivals ? SecondsF(rng_.Exponential(mean_gap)) : SecondsF(mean_gap);
-  sim_.Schedule(gap, [this] {
+  sim_.Schedule(SecondsF(1.0 / config_.requests_per_second), [this] {
     if (sim_.Now() >= stop_at_) {
       return;
     }

@@ -22,8 +22,7 @@ namespace incod {
 struct PaxosClientConfig {
   NodeId node = 100;
   NodeId leader_service = 0;
-  double requests_per_second = 10000;
-  bool poisson_arrivals = false;  // false: constant spacing (OSNT-like).
+  double requests_per_second = 10000;  // Constant spacing (OSNT-like).
   SimDuration retry_timeout = Milliseconds(100);  // Fig 7's client timeout.
   int max_retries = 20;
   // Completed-request rate series bucket (for the Fig 7 timeline).
@@ -79,7 +78,6 @@ class PaxosClient : public PacketSink {
   Histogram latency_;
   TimeSeries completion_series_{"paxos_completions_per_sec"};
   uint64_t bucket_completions_ = 0;
-  Rng rng_;
 };
 
 }  // namespace incod

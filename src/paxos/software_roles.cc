@@ -90,9 +90,8 @@ void SoftwareAcceptor::RestoreState(const AppState& state) {
   }
 }
 
-SoftwareLearner::SoftwareLearner(PaxosGroupConfig group, PaxosSoftwareConfig config,
-                                 SimDuration gap_timeout)
-    : PaxosSoftwareApp(config), state_(std::move(group)), gap_timeout_(gap_timeout) {}
+SoftwareLearner::SoftwareLearner(PaxosGroupConfig group, PaxosSoftwareConfig config)
+    : PaxosSoftwareApp(config), state_(std::move(group)) {}
 
 std::vector<PaxosOut> SoftwareLearner::Handle(const PaxosMessage& msg) {
   return state_.HandleMessage(msg, context()->sim().Now());
@@ -104,8 +103,8 @@ void SoftwareLearner::StartGapTimer() {
   }
   timer_started_ = true;
   Simulation& sim = context()->sim();
-  SchedulePeriodic(sim, gap_timeout_, gap_timeout_, [this, &sim] {
-    TransmitOutbox(state_.CheckGaps(sim.Now(), gap_timeout_));
+  SchedulePeriodic(sim, kGapTimeout, kGapTimeout, [this, &sim] {
+    TransmitOutbox(state_.CheckGaps(sim.Now(), kGapTimeout));
     return true;
   });
 }

@@ -113,8 +113,12 @@ class SoftwareAcceptor : public PaxosSoftwareApp {
 
 class SoftwareLearner : public PaxosSoftwareApp {
  public:
-  SoftwareLearner(PaxosGroupConfig group, PaxosSoftwareConfig config = LibpaxosConfig(),
-                  SimDuration gap_timeout = Milliseconds(50));
+  // Gap scan period, and how long a hole may stay unfilled before the
+  // learner asks for it again.
+  static constexpr SimDuration kGapTimeout = Milliseconds(50);
+
+  explicit SoftwareLearner(PaxosGroupConfig group,
+                           PaxosSoftwareConfig config = LibpaxosConfig());
 
   std::string AppName() const override { return "libpaxos-learner"; }
 
@@ -128,7 +132,6 @@ class SoftwareLearner : public PaxosSoftwareApp {
 
  private:
   LearnerState state_;
-  SimDuration gap_timeout_;
   bool timer_started_ = false;
 };
 

@@ -259,10 +259,9 @@ void RowScenario::BuildOrchestration(int r) {
     if (switch_target != nullptr) {
       auto* program =
           dynamic_cast<SwitchProgram*>(member.switch_program_app.get());
-      auto marginal = MakeSwitchMarginalPower(
-          program->PowerOverheadAtFullLoad(),
-          testbed.tor_asic()->asic_config().max_power_watts,
-          testbed.tor_asic()->LineRatePps());
+      auto marginal = MakeSwitchMarginalPower(program->PowerOverheadAtFullLoad(),
+                                              SwitchAsic::kMaxPowerWatts,
+                                              testbed.tor_asic()->LineRatePps());
       built.migrators.push_back(std::make_unique<StateTransferMigrator>(
           sim, *switch_target, StateTransferMigrator::Options{ParkPolicy::kKeepWarm},
           member.host_apps.front().get(), member.switch_program_app.get()));
@@ -344,18 +343,16 @@ void RowScenario::ScheduleTracePlayback() {
   if (!spec_.trace.enabled) {
     return;
   }
-  const int64_t horizon = spec_.trace.trace.horizon_seconds;
-  if (horizon <= 0 || spec_.trace.sim_horizon <= 0) {
+  if (spec_.trace.sim_horizon <= 0) {
     return;
   }
+  const int64_t horizon = kTraceHorizonSeconds;
   const double scale =
       static_cast<double>(spec_.trace.sim_horizon) / static_cast<double>(horizon);
-  // Phase-shift each rack through the diurnal day so racks peak at
-  // staggered times — the load imbalance the demand-weighted global
-  // apportionment exists to exploit.
-  const int64_t shift_step = spec_.trace.phase_shift_seconds >= 0
-                                 ? spec_.trace.phase_shift_seconds
-                                 : horizon / num_racks();
+  // Phase-shift each rack by horizon / num_racks through the diurnal day so
+  // racks peak at staggered times — the load imbalance the demand-weighted
+  // global apportionment exists to exploit.
+  const int64_t shift_step = horizon / num_racks();
   for (int r = 0; r < num_racks(); ++r) {
     BuiltRack& built = racks_[static_cast<size_t>(r)];
     if (built.apps.empty()) {

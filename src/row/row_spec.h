@@ -73,10 +73,6 @@ struct RowTraceSpec {
   // The trace horizon is compressed onto this much simulated time.
   SimDuration sim_horizon = Seconds(10);
   uint64_t seed = 42;
-  // Per-rack shift through the diurnal day, in trace seconds (< 0:
-  // horizon_seconds / num_racks — racks peak at staggered times, which is
-  // what makes a *global* budget worth apportioning).
-  int64_t phase_shift_seconds = -1;
 };
 
 // One row-scale fault event. Rack-scoped kinds fan out over `racks`

@@ -11,8 +11,6 @@ namespace incod {
 ScenarioSpec MakeDnsScenarioSpec(const DnsTestbedOptions& options, const Zone* zone) {
   ScenarioMemberSpec dns;
   dns.name = "dns";
-  dns.env.nsd = options.nsd;
-  dns.env.emu_dns = options.emu;
   dns.host.present = options.mode != DnsMode::kEmuStandalone;
   dns.host.config.name = "i7-server";
   dns.host.config.node = kTestbedServerNode;

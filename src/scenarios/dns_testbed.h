@@ -23,8 +23,6 @@ struct DnsTestbedOptions {
   DnsMode mode = DnsMode::kEmu;
   bool emu_initially_active = true;
   size_t zone_size = 10000;
-  NsdConfig nsd;
-  EmuDnsConfig emu;
   SimDuration meter_period = Milliseconds(1);
 };
 

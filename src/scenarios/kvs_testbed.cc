@@ -10,7 +10,6 @@ namespace incod {
 ScenarioSpec MakeKvsScenarioSpec(const KvsTestbedOptions& options) {
   ScenarioMemberSpec kvs;
   kvs.name = "kvs";
-  kvs.env.memcached = options.memcached;
   kvs.env.lake = options.lake;
   kvs.host.present = options.mode != KvsMode::kLakeStandalone;
   kvs.host.config.name = "i7-server";

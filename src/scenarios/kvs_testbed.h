@@ -31,7 +31,6 @@ struct KvsTestbedOptions {
   KvsMode mode = KvsMode::kLake;
   bool lake_initially_active = true;
   LakeConfig lake;
-  MemcachedConfig memcached;
   bool intel_nic = false;  // kSoftwareOnly: Intel X520 instead of Mellanox.
   SimDuration meter_period = Milliseconds(1);
 };

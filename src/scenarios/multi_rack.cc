@@ -67,7 +67,7 @@ RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options) {
       kvs_client.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
       kvs_client.workload.keyspace = options.keyspace;
       kvs_client.workload.cross_service = KvsHostNode((r + 1) % options.num_racks);
-      kvs_client.workload.cross_fraction = options.cross_rack_fraction;
+      kvs_client.workload.cross_fraction = kCrossRackFraction;
       kvs_client.service = KvsHostNode(r);
       rack.clients.push_back(std::move(kvs_client));
     }

@@ -9,10 +9,10 @@
 // lookahead the parallel engine synchronizes on — racks simulate
 // independently between uplink-latency-sized rounds.
 //
-// A configurable fraction of each rack's KVS gets target the *next* rack's
-// server (cross-rack traffic through ToR default routes and the spine), so
-// the shards genuinely exchange events rather than running N disjoint
-// simulations.
+// A fixed fraction (kCrossRackFraction) of each rack's KVS gets target the
+// *next* rack's server (cross-rack traffic through ToR default routes and the
+// spine), so the shards genuinely exchange events rather than running N
+// disjoint simulations.
 //
 // MakeMultiRackRowSpec builds the declarative RowSpec; RowScenario does all
 // the wiring (over options.num_racks + 1 shards: one per rack plus the
@@ -30,12 +30,13 @@
 
 namespace incod {
 
+// Fraction of each rack's KVS gets addressed to the next rack's server.
+inline constexpr double kCrossRackFraction = 0.05;
+
 struct MultiRackOptions {
   int num_racks = 4;
   double kvs_rate_per_second = 500000;
   double dns_rate_per_second = 250000;
-  // Fraction of each rack's KVS gets addressed to the next rack's server.
-  double cross_rack_fraction = 0.05;
   uint64_t keyspace = 4000;
   uint64_t prefill = 4000;
   uint32_t value_bytes = 64;
@@ -57,7 +58,7 @@ constexpr NodeId DnsClientNode(int rack) { return 1000 * rack + 101; }
 // The declarative form of the scenario above: N rack ScenarioSpecs (KVS
 // member with an active LaKe FPGA, DNS member on a conventional NIC) plus
 // per-rack KVS/DNS clients, with each KVS client's workload sending
-// cross_rack_fraction of its gets to the next rack's server. Callers
+// kCrossRackFraction of its gets to the next rack's server. Callers
 // customise the racks (orchestration, faults, ToR programs) before building.
 RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options);
 

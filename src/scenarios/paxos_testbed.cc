@@ -57,7 +57,6 @@ ScenarioMemberSpec MakeLeaderMember(const PaxosTestbedOptions& options) {
       if (deployment == PaxosDeployment::kDpdk) {
         member.host.config.power_curve = I7DpdkCurve();
         member.host.config.stack = NetStackType::kDpdk;
-        member.host.config.dpdk_stack_rx_cost = Nanoseconds(200);
         member.host.config.stack_tx_cost = Nanoseconds(50);
         member.host.config.dpdk_poll_cores = 1;
       } else {
@@ -101,25 +100,11 @@ ScenarioMemberSpec MakeLeaderMember(const PaxosTestbedOptions& options) {
   throw std::logic_error("PaxosTestbed: unknown deployment");
 }
 
-ScenarioMemberSpec MakeAcceptorMember(const PaxosTestbedOptions& options, int i) {
-  const NodeId node = kPaxosAcceptorBaseNode + static_cast<NodeId>(i);
-  const bool is_sut = options.sut == PaxosSut::kAcceptor && i == 0;
+// The acceptor under test: acceptor 0, deployed per options.deployment.
+ScenarioMemberSpec MakeSutAcceptorMember(const PaxosTestbedOptions& options) {
+  const NodeId node = kPaxosAcceptorBaseNode;
   ScenarioMemberSpec member;
-  member.name = "acceptor-" + std::to_string(i);
-  member.link_name = "acceptor-10ge";
-
-  if (!is_sut) {
-    // Aux acceptor: fast enough to never bottleneck leader-SUT sweeps.
-    member.aux = true;
-    member.aux_cores = 4;
-    member.target.kind = ScenarioTargetKind::kNone;
-    member.host.config.name = "aux-acceptor";
-    member.host.config.node = node;
-    member.host.apps = {"paxos-acceptor"};
-    member.env = RoleEnv(static_cast<uint32_t>(i),
-                         PaxosSoftwareConfig{Nanoseconds(300), 2});
-    return member;
-  }
+  member.name = "acceptor-0";
 
   switch (options.deployment) {
     case PaxosDeployment::kLibpaxos:
@@ -130,7 +115,6 @@ ScenarioMemberSpec MakeAcceptorMember(const PaxosTestbedOptions& options, int i)
       if (options.deployment == PaxosDeployment::kDpdk) {
         member.host.config.power_curve = I7DpdkCurve();
         member.host.config.stack = NetStackType::kDpdk;
-        member.host.config.dpdk_stack_rx_cost = Nanoseconds(200);
         member.host.config.stack_tx_cost = Nanoseconds(50);
       } else {
         member.host.config.power_curve = I7LibpaxosCurve();
@@ -139,10 +123,9 @@ ScenarioMemberSpec MakeAcceptorMember(const PaxosTestbedOptions& options, int i)
       member.target.kind = ScenarioTargetKind::kConventionalNic;
       member.target.name = "";  // Preset (Mellanox) name.
       member.switch_routes = {node};
-      member.env = RoleEnv(static_cast<uint32_t>(i),
-                           options.deployment == PaxosDeployment::kDpdk
-                               ? DpdkPaxosConfig()
-                               : LibpaxosConfig());
+      member.env = RoleEnv(/*role_id=*/0, options.deployment == PaxosDeployment::kDpdk
+                                              ? DpdkPaxosConfig()
+                                              : LibpaxosConfig());
       return member;
     }
     case PaxosDeployment::kP4xosFpga:
@@ -162,28 +145,47 @@ ScenarioMemberSpec MakeAcceptorMember(const PaxosTestbedOptions& options, int i)
       if (member.host.present) {
         member.switch_routes.push_back(40);
       }
-      member.env = RoleEnv(static_cast<uint32_t>(i), LibpaxosConfig(), node);
+      member.env = RoleEnv(/*role_id=*/0, LibpaxosConfig(), node);
       return member;
     }
   }
   throw std::logic_error("PaxosTestbed: unknown deployment");
 }
 
-ScenarioMemberSpec MakeLearnerMember(const PaxosTestbedOptions& options) {
+// Aux host for one Paxos role: never bottlenecks, never metered.
+ScenarioMemberSpec MakeAuxRoleMember(std::string name, std::string host_name, NodeId node,
+                                     int cores, std::string app, AppFactoryEnv env) {
   ScenarioMemberSpec member;
-  member.name = "learner";
+  member.name = std::move(name);
   member.aux = true;
-  member.aux_cores = 8;
+  member.aux_cores = cores;
   member.target.kind = ScenarioTargetKind::kNone;
-  member.host.config.name = "learner-host";
-  member.host.config.node = kPaxosLearnerNode;
-  member.host.apps = {"paxos-learner"};
-  member.env = RoleEnv(0, PaxosSoftwareConfig{Nanoseconds(100), 8});
-  member.env.paxos_learner_gap_timeout = options.learner_gap_timeout;
+  member.host.config.name = std::move(host_name);
+  member.host.config.node = node;
+  member.host.apps = {std::move(app)};
+  member.env = std::move(env);
   return member;
 }
 
 }  // namespace
+
+PaxosGroupMembers MakePaxosGroupMembers(int num_acceptors, NodeId acceptor_base,
+                                        NodeId learner_node, NodeId leader_service) {
+  PaxosGroupMembers paxos;
+  for (int i = 0; i < num_acceptors; ++i) {
+    const NodeId node = acceptor_base + static_cast<NodeId>(i);
+    paxos.group.acceptors.push_back(node);
+    paxos.acceptors.push_back(MakeAuxRoleMember(
+        "acceptor-" + std::to_string(i), "aux-acceptor", node, 4, "paxos-acceptor",
+        RoleEnv(static_cast<uint32_t>(i), PaxosSoftwareConfig{Nanoseconds(300), 2})));
+  }
+  paxos.group.learners.push_back(learner_node);
+  paxos.group.leader_service = leader_service;
+  paxos.learner = MakeAuxRoleMember("learner", "learner-host", learner_node, 8,
+                                    "paxos-learner",
+                                    RoleEnv(0, PaxosSoftwareConfig{Nanoseconds(100), 8}));
+  return paxos;
+}
 
 const char* PaxosDeploymentName(PaxosDeployment deployment) {
   switch (deployment) {
@@ -212,19 +214,20 @@ ScenarioSpec MakePaxosGroupSpec(const PaxosTestbedOptions& options) {
   spec.tor.present = true;
   spec.tor.name = "tor-switch";
 
-  PaxosGroupConfig group;
-  for (int i = 0; i < options.num_acceptors; ++i) {
-    group.acceptors.push_back(kPaxosAcceptorBaseNode + static_cast<NodeId>(i));
+  PaxosGroupMembers paxos = MakePaxosGroupMembers(options.num_acceptors,
+                                                  kPaxosAcceptorBaseNode,
+                                                  kPaxosLearnerNode, kPaxosLeaderService);
+  spec.paxos_group = std::move(paxos.group);
+  if (options.sut == PaxosSut::kAcceptor) {
+    paxos.acceptors.front() = MakeSutAcceptorMember(options);
   }
-  group.learners.push_back(kPaxosLearnerNode);
-  group.leader_service = kPaxosLeaderService;
-  spec.paxos_group = group;
 
   spec.members.push_back(MakeLeaderMember(options));
-  for (int i = 0; i < options.num_acceptors; ++i) {
-    spec.members.push_back(MakeAcceptorMember(options, i));
+  for (ScenarioMemberSpec& acceptor : paxos.acceptors) {
+    acceptor.link_name = "acceptor-10ge";
+    spec.members.push_back(std::move(acceptor));
   }
-  spec.members.push_back(MakeLearnerMember(options));
+  spec.members.push_back(std::move(paxos.learner));
   return spec;
 }
 

@@ -49,8 +49,20 @@ struct PaxosTestbedOptions {
   bool dual_leader = false;  // Fig 7: SW + HW leader on one host/NIC pair.
   PaxosClientConfig client;
   SimDuration meter_period = Milliseconds(1);
-  SimDuration learner_gap_timeout = Milliseconds(50);
 };
+
+// A Paxos group around `leader_service` and the aux members hosting its
+// roles: acceptor i ("acceptor-<i>", node acceptor_base + i, 4 cores,
+// 300 ns/message on 2 threads) and the learner ("learner", 8 cores,
+// 100 ns/message on 8 threads), fast enough never to bottleneck. Callers add
+// the leader, name the member links and may swap an acceptor for a SUT.
+struct PaxosGroupMembers {
+  PaxosGroupConfig group;
+  std::vector<ScenarioMemberSpec> acceptors;
+  ScenarioMemberSpec learner;
+};
+PaxosGroupMembers MakePaxosGroupMembers(int num_acceptors, NodeId acceptor_base,
+                                        NodeId learner_node, NodeId leader_service);
 
 // The declarative spec the testbed wires: one member per role deployment
 // (leader, N acceptors, learner) behind an L2 ToR, apps by registry name.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/power/cpu_power.h"
+#include "src/scenarios/paxos_testbed.h"
 
 namespace incod {
 
@@ -44,13 +45,10 @@ ScenarioSpec MakeMixedRackSpec(const MixedRackOptions& options, const Zone* zone
     // The migrator parks the placement; avoid a spurious activate cycle.
     kvs.target.initially_active = false;
     kvs.switch_routes = {kRackKvsServerNode, kRackKvsDeviceNode};
-    kvs.env.memcached = options.memcached;
-    kvs.env.lake = options.lake;
     if (options.kvs_switch_placement) {
       // Second in-network placement: a NetCache program fronting the same
       // service in the ToR pipeline.
       kvs.switch_app = "kvs";
-      kvs.env.netcache = options.netcache;
       kvs.env.service = kRackKvsServerNode;
     }
     spec.members.push_back(std::move(kvs));
@@ -70,19 +68,15 @@ ScenarioSpec MakeMixedRackSpec(const MixedRackOptions& options, const Zone* zone
     dns.switch_routes = {kRackDnsServerNode};
     // DNS offloads into the ToR pipeline itself (§9.2's switch-DNS argument).
     dns.switch_app = "dns";
-    dns.env.nsd = options.nsd;
     dns.env.service = kRackDnsServerNode;
     spec.members.push_back(std::move(dns));
   }
 
   if (options.enable_paxos) {
-    PaxosGroupConfig group;
-    for (int i = 0; i < options.num_acceptors; ++i) {
-      group.acceptors.push_back(kRackAcceptorBaseNode + static_cast<NodeId>(i));
-    }
-    group.learners.push_back(kRackLearnerNode);
-    group.leader_service = kRackPaxosLeaderService;
-    spec.paxos_group = std::move(group);
+    PaxosGroupMembers paxos = MakePaxosGroupMembers(
+        options.num_acceptors, kRackAcceptorBaseNode, kRackLearnerNode,
+        kRackPaxosLeaderService);
+    spec.paxos_group = std::move(paxos.group);
 
     // Dual leader (Fig 7 style): software leader on the host, P4xos on its
     // NIC.
@@ -106,29 +100,10 @@ ScenarioSpec MakeMixedRackSpec(const MixedRackOptions& options, const Zone* zone
     spec.members.push_back(std::move(leader));
 
     // Acceptors and learner on aux boxes that never bottleneck.
-    for (int i = 0; i < options.num_acceptors; ++i) {
-      ScenarioMemberSpec acceptor;
-      acceptor.name = "acceptor-" + std::to_string(i);
-      acceptor.aux = true;
-      acceptor.aux_cores = 4;
-      acceptor.target.kind = ScenarioTargetKind::kNone;
-      acceptor.host.config.name = "aux-acceptor";
-      acceptor.host.config.node = kRackAcceptorBaseNode + static_cast<NodeId>(i);
-      acceptor.host.apps = {"paxos-acceptor"};
-      acceptor.env.paxos_role_id = static_cast<uint32_t>(i);
-      acceptor.env.paxos_software = PaxosSoftwareConfig{Nanoseconds(300), 2};
+    for (ScenarioMemberSpec& acceptor : paxos.acceptors) {
       spec.members.push_back(std::move(acceptor));
     }
-    ScenarioMemberSpec learner;
-    learner.name = "learner";
-    learner.aux = true;
-    learner.aux_cores = 8;
-    learner.target.kind = ScenarioTargetKind::kNone;
-    learner.host.config.name = "learner-host";
-    learner.host.config.node = kRackLearnerNode;
-    learner.host.apps = {"paxos-learner"};
-    learner.env.paxos_software = PaxosSoftwareConfig{Nanoseconds(100), 8};
-    spec.members.push_back(std::move(learner));
+    spec.members.push_back(std::move(paxos.learner));
   }
   spec.faults = options.faults;
   return spec;
@@ -249,7 +224,7 @@ void MixedRackScenario::RegisterApps() {
     // NetCache placement: host idles while the ToR answers; the program's
     // marginal pipeline watts ride on top (same model as the DNS program).
     auto kvs_marginal = MakeSwitchMarginalPower(
-        netcache_->PowerOverheadAtFullLoad(), tor().asic_config().max_power_watts,
+        netcache_->PowerOverheadAtFullLoad(), SwitchAsic::kMaxPowerWatts,
         tor().LineRatePps());
     RatePowerFn kvs_switch_watts = [kvs_curve, kvs_marginal](double r) {
       return kvs_curve(0) + 4.0 + kvs_marginal(r);
@@ -269,7 +244,7 @@ void MixedRackScenario::RegisterApps() {
   auto dns_curve = MakeServerRatePower(I7NsdCurve(), Nanoseconds(4180), 4);
   dns.software_watts = [dns_curve](double r) { return dns_curve(r) + 4.0; };
   auto dns_marginal = MakeSwitchMarginalPower(
-      dns_program_->PowerOverheadAtFullLoad(), tor().asic_config().max_power_watts,
+      dns_program_->PowerOverheadAtFullLoad(), SwitchAsic::kMaxPowerWatts,
       tor().LineRatePps());
   // Host idles (rate 0) while the ToR answers; marginal program watts on top.
   RatePowerFn dns_network = [dns_curve, dns_marginal](double r) {

@@ -65,9 +65,6 @@ struct MixedRackOptions {
   int num_acceptors = 3;
   MixedRackWarmPolicy warm;             // Default: the paper's cold shifts.
   RackOrchestratorConfig orchestrator;  // budget field is overridden.
-  LakeConfig lake;
-  MemcachedConfig memcached;
-  NsdConfig nsd;
   size_t zone_size = 10000;
   PaxosClientConfig paxos_client;
   SimDuration meter_period = Milliseconds(1);
@@ -75,7 +72,6 @@ struct MixedRackOptions {
   // pipeline, so FPGA death leaves recovery a surviving in-network landing
   // spot (and the orchestrator a cheaper fallback under power caps).
   bool kvs_switch_placement = false;
-  KvSwitchCacheConfig netcache;
   // Per-app checkpoint cadences (< 0: inherit orchestrator.checkpoint_period;
   // 0: never checkpoint this app).
   SimDuration kvs_checkpoint_period = -1;

@@ -27,7 +27,7 @@ void ScenarioTestbed::ApplyFlowSpec() {
   if (!spec_.flow.enabled) {
     return;
   }
-  LinkFlowConfig link_flow = spec_.flow.link;
+  LinkFlowConfig link_flow;
   link_flow.pfc = true;
   link_flow.ecn = true;
   HostFlowConfig host_flow = spec_.flow.host;
@@ -126,9 +126,8 @@ std::string ScenarioTestbed::PcieLinkName(const ScenarioMemberSpec& member_spec)
 
 void ScenarioTestbed::BuildTor() {
   if (spec_.tor.asic) {
-    SwitchAsicConfig config = spec_.tor.asic_config;
-    config.name = spec_.tor.name;
-    tor_asic_ = builder_.AddSwitchAsic(config, spec_.tor.metered);
+    tor_asic_ = builder_.AddSwitchAsic(SwitchAsicConfig{.name = spec_.tor.name},
+                                       spec_.tor.metered);
     tor_ = tor_asic_;
     return;
   }
@@ -366,7 +365,6 @@ RequestFactory MakeScenarioRequestFactory(const ScenarioWorkloadSpec& workload,
       DnsWorkloadConfig dns;
       dns.dns_service = service;
       dns.zone_size = zone != nullptr ? zone->size() : workload.keyspace;
-      dns.miss_fraction = workload.dns_miss_fraction;
       return MakeDnsRequestFactory(dns);
     }
     case Kind::kNone:

@@ -68,8 +68,7 @@ struct ScenarioTorSpec {
   bool present = false;
   bool asic = false;  // Tofino-class SwitchAsic vs plain L2Switch.
   std::string name = "tor";
-  SwitchAsicConfig asic_config;  // Used when asic (name overridden below).
-  bool metered = false;          // ASIC only; an L2 switch draws no modeled power.
+  bool metered = false;  // ASIC only; an L2 switch draws no modeled power.
 };
 
 // One deployment: an optional host with registry apps, an optional ingress
@@ -106,8 +105,7 @@ struct ScenarioWorkloadSpec {
   enum class Kind { kNone, kKvUniformGets, kDnsQueries };
   Kind kind = Kind::kNone;
   double rate_per_second = 100000;
-  uint64_t keyspace = 1000;          // kKvUniformGets.
-  double dns_miss_fraction = 0.0;    // kDnsQueries.
+  uint64_t keyspace = 1000;  // kKvUniformGets.
   // kKvUniformGets cross-service traffic (multi-rack rows): when
   // cross_service != 0, each request draws its key and then an independent
   // cross decision — with probability cross_fraction the get targets
@@ -121,15 +119,14 @@ struct ScenarioWorkloadSpec {
 
 // Rack-wide congestion-control knobs, applied to the spec at Build(). When
 // `enabled`, every built link (client uplinks, member ToR links, PCIe hops)
-// gets the PFC/ECN template below, every built server pauses its uplink at
-// the host rx watermarks and CNPs ECN-marked ingress, and — unless dcqcn is
-// cleared — every attached LoadClient runs the DCQCN rate machine. Overload
-// then produces pause propagation, head-of-line blocking and sender
-// slowdown instead of silent queue-overflow loss.
+// runs PFC and ECN at the default LinkFlowConfig watermarks, every built
+// server pauses its uplink at the host rx watermarks and CNPs ECN-marked
+// ingress, and — unless dcqcn is cleared — every attached LoadClient runs the
+// DCQCN rate machine. Overload then produces pause propagation, head-of-line
+// blocking and sender slowdown instead of silent queue-overflow loss.
 struct ScenarioFlowSpec {
   bool enabled = false;
   bool dcqcn = true;     // Give clients the rate machine (plus host CNPs).
-  LinkFlowConfig link;   // Template; pfc/ecn are forced on when enabled.
   HostFlowConfig host;   // Template; pfc (and cnp, per dcqcn) forced on.
   DcqcnConfig dcqcn_config;  // Template; `enabled` forced on per dcqcn.
 };

@@ -20,7 +20,7 @@ RequestFactory MakeDnsRequestFactory(const DnsWorkloadConfig& config) {
     if (config.miss_fraction > 0 && rng.Bernoulli(config.miss_fraction)) {
       q.name = "missing" + std::to_string(popularity->Sample(rng)) + ".absent.example";
     } else {
-      q.name = Zone::SyntheticName(popularity->Sample(rng), config.zone_suffix);
+      q.name = Zone::SyntheticName(popularity->Sample(rng));
     }
     query.questions.push_back(std::move(q));
     Packet pkt;

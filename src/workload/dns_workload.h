@@ -13,7 +13,6 @@ namespace incod {
 struct DnsWorkloadConfig {
   NodeId dns_service = 0;
   size_t zone_size = 10000;
-  std::string zone_suffix = "bench.example";
   // Fraction of queries for names absent from the zone (NXDOMAIN path).
   double miss_fraction = 0.0;
   double zipf_skew = 0.9;  // Query popularity over the zone.

@@ -17,11 +17,13 @@
 
 namespace incod {
 
+// A synthesized power trace holds one sample per second.
+inline constexpr double kPowerTraceSamplePeriodSeconds = 1.0;
+
 struct PowerTraceConfig {
   double mean_watts = 1000;    // Rack-level scale.
   double sigma_watts = 25;     // Innovation magnitude.
   double ar1_coefficient = 0.97;  // Temporal correlation (0..1).
-  double sample_period_seconds = 1.0;
   uint64_t num_samples = 3600;
 };
 

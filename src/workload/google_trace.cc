@@ -7,11 +7,11 @@
 namespace incod {
 
 double DiurnalDensity(const GoogleTraceConfig& config, int64_t at_seconds) {
-  if (config.diurnal_amplitude <= 0 || config.diurnal_period_seconds <= 0) {
+  if (config.diurnal_amplitude <= 0) {
     return 1.0;
   }
   const double phase = 2.0 * M_PI * static_cast<double>(at_seconds) /
-                       static_cast<double>(config.diurnal_period_seconds);
+                       static_cast<double>(kTraceDiurnalPeriodSeconds);
   return 1.0 + config.diurnal_amplitude * std::sin(phase - M_PI / 2.0);
 }
 
@@ -22,8 +22,7 @@ namespace {
 // with amplitude 0 this is a single uniform draw — the historical stream.
 int64_t DrawStartSeconds(const GoogleTraceConfig& config, Rng& rng,
                          int64_t latest_start) {
-  if (config.diurnal_amplitude <= 0 || config.diurnal_period_seconds <= 0 ||
-      latest_start <= 0) {
+  if (config.diurnal_amplitude <= 0 || latest_start <= 0) {
     return rng.UniformInt(0, latest_start);
   }
   const double peak = 1.0 + config.diurnal_amplitude;
@@ -50,19 +49,19 @@ std::vector<TraceTask> SynthesizeGoogleTrace(const GoogleTraceConfig& config, Rn
     TraceTask t;
     t.task_id = i + 1;
     t.node = static_cast<uint32_t>(rng.UniformInt(0, config.num_nodes - 1));
-    const bool long_job = rng.Bernoulli(config.long_job_fraction);
+    const bool long_job = rng.Bernoulli(kTraceLongJobFraction);
     if (long_job) {
       t.duration_seconds =
-          rng.UniformInt(config.long_job_min_seconds, config.long_job_max_seconds);
-      t.cpu_cores = std::max(0.01, rng.Normal(config.long_job_cpu_mean, 0.25));
+          rng.UniformInt(kTraceLongJobMinSeconds, kTraceLongJobMaxSeconds);
+      t.cpu_cores = std::max(0.01, rng.Normal(kTraceLongJobCpuMean, 0.25));
     } else {
       t.duration_seconds =
-          rng.UniformInt(config.short_job_min_seconds, config.short_job_max_seconds);
-      t.cpu_cores = std::max(0.01, rng.Normal(config.short_job_cpu_mean, 0.06));
+          rng.UniformInt(kTraceShortJobMinSeconds, kTraceShortJobMaxSeconds);
+      t.cpu_cores = std::max(0.01, rng.Normal(kTraceShortJobCpuMean, 0.06));
     }
     t.cpu_cores = std::min(t.cpu_cores, 4.0);
-    const int64_t latest_start = std::max<int64_t>(
-        0, config.horizon_seconds - t.duration_seconds);
+    const int64_t latest_start =
+        std::max<int64_t>(0, kTraceHorizonSeconds - t.duration_seconds);
     t.start_seconds = DrawStartSeconds(config, rng, latest_start);
     tasks.push_back(t);
   }

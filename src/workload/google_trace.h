@@ -27,25 +27,28 @@ struct TraceTask {
   double cpu_cores = 0;  // Normalized CPU usage while running.
 };
 
+// The synthesized trace spans one day.
+inline constexpr int64_t kTraceHorizonSeconds = 24 * 3600;
+// Short/long job split: ~5 % of jobs are long (>= 2 h) but drive ~90 % of
+// utilization.
+inline constexpr double kTraceLongJobFraction = 0.05;
+inline constexpr int64_t kTraceLongJobMinSeconds = 2 * 3600;
+inline constexpr int64_t kTraceLongJobMaxSeconds = 20 * 3600;
+inline constexpr int64_t kTraceShortJobMinSeconds = 10;
+inline constexpr int64_t kTraceShortJobMaxSeconds = 1800;
+inline constexpr double kTraceLongJobCpuMean = 0.55;
+inline constexpr double kTraceShortJobCpuMean = 0.08;
+// Period of the diurnal task-start density (GoogleTraceConfig).
+inline constexpr int64_t kTraceDiurnalPeriodSeconds = 24 * 3600;
+
 struct GoogleTraceConfig {
   uint64_t num_tasks = 200000;
   uint32_t num_nodes = 1000;
-  int64_t horizon_seconds = 24 * 3600;
-  // Short/long job split: ~5 % of jobs are long (>= 2 h) but drive ~90 % of
-  // utilization.
-  double long_job_fraction = 0.05;
-  int64_t long_job_min_seconds = 2 * 3600;
-  int64_t long_job_max_seconds = 20 * 3600;
-  int64_t short_job_min_seconds = 10;
-  int64_t short_job_max_seconds = 1800;
-  double long_job_cpu_mean = 0.55;
-  double short_job_cpu_mean = 0.08;
   // Diurnal load shape: task start times follow the density
   // 1 + A * sin(2*pi*(t/period) - pi/2), i.e. a trough at t = 0 and a peak
   // half a period in. A = 0 (default) keeps the historical uniform starts
   // (and draws nothing extra from the rng). 0 <= A <= 1.
   double diurnal_amplitude = 0;
-  int64_t diurnal_period_seconds = 24 * 3600;
 };
 
 // Deterministic synthetic trace with the configured statistics.

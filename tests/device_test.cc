@@ -335,9 +335,8 @@ TEST(SwitchAsicTest, IdlePowerIsSameWithAndWithoutPrograms) {
 
 TEST(SwitchAsicTest, NormalizedIdleFraction) {
   Simulation sim;
-  SwitchAsicConfig config;
-  SwitchAsic sw(sim, config);
-  EXPECT_NEAR(sw.NormalizedPower(), config.idle_power_fraction, 1e-9);
+  SwitchAsic sw(sim, SwitchAsicConfig{});
+  EXPECT_NEAR(sw.NormalizedPower(), SwitchAsic::kIdlePowerFraction, 1e-9);
 }
 
 TEST(SwitchAsicTest, LineRatePpsMatchesConfig) {
@@ -348,9 +347,8 @@ TEST(SwitchAsicTest, LineRatePpsMatchesConfig) {
 }
 
 TEST(SwitchAsicTest, MinMaxSpreadUnder20Percent) {
-  SwitchAsicConfig config;
   // At full utilization (without programs) power is Pmax; idle 0.84 Pmax.
-  EXPECT_GT(config.idle_power_fraction, 0.8);
+  EXPECT_GT(SwitchAsic::kIdlePowerFraction, 0.8);
 }
 
 TEST(SwitchAsicTest, ProgramOverheadScalesWithLoad) {

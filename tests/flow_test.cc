@@ -69,7 +69,7 @@ TEST(DcqcnTest, CnpMultiplicativeDecreaseAndFullRecovery) {
   // after which the timer self-quiesces and the simulation drains.
   std::vector<double> samples;
   for (int i = 1; i <= 64; ++i) {
-    sim.ScheduleAt(i * config.recovery_period + Microseconds(1),
+    sim.ScheduleAt(i * DcqcnRateController::kRecoveryPeriod + Microseconds(1),
                    [&ctrl, &samples] { samples.push_back(ctrl.current_rate_pps()); });
   }
   sim.Run();
@@ -88,7 +88,7 @@ TEST(DcqcnTest, RepeatedCnpsFloorAtMinRate) {
   for (int i = 0; i < 200; ++i) {
     ctrl.OnCnp();
   }
-  EXPECT_DOUBLE_EQ(ctrl.current_rate_pps(), config.min_rate_pps);
+  EXPECT_DOUBLE_EQ(ctrl.current_rate_pps(), DcqcnRateController::kMinRatePps);
   sim.Run();  // Even from the floor, recovery restores line rate and stops.
   EXPECT_DOUBLE_EQ(ctrl.current_rate_pps(), config.line_rate_pps);
 }

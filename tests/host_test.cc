@@ -293,7 +293,7 @@ TEST(ServerTest, DefaultStackCostsArePinned) {
   // stacks, so pin them.
   const ServerConfig config;
   EXPECT_EQ(config.stack_rx_cost, Microseconds(1));
-  EXPECT_EQ(config.dpdk_stack_rx_cost, Nanoseconds(200));
+  EXPECT_EQ(Server::kDpdkStackRxCost, Nanoseconds(200));
 }
 
 TEST(ServerTest, DpdkStackUsesLowerRxCost) {

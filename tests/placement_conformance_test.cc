@@ -345,6 +345,7 @@ std::string SummarizePacket(const Packet& packet) {
 struct DriveResult {
   std::vector<std::string> replies;
   std::vector<std::string> punts;
+  std::vector<Packet> reply_packets;
 };
 
 // Builds the app on the placement, installs the canonical warm state, and
@@ -373,6 +374,7 @@ DriveResult DriveTrace(const std::string& family, PlacementKind placement) {
   for (const Packet& punt : ctx.punts) {
     result.punts.push_back(SummarizePacket(punt));
   }
+  result.reply_packets = std::move(ctx.replies);
   return result;
 }
 
@@ -428,6 +430,21 @@ TEST(PlacementConformanceTest, IdenticalTracesProduceIdenticalReplies) {
       EXPECT_EQ(got.punts, reference.punts);
       ConformanceSummary::Instance().RowFor(family, placement).trace_replies =
           got.replies.size();
+    }
+  }
+}
+
+// Every DNS placement replies through one builder; a reply must be sized as
+// the wire encoding of the message it carries.
+TEST(PlacementConformanceTest, DnsRepliesAreSizedLikeTheirPayload) {
+  for (PlacementKind placement : DeclaredPlacements().at("dns")) {
+    SCOPED_TRACE(PlacementKindName(placement));
+    const DriveResult result = DriveTrace("dns", placement);
+    ASSERT_EQ(result.reply_packets.size(), MakeTrace("dns").size());
+    for (const Packet& reply : result.reply_packets) {
+      const DnsMessage* payload = PayloadIf<DnsMessage>(reply);
+      ASSERT_NE(payload, nullptr) << SummarizePacket(reply);
+      EXPECT_EQ(reply.size_bytes, DnsWireBytes(*payload)) << SummarizePacket(reply);
     }
   }
 }

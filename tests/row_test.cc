@@ -378,7 +378,7 @@ TEST(RowScenarioTest, DiurnalTracePhaseShiftsAcrossRacks) {
   EXPECT_EQ(row.trace_tasks().size(), 2000u);
   row.Start();
   // Mid-day: rack 0 sits at its diurnal peak, rack 1 is half a day shifted
-  // (phase_shift defaults to horizon / num_racks) so the racks are loaded
+  // (each rack shifts by horizon / num_racks) so the racks are loaded
   // differently — the imbalance the demand-weighted apportionment feeds on.
   ssim.RunUntil(Milliseconds(10));
   EXPECT_GT(row.background_cores(0, 0), 0.0);

@@ -506,8 +506,7 @@ TEST(PaxosTestbedTest, SpecBuiltGroupMatchesHandWiredResults) {
       server->BindApp(acceptors.back().get());
     }
     Server* learner_host = builder.AddAuxServer(sw, kPaxosLearnerNode, "learner-host", 8);
-    SoftwareLearner learner(group, PaxosSoftwareConfig{Nanoseconds(100), 8},
-                            Milliseconds(50));
+    SoftwareLearner learner(group, PaxosSoftwareConfig{Nanoseconds(100), 8});
     learner_host->BindApp(&learner);
     builder.StartMeter();
     learner.StartGapTimer();
@@ -657,13 +656,11 @@ MultiRackRunResult RunHandWiredMultiRack(ShardedSimulation::Mode mode, int threa
     const NodeId remote = KvsHostNode((r + 1) % num_racks);
     const int64_t max_key =
         std::max<int64_t>(0, static_cast<int64_t>(options.keyspace) - 1);
-    const double cross_fraction = options.cross_rack_fraction;
     kvs_clients.push_back(&rack.AddTorClient(
         kvs_client, std::make_unique<PoissonArrival>(options.kvs_rate_per_second),
-        [local, remote, max_key, cross_fraction](NodeId src, uint64_t id,
-                                                 SimTime now, Rng& rng) {
+        [local, remote, max_key](NodeId src, uint64_t id, SimTime now, Rng& rng) {
           const uint64_t key = static_cast<uint64_t>(rng.UniformInt(0, max_key));
-          const bool cross = rng.UniformDouble(0.0, 1.0) < cross_fraction;
+          const bool cross = rng.UniformDouble(0.0, 1.0) < kCrossRackFraction;
           return MakeKvRequestPacket(src, cross ? remote : local,
                                      KvRequest{KvOp::kGet, key, 0}, id, now);
         }));

@@ -165,7 +165,7 @@ TEST(KvSwitchCacheTest, OversizedValuesNotCached) {
   SwitchKvsHarness h;
   for (uint64_t id = 1; id <= 5; ++id) {
     h.SendGet(7, id);
-    h.SendServerResponse(7, 4096, id);  // Exceeds max_value_bytes.
+    h.SendServerResponse(7, 4096, id);  // Exceeds kMaxValueBytes.
   }
   h.sim.Run();
   EXPECT_FALSE(h.cache.cache().Contains(7));
@@ -193,7 +193,6 @@ struct SwitchDnsHarness {
     zone.FillSynthetic(32);
     DnsSwitchConfig config;
     config.dns_service = 1;
-    config.max_labels = 4;
     program = std::make_unique<DnsSwitchProgram>(&zone, config);
     topo.ConnectToSwitch(&sw, &client, 100);
     topo.ConnectToSwitch(&sw, &host, 1);

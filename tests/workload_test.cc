@@ -301,16 +301,16 @@ TEST(GoogleTraceTest, DiurnalAmplitudeShapesStartDensity) {
   config.diurnal_amplitude = 0.8;
   // Density bottoms at the day start (phase -pi/2) and peaks mid-day.
   EXPECT_NEAR(DiurnalDensity(config, 0), 0.2, 1e-9);
-  EXPECT_NEAR(DiurnalDensity(config, config.horizon_seconds / 2), 1.8, 1e-9);
+  EXPECT_NEAR(DiurnalDensity(config, kTraceHorizonSeconds / 2), 1.8, 1e-9);
   Rng rng(15);
   const auto tasks = SynthesizeGoogleTrace(config, rng);
   uint64_t first_quarter = 0, mid_half = 0;
   for (const TraceTask& task : tasks) {
-    if (task.start_seconds < config.horizon_seconds / 4) {
+    if (task.start_seconds < kTraceHorizonSeconds / 4) {
       ++first_quarter;
     }
-    if (task.start_seconds >= config.horizon_seconds / 4 &&
-        task.start_seconds < 3 * config.horizon_seconds / 4) {
+    if (task.start_seconds >= kTraceHorizonSeconds / 4 &&
+        task.start_seconds < 3 * kTraceHorizonSeconds / 4) {
       ++mid_half;
     }
   }
