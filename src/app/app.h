@@ -136,12 +136,12 @@ class AppContext {
   virtual NodeId self_node() const { return 0; }
 
   // Emits a reply (or any app-originated packet) toward the network.
-  virtual void Reply(Packet packet) = 0;
+  virtual void Reply(Packet&& packet) = 0;
 
   // Passes the packet onward to the fallback placement: a device punts to
   // its host across PCIe, a switch program lets the pipeline keep
   // forwarding, a host OS drops (there is nothing below it).
-  virtual void Punt(Packet packet) = 0;
+  virtual void Punt(Packet&& packet) = 0;
 };
 
 class App {
@@ -172,7 +172,7 @@ class App {
   // Application logic. Replies via ctx.Reply(), passes through via
   // ctx.Punt(). The context outlives the call (delayed replies may capture
   // it).
-  virtual void HandlePacket(AppContext& ctx, Packet packet) = 0;
+  virtual void HandlePacket(AppContext& ctx, Packet&& packet) = 0;
 
   // Observes host-originated packets of this protocol on their way out to
   // the network (non-consuming). LaKe uses this to fill its caches from

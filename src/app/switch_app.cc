@@ -12,11 +12,11 @@ Simulation& SwitchHostedApp::PipelineContext::sim() {
   return asic->sim();
 }
 
-void SwitchHostedApp::PipelineContext::Reply(Packet packet) {
+void SwitchHostedApp::PipelineContext::Reply(Packet&& packet) {
   asic->TransmitFromPipeline(std::move(packet));
 }
 
-void SwitchHostedApp::PipelineContext::Punt(Packet packet) {
+void SwitchHostedApp::PipelineContext::Punt(Packet&& packet) {
   if (slot == nullptr) {
     // Punt outside Process() (e.g. from a delayed event): nothing to hand
     // back to the pipeline — forward explicitly through the switch.
@@ -24,7 +24,9 @@ void SwitchHostedApp::PipelineContext::Punt(Packet packet) {
     return;
   }
   punted = true;
-  *slot = std::move(packet);
+  if (&packet != slot) {  // Apps usually punt the pipeline's packet itself.
+    *slot = std::move(packet);
+  }
 }
 
 bool SwitchHostedApp::Process(SwitchAsic& sw, Packet& packet) {

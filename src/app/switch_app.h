@@ -44,8 +44,8 @@ class SwitchHostedApp : public App, public SwitchProgram {
    public:
     Simulation& sim() override;
     PlacementKind placement() const override { return PlacementKind::kSwitchAsic; }
-    void Reply(Packet packet) override;
-    void Punt(Packet packet) override;
+    void Reply(Packet&& packet) override;
+    void Punt(Packet&& packet) override;
 
     SwitchAsic* asic = nullptr;
     Packet* slot = nullptr;  // The pipeline's packet, valid during Process().

@@ -90,7 +90,7 @@ void ConventionalNic::Receive(Packet packet) {
   ReceiveIntoRing(std::move(packet));
 }
 
-void ConventionalNic::ForwardLegacy(Link* out, Packet packet) {
+void ConventionalNic::ForwardLegacy(Link* out, Packet&& packet) {
   if (config_.max_pps > 0) {
     // Per-packet pacing models the NIC's packet-rate ceiling.
     const SimDuration per_packet = SecondsF(1.0 / config_.max_pps);
@@ -112,7 +112,7 @@ void ConventionalNic::ForwardLegacy(Link* out, Packet packet) {
   });
 }
 
-void ConventionalNic::ReceiveIntoRing(Packet packet) {
+void ConventionalNic::ReceiveIntoRing(Packet&& packet) {
   const size_t queue = RssQueue(packet);
   RxRing& ring = rx_rings_[queue];
   if (ring.ring.size() >= config_.hostnic.ring_depth) {
@@ -177,7 +177,7 @@ void ConventionalNic::DrainRxRing(size_t queue) {
   }
 }
 
-void ConventionalNic::EnqueueTx(Packet packet) {
+void ConventionalNic::EnqueueTx(Packet&& packet) {
   tx_batch_.push_back(std::move(packet));
   if (!tx_flush_pending_) {
     tx_flush_pending_ = true;

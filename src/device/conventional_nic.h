@@ -19,7 +19,6 @@
 #define INCOD_SRC_DEVICE_CONVENTIONAL_NIC_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -27,6 +26,7 @@
 #include "src/net/packet.h"
 #include "src/net/pause_relay_nic.h"
 #include "src/power/power_source.h"
+#include "src/sim/ring_queue.h"
 #include "src/sim/simulation.h"
 #include "src/stats/counters.h"
 
@@ -99,7 +99,7 @@ class ConventionalNic : public PauseRelayNic, public PowerSource {
 
  private:
   struct RxRing {
-    std::deque<Packet> ring;
+    RingQueue<Packet> ring;
     // Drain-event validity: every scheduled drain captures the generation
     // at scheduling time and no-ops when stale (e.g. a coalescing timer
     // that lost to the packet-count trigger). Firing-and-ignoring keeps
@@ -109,13 +109,13 @@ class ConventionalNic : public PauseRelayNic, public PowerSource {
   };
 
   // Pass-through (hostnic disabled) forward with optional max_pps pacing.
-  void ForwardLegacy(Link* out, Packet packet);
+  void ForwardLegacy(Link* out, Packet&& packet);
   // Mechanistic rx: RSS ring placement + moderation trigger.
-  void ReceiveIntoRing(Packet packet);
+  void ReceiveIntoRing(Packet&& packet);
   // Pops every descriptor of `queue` and delivers the batch to the host.
   void DrainRxRing(size_t queue);
   // Mechanistic tx: doorbell batch placement + flush trigger.
-  void EnqueueTx(Packet packet);
+  void EnqueueTx(Packet&& packet);
   void FlushTx();
 
   Simulation& sim_;
@@ -124,7 +124,7 @@ class ConventionalNic : public PauseRelayNic, public PowerSource {
   Counter dropped_;
   // Mechanistic datapath state.
   std::vector<RxRing> rx_rings_;
-  std::deque<Packet> tx_batch_;
+  RingQueue<Packet> tx_batch_;
   uint64_t tx_flush_gen_ = 0;
   bool tx_flush_pending_ = false;
   Counter ring_drops_;

@@ -117,7 +117,7 @@ void OffloadNic::Receive(Packet packet) {
   DeliverToHost(std::move(packet));
 }
 
-void OffloadNic::Admit(size_t app_index, Packet packet) {
+void OffloadNic::Admit(size_t app_index, Packet&& packet) {
   if (engine_dead()) {
     dead_dropped_.Increment();
     return;
@@ -150,14 +150,14 @@ void OffloadNic::Admit(size_t app_index, Packet packet) {
   sim_.ScheduleAt(start + installed.service + installed.latency, std::move(complete));
 }
 
-void OffloadNic::TransmitToNetwork(Packet packet) {
+void OffloadNic::TransmitToNetwork(Packet&& packet) {
   if (net_link_ == nullptr) {
     throw std::logic_error(name_ + ": no network link");
   }
   net_link_->Send(this, std::move(packet));
 }
 
-void OffloadNic::DeliverToHost(Packet packet) {
+void OffloadNic::DeliverToHost(Packet&& packet) {
   if (host_link_ == nullptr) {
     dropped_.Increment();
     return;

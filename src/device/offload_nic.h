@@ -61,17 +61,17 @@ class OffloadNic : public PauseRelayNic,
   // --- AppContext (the narrow surface installed apps talk through) ---
   Simulation& sim() override { return sim_; }
   NodeId self_node() const override { return device_node_; }
-  void Reply(Packet packet) override { TransmitToNetwork(std::move(packet)); }
-  void Punt(Packet packet) override { DeliverToHost(std::move(packet)); }
+  void Reply(Packet&& packet) override { TransmitToNetwork(std::move(packet)); }
+  void Punt(Packet&& packet) override { DeliverToHost(std::move(packet)); }
 
   // --- Data path ---
   void Receive(Packet packet) override;
   std::string SinkName() const override { return name_; }
   // Sends a packet out the network port (apps' replies).
-  void TransmitToNetwork(Packet packet);
+  void TransmitToNetwork(Packet&& packet);
   // Punts a packet to the host across PCIe/DMA; without a host link
   // (standalone) it is counted in dropped().
-  void DeliverToHost(Packet packet);
+  void DeliverToHost(Packet&& packet);
 
   // --- OffloadTarget: classifier and park flags ---
   // Activation needs an installed app (std::logic_error otherwise).
@@ -136,7 +136,7 @@ class OffloadNic : public PauseRelayNic,
  private:
   // First installed app claiming the packet (-1: none).
   int ClaimingApp(const Packet& packet) const;
-  void Admit(size_t app_index, Packet packet);
+  void Admit(size_t app_index, Packet&& packet);
 
   Simulation& sim_;
   std::string name_;

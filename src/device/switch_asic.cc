@@ -86,7 +86,7 @@ double SwitchAsic::ProtoConsumedRatePerSecond(AppProto proto) const {
   return proto_consumed_rate_[static_cast<size_t>(proto)].RatePerSecond(sim_.Now());
 }
 
-void SwitchAsic::TransmitFromPipeline(Packet packet) {
+void SwitchAsic::TransmitFromPipeline(Packet&& packet) {
   // Replies re-enter the forwarding pipeline: "entering as the request, and
   // coming out as the reply" (§10).
   Receive(std::move(packet));

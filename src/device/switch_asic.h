@@ -78,7 +78,7 @@ class SwitchAsic : public L2Switch, public PowerSource {
   std::vector<std::string> LoadedPrograms() const;
 
   // Sends a reply out of the pipeline (line-rate, no host involved).
-  void TransmitFromPipeline(Packet packet);
+  void TransmitFromPipeline(Packet&& packet);
 
   // Line-rate capacity in packets/second at the reference packet size.
   double LineRatePps() const;

@@ -45,11 +45,6 @@ void RequireValidName(const std::string& name) {
   }
 }
 
-uint32_t EncodedNameBytes(const std::string& name) {
-  RequireValidName(name);
-  return static_cast<uint32_t>(name.size()) + 2;
-}
-
 void EncodeName(std::vector<uint8_t>& out, const std::string& name) {
   RequireValidName(name);
   size_t start = 0;
@@ -259,17 +254,28 @@ std::optional<DnsMessage> DecodeDnsMessage(const std::vector<uint8_t>& wire) {
 }
 
 uint32_t DnsWireBytes(const DnsMessage& message) {
+  for (const auto& q : message.questions) {
+    RequireValidName(q.name);
+  }
+  for (const auto& rr : message.answers) {
+    RequireValidName(rr.name);
+  }
+  return DnsWireBytesOfValidNames(message);
+}
+
+uint32_t DnsWireBytesOfValidNames(const DnsMessage& message) {
   // The size EncodeDnsMessage would produce, without building it: an
   // uncompressed name encodes as its text plus the first length byte and the
   // root label (each dot becomes a length byte). Ethernet/IP/UDP headers
   // (14+20+8) + the 12-byte DNS header.
   uint32_t bytes = 42 + 12;
   for (const auto& q : message.questions) {
-    bytes += EncodedNameBytes(q.name) + 4;  // QTYPE, QCLASS.
+    bytes += static_cast<uint32_t>(q.name.size()) + 2 + 4;  // QTYPE, QCLASS.
   }
   for (const auto& rr : message.answers) {
     // TYPE, CLASS, TTL, RDLENGTH, RDATA.
-    bytes += EncodedNameBytes(rr.name) + 10 + static_cast<uint32_t>(rr.rdata.size());
+    bytes += static_cast<uint32_t>(rr.name.size()) + 2 + 10 +
+             static_cast<uint32_t>(rr.rdata.size());
   }
   return bytes;
 }

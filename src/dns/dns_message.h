@@ -85,6 +85,11 @@ std::optional<DnsMessage> DecodeDnsMessage(const std::vector<uint8_t>& wire);
 // std::invalid_argument exactly where EncodeDnsMessage would.
 uint32_t DnsWireBytes(const DnsMessage& message);
 
+// DnsWireBytes without the name checks, for a message whose names were
+// validated already: a reply echoes the question the request factory sized
+// (and its answer repeats that name), so a request scans its name once.
+uint32_t DnsWireBytesOfValidNames(const DnsMessage& message);
+
 }  // namespace incod
 
 #endif  // INCOD_SRC_DNS_DNS_MESSAGE_H_

@@ -30,7 +30,7 @@ FpgaPipelineSpec EmuDns::PipelineSpec() const {
   return spec;
 }
 
-void EmuDns::HandlePacket(AppContext& ctx, Packet packet) {
+void EmuDns::HandlePacket(AppContext& ctx, Packet&& packet) {
   const DnsMessage* query = PayloadIf<DnsMessage>(packet);
   if (query == nullptr) {
     ctx.Punt(std::move(packet));

@@ -56,7 +56,7 @@ class EmuDns : public App {
     return profile;
   }
 
-  void HandlePacket(AppContext& ctx, Packet packet) override;
+  void HandlePacket(AppContext& ctx, Packet&& packet) override;
 
   // App state contract (zone_state.h): the on-chip zone copy (restore
   // installs an owned zone — a warm table from another placement).

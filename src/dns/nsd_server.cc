@@ -51,14 +51,15 @@ Packet NsdServer::MakeReply(NodeId src, const Packet& query, DnsMessage response
   out.src = src;
   out.dst = query.src;
   out.proto = AppProto::kDns;
-  out.size_bytes = DnsWireBytes(response);
+  // The query's names were validated where it was sized.
+  out.size_bytes = DnsWireBytesOfValidNames(response);
   out.id = query.id;
   out.created_at = now;
   out.payload = std::move(response);
   return out;
 }
 
-void NsdServer::HandlePacket(AppContext& ctx, Packet packet) {
+void NsdServer::HandlePacket(AppContext& ctx, Packet&& packet) {
   const DnsMessage* query = PayloadIf<DnsMessage>(packet);
   if (query == nullptr) {
     malformed_.Increment();

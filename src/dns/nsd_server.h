@@ -37,7 +37,7 @@ class NsdServer : public App {
   }
 
   SimDuration CpuTimePerRequest(const Packet& packet) const override;
-  void HandlePacket(AppContext& ctx, Packet packet) override;
+  void HandlePacket(AppContext& ctx, Packet&& packet) override;
 
   // App state contract (zone_state.h): the zone copy this placement
   // answers from; restoring installs an owned zone (warmth transfer).
@@ -52,8 +52,9 @@ class NsdServer : public App {
   // the hardware implementations so all placements reply identically.
   static DnsMessage Resolve(const Zone& zone, const DnsMessage& query);
   // The reply packet carrying `response` back to the sender of `query`, sized
-  // as its wire encoding. Every placement replies through this; only the
-  // source address differs between them.
+  // as its wire encoding without re-checking the names it echoes from the
+  // query. Every placement replies through this; only the source address
+  // differs between them.
   static Packet MakeReply(NodeId src, const Packet& query, DnsMessage response,
                           SimTime now);
 

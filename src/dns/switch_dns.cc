@@ -15,7 +15,7 @@ DnsSwitchProgram::DnsSwitchProgram(const Zone* zone, DnsSwitchConfig config)
   }
 }
 
-void DnsSwitchProgram::HandlePacket(AppContext& ctx, Packet packet) {
+void DnsSwitchProgram::HandlePacket(AppContext& ctx, Packet&& packet) {
   const DnsMessage* query_if = PayloadIf<DnsMessage>(packet);
   if (query_if == nullptr) {
     ctx.Punt(std::move(packet));

@@ -48,7 +48,7 @@ class DnsSwitchProgram : public SwitchHostedApp {
   bool Matches(const Packet& packet) const override {
     return packet.proto == AppProto::kDns && packet.dst == config_.dns_service;
   }
-  void HandlePacket(AppContext& ctx, Packet packet) override;
+  void HandlePacket(AppContext& ctx, Packet&& packet) override;
 
   // App state contract (zone_state.h): the on-switch zone copy.
   AppState SnapshotState() const override { return zone_state_.Snapshot(proto(), AppName()); }

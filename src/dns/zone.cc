@@ -3,31 +3,119 @@
 #include <algorithm>
 #include <charconv>
 #include <sstream>
+#include <utility>
 
 #include "src/dns/dns_message.h"
 
 namespace incod {
 
+namespace {
+
+constexpr size_t kMinSlots = 16;
+
+// 64-bit FNV-1a: fixed across platforms and standard libraries.
+uint64_t NameHash(const std::string& name) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const char ch : name) {
+    hash ^= static_cast<uint8_t>(ch);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+}  // namespace
+
+void Zone::Reserve(size_t records) {
+  size_t slots = std::max(kMinSlots, slots_.size());
+  while (4 * records > 3 * slots) {
+    slots *= 2;
+  }
+  if (slots == slots_.size()) {
+    return;
+  }
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(slots));
+  for (Slot& moved : old) {
+    if (!moved.name.empty()) {
+      slots_[Probe(moved.name, moved.hash)] = std::move(moved);
+    }
+  }
+}
+
+size_t Zone::Probe(const std::string& name, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  size_t slot = HomeSlot(hash);
+  while (!slots_[slot].name.empty() &&
+         (slots_[slot].hash != hash || slots_[slot].name != name)) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
 bool Zone::AddRecord(const std::string& name, uint32_t ipv4, uint32_t ttl) {
   if (!IsValidDnsName(name)) {
     return false;
   }
-  records_[name] = Record{ipv4, ttl};
+  Reserve(size_ + 1);
+  const uint64_t hash = NameHash(name);
+  Slot& slot = slots_[Probe(name, hash)];
+  if (slot.name.empty()) {
+    slot.hash = hash;
+    slot.name = name;
+    ++size_;
+  }
+  slot.record = Record{ipv4, ttl};
   return true;
 }
 
 std::optional<Zone::Record> Zone::Lookup(const std::string& name) const {
-  auto it = records_.find(name);
-  if (it == records_.end()) {
+  if (size_ == 0) {
     return std::nullopt;
   }
-  return it->second;
+  const Slot& slot = slots_[Probe(name, NameHash(name))];
+  if (slot.name.empty()) {
+    return std::nullopt;
+  }
+  return slot.record;
 }
 
-bool Zone::Remove(const std::string& name) { return records_.erase(name) != 0; }
+bool Zone::Remove(const std::string& name) {
+  if (size_ == 0) {
+    return false;
+  }
+  size_t hole = Probe(name, NameHash(name));
+  if (slots_[hole].name.empty()) {
+    return false;
+  }
+  // Backward shift: pull later members of the probe run into the hole so
+  // every remaining name stays reachable from its home slot.
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = (hole + 1) & mask; !slots_[slot].name.empty(); slot = (slot + 1) & mask) {
+    const size_t home = HomeSlot(slots_[slot].hash);
+    const bool home_after_hole = hole <= slot ? (home > hole && home <= slot)
+                                              : (home > hole || home <= slot);
+    if (!home_after_hole) {
+      slots_[hole] = std::move(slots_[slot]);
+      hole = slot;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
+  return true;
+}
+
+void Zone::Clear() {
+  slots_.clear();
+  size_ = 0;
+}
 
 std::vector<std::pair<std::string, Zone::Record>> Zone::SortedRecords() const {
-  std::vector<std::pair<std::string, Record>> records(records_.begin(), records_.end());
+  std::vector<std::pair<std::string, Record>> records;
+  records.reserve(size_);
+  for (const Slot& slot : slots_) {
+    if (!slot.name.empty()) {
+      records.emplace_back(slot.name, slot.record);
+    }
+  }
   std::sort(records.begin(), records.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return records;
@@ -85,6 +173,7 @@ std::string Zone::SyntheticName(size_t i) {
 }
 
 void Zone::FillSynthetic(size_t count) {
+  Reserve(size_ + count);
   for (size_t i = 0; i < count; ++i) {
     AddRecord(SyntheticName(i), 0x0a000000u + static_cast<uint32_t>(i));
   }

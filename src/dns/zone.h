@@ -2,13 +2,18 @@
 //
 // Shared by the software NSD model and the Emu DNS hardware core so both
 // answer identically (the on-demand shift must be invisible to clients).
+//
+// Every DNS answer, on every placement, looks its name up here, so the
+// records live in one open-addressing table (linear probing, backward-shift
+// deletion) keyed by a fixed FNV-1a hash of the name: one probe run through
+// a flat array instead of a bucket walk over heap nodes. The table's order
+// is never observable; SortedRecords sorts.
 #ifndef INCOD_SRC_DNS_ZONE_H_
 #define INCOD_SRC_DNS_ZONE_H_
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,8 +32,8 @@ class Zone {
   std::optional<Record> Lookup(const std::string& name) const;
   bool Remove(const std::string& name);
 
-  size_t size() const { return records_.size(); }
-  void Clear() { records_.clear(); }
+  size_t size() const { return size_; }
+  void Clear();
 
   // All records sorted by name — the deterministic order the App state
   // contract serializes (zone-cache snapshots must be bit-identical).
@@ -48,7 +53,21 @@ class Zone {
   static std::string SyntheticName(size_t i);
 
  private:
-  std::unordered_map<std::string, Record> records_;
+  struct Slot {
+    uint64_t hash = 0;
+    std::string name;  // Empty: a free slot (valid names are never empty).
+    Record record;
+  };
+
+  // Grows the table (a power of two, at most 3/4 full) to hold `records`.
+  void Reserve(size_t records);
+  // Slot holding `name` (hash `hash`), or the free slot ending its probe run.
+  size_t Probe(const std::string& name, uint64_t hash) const;
+  size_t HomeSlot(uint64_t hash) const { return hash & (slots_.size() - 1); }
+
+  // Power-of-two size, at most 3/4 full.
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
 };
 
 }  // namespace incod

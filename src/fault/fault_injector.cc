@@ -40,7 +40,11 @@ void FaultInjector::RegisterLink(const std::string& name, Link* link) {
   if (link == nullptr) {
     throw std::invalid_argument("FaultInjector: null link for " + name);
   }
-  links_[name] = link;
+  if (!links_.emplace(name, link).second) {
+    // A second registration means two links answer to one name: a plan
+    // could only ever flap one of them.
+    throw std::invalid_argument("FaultInjector: link " + name + " registered twice");
+  }
 }
 
 FaultInjector::DeathVictim FaultInjector::Resolve(const FaultEventSpec& spec) const {

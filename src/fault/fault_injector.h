@@ -77,6 +77,7 @@ class FaultInjector {
                       Simulation* sim = nullptr);
   void RegisterNode(const std::string& name, PacketSink* sink,
                     Simulation* sim = nullptr);
+  // Each name once: a repeated name throws std::invalid_argument.
   void RegisterLink(const std::string& name, Link* link);
   // Called (in the home sim) when a kPsuBrownout fires, with the new cap.
   // Read at fire time, so the handler may be set after Arm().

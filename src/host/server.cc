@@ -189,7 +189,7 @@ void Server::StartService(BoundApp& bound, size_t thread_index) {
   sim_.Schedule(service, std::move(complete));
 }
 
-void Server::Punt(Packet packet) {
+void Server::Punt(Packet&& packet) {
   (void)packet;
   // An OS-level drop of a packet no app claimed; count it as received so
   // the received == completed + dropped (+ queued) invariant spans punts.
@@ -197,7 +197,7 @@ void Server::Punt(Packet packet) {
   dropped_no_app_.Increment();
 }
 
-void Server::Transmit(Packet packet) {
+void Server::Transmit(Packet&& packet) {
   packet.src = config_.node;
   if (uplink_ == nullptr) {
     throw std::logic_error("Server::Transmit with no uplink on " + config_.name);

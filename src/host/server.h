@@ -9,7 +9,6 @@
 #ifndef INCOD_SRC_HOST_SERVER_H_
 #define INCOD_SRC_HOST_SERVER_H_
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,6 +20,7 @@
 #include "src/net/link.h"
 #include "src/net/packet.h"
 #include "src/power/cpu_power.h"
+#include "src/sim/ring_queue.h"
 #include "src/sim/simulation.h"
 #include "src/stats/counters.h"
 
@@ -90,9 +90,9 @@ class Server : public PacketSink, public PowerSource, public AppContext {
   PlacementKind placement() const override { return PlacementKind::kHost; }
   NodeId self_node() const override { return config_.node; }
   // Replies leave via the uplink (stamps src with the host node).
-  void Reply(Packet packet) override { Transmit(std::move(packet)); }
+  void Reply(Packet&& packet) override { Transmit(std::move(packet)); }
   // A host has no placement below it: punted packets are dropped by the OS.
-  void Punt(Packet packet) override;
+  void Punt(Packet&& packet) override;
 
   // Network attachment: replies and originated packets leave via this link.
   void SetUplink(Link* link) { uplink_ = link; }
@@ -103,7 +103,7 @@ class Server : public PacketSink, public PowerSource, public AppContext {
   std::string SinkName() const override { return config_.name; }
 
   // Sends a packet out the uplink (stamps src).
-  void Transmit(Packet packet);
+  void Transmit(Packet&& packet);
 
   // Additional synthetic utilization (e.g. a co-running workload). Added to
   // measured app utilization, clamped to the core count.
@@ -158,7 +158,7 @@ class Server : public PacketSink, public PowerSource, public AppContext {
 
  private:
   struct WorkerThread {
-    std::deque<Packet> queue;
+    RingQueue<Packet> queue;
     bool busy = false;
     SimDuration cumulative_busy = 0;
   };

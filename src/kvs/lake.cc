@@ -55,7 +55,7 @@ void LakeCache::Reply(AppContext& ctx, const Packet& request, const KvResponse& 
   });
 }
 
-void LakeCache::HandlePacket(AppContext& ctx, Packet packet) {
+void LakeCache::HandlePacket(AppContext& ctx, Packet&& packet) {
   const KvRequest req = PayloadAs<KvRequest>(packet);
   switch (req.op) {
     case KvOp::kGet: {

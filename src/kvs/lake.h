@@ -69,7 +69,7 @@ class LakeCache : public App {
     return profile;
   }
 
-  void HandlePacket(AppContext& ctx, Packet packet) override;
+  void HandlePacket(AppContext& ctx, Packet&& packet) override;
   void OnMemoryReset() override;
   void OnHostEgress(AppContext& ctx, const Packet& packet) override;
 

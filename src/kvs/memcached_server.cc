@@ -21,7 +21,7 @@ SimDuration MemcachedServer::CpuTimePerRequest(const Packet& packet) const {
   return kGetCpuTime;
 }
 
-void MemcachedServer::HandlePacket(AppContext& ctx, Packet packet) {
+void MemcachedServer::HandlePacket(AppContext& ctx, Packet&& packet) {
   const KvRequest req = PayloadAs<KvRequest>(packet);
   KvResponse resp;
   resp.op = req.op;

@@ -38,7 +38,7 @@ class MemcachedServer : public App {
   }
 
   SimDuration CpuTimePerRequest(const Packet& packet) const override;
-  void HandlePacket(AppContext& ctx, Packet packet) override;
+  void HandlePacket(AppContext& ctx, Packet&& packet) override;
 
   // App state contract: the authoritative store contents in LRU order.
   AppState SnapshotState() const override;

@@ -53,7 +53,7 @@ void KvSwitchCache::ObserveResponse(const Packet& packet, const KvResponse& resp
   }
 }
 
-void KvSwitchCache::HandlePacket(AppContext& ctx, Packet packet) {
+void KvSwitchCache::HandlePacket(AppContext& ctx, Packet&& packet) {
   if (const KvRequest* request = PayloadIf<KvRequest>(packet);
       request != nullptr && packet.dst == config_.kvs_service) {
     switch (request->op) {

@@ -53,7 +53,7 @@ class KvSwitchCache : public SwitchHostedApp {
   bool Matches(const Packet& packet) const override {
     return packet.proto == AppProto::kKv;
   }
-  void HandlePacket(AppContext& ctx, Packet packet) override;
+  void HandlePacket(AppContext& ctx, Packet&& packet) override;
 
   // App state contract: the register-array cache contents in LRU order.
   AppState SnapshotState() const override;

@@ -27,7 +27,7 @@ void DcqcnRateController::AttachUplink(Link* link, PacketSink* sender) {
   sender_ = sender;
 }
 
-void DcqcnRateController::Submit(Packet packet) {
+void DcqcnRateController::Submit(Packet&& packet) {
   if (uplink_ == nullptr || sender_ == nullptr) {
     throw std::logic_error("DcqcnRateController: Submit before AttachUplink");
   }

@@ -27,9 +27,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 
 #include "src/net/packet.h"
+#include "src/sim/ring_queue.h"
 #include "src/sim/simulation.h"
 
 namespace incod {
@@ -100,7 +100,7 @@ class DcqcnRateController {
   void AttachUplink(Link* link, PacketSink* sender);
 
   // Pace-and-send. With the controller disabled this forwards directly.
-  void Submit(Packet packet);
+  void Submit(Packet&& packet);
 
   // A CNP arrived from a receiver: multiplicative decrease.
   void OnCnp();
@@ -127,7 +127,7 @@ class DcqcnRateController {
   DcqcnConfig config_;
   Link* uplink_ = nullptr;
   PacketSink* sender_ = nullptr;
-  std::deque<Packet> queue_;
+  RingQueue<Packet> queue_;
   double rate_;         // Current pacing rate (pps).
   double target_rate_;  // DCQCN Rt: fast-recovery target.
   double alpha_;        // Congestion estimate in [0, 1].

@@ -70,7 +70,7 @@ int Link::IndexToward(const PacketSink* to) const {
   throw std::invalid_argument("Link: sink not connected to " + name_);
 }
 
-void Link::PutOnWire(int dir, SimTime at, Packet pkt) {
+void Link::PutOnWire(int dir, SimTime at, Packet&& pkt) {
   Direction& d = dir_[dir];
   ++d.posted;
   // at >= now + propagation >= now + lookahead, so a cross-shard post always
@@ -88,7 +88,7 @@ void Link::PostAcross(const Direction& d, int from_shard, int to_shard, SimTime 
   }
 }
 
-void Link::CompleteDelivery(int dir, Packet pkt) {
+void Link::CompleteDelivery(int dir, Packet&& pkt) {
   // Runs in the receiver's shard; the sender never touches these fields.
   Direction& d = dir_[dir];
   if (d.rx_down) {
@@ -105,7 +105,7 @@ void Link::CompleteDelivery(int dir, Packet pkt) {
   }
 }
 
-void Link::Send(const PacketSink* from, Packet packet) {
+void Link::Send(const PacketSink* from, Packet&& packet) {
   if (ends_[0] == nullptr || ends_[1] == nullptr) {
     throw std::logic_error("Link::Send before Connect on " + name_);
   }
@@ -143,7 +143,7 @@ void Link::Send(const PacketSink* from, Packet packet) {
   PutOnWire(index, start + ser + config_.propagation_delay, std::move(packet));
 }
 
-void Link::SendPaced(int index, Packet packet) {
+void Link::SendPaced(int index, Packet&& packet) {
   Direction& d = dir_[index];
   // In paced mode the waiting backlog is explicit: everything in tx_queue
   // except the packet occupying the serializer.

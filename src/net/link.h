@@ -25,13 +25,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <type_traits>
 #include <utility>
 
 #include "src/net/flow_control.h"
 #include "src/net/packet.h"
+#include "src/sim/ring_queue.h"
 #include "src/sim/simulation.h"
 
 namespace incod {
@@ -65,7 +65,9 @@ class Link {
   // the two connected endpoints. Drops when the backlog of packets *waiting*
   // for the serializer reaches queue_capacity_packets; the packet currently
   // being serialized occupies the transmitter, not the queue.
-  void Send(const PacketSink* from, Packet packet);
+  void Send(const PacketSink* from, Packet&& packet);
+  // Copying form, for callers that keep their packet.
+  void Send(const PacketSink* from, const Packet& packet) { Send(from, Packet(packet)); }
 
   // Fault layer: takes the cable down / brings it back up at `at`, in both
   // directions. While down, new sends are refused at the sender and packets
@@ -137,13 +139,13 @@ class Link {
     // service_start > now are the waiting backlog held against
     // queue_capacity_packets; the packets themselves travel inside their
     // delivery events.
-    std::deque<SimTime> waiting_starts;
+    RingQueue<SimTime> waiting_starts;
     // Packets put on the wire (sender-side), for in_flight().
     uint64_t posted = 0;
     // PFC paced mode (config.flow.pfc). tx_queue holds packets not yet on
     // the wire, front included while it is being serialized (`serving`).
     // All of this is sender-side state.
-    std::deque<Packet> tx_queue;
+    RingQueue<Packet> tx_queue;
     bool serving = false;
     bool peer_paused = false;  // Receiver asserted pause; stop at boundary.
     bool congested = false;    // Watermark latch driving the FlowListener.
@@ -193,18 +195,18 @@ class Link {
 
   SimDuration SerializationDelay(uint32_t bytes) const;
   int IndexToward(const PacketSink* to) const;
-  void SendPaced(int index, Packet packet);
+  void SendPaced(int index, Packet&& packet);
   void StartService(int dir);
   void CompleteService(int dir);
   void ApplyPauseFlip(int dir, bool paused);
   // Puts a serialized packet on the wire: one Deliver event at `at`.
-  void PutOnWire(int dir, SimTime at, Packet pkt);
+  void PutOnWire(int dir, SimTime at, Packet&& pkt);
   // Queues `event` at `at` on the other side of direction `d`: posted from
   // `from_shard` to `to_shard` when the direction crosses shards, else in
   // its one Simulation. The only datapath code that reads `d.cross`.
   template <typename Event>
   void PostAcross(const Direction& d, int from_shard, int to_shard, SimTime at, Event&& event);
-  void CompleteDelivery(int dir, Packet pkt);
+  void CompleteDelivery(int dir, Packet&& pkt);
   void ScheduleAdmin(SimTime at, bool down);
   Simulation& RxSim(const Direction& d);
   Simulation& DriveSim(const Direction& d) { return d.drive != nullptr ? *d.drive : sim_; }

@@ -143,7 +143,7 @@ bool L2Switch::upstream_paused(int port) const {
   return upstream_paused_.at(static_cast<size_t>(port));
 }
 
-void L2Switch::Forward(Packet packet, int port) {
+void L2Switch::Forward(Packet&& packet, int port) {
   forwarded_.Increment();
   Link* link = ports_[static_cast<size_t>(port)];
   sim_.Schedule(forwarding_latency_, [this, link, pkt = std::move(packet)]() mutable {

@@ -86,7 +86,7 @@ class L2Switch : public PacketSink, public FlowListener {
   Simulation& sim_;
 
  private:
-  void Forward(Packet packet, int port);
+  void Forward(Packet&& packet, int port);
   void UpdateUpstreamPauses();
 
   std::string name_;

@@ -81,7 +81,7 @@ NodeId P4xosFpgaApp::ReplySource() const {
   return self != 0 ? self : role_address_;
 }
 
-void P4xosFpgaApp::HandlePacket(AppContext& ctx, Packet packet) {
+void P4xosFpgaApp::HandlePacket(AppContext& ctx, Packet&& packet) {
   const PaxosMessage* msg = PayloadIf<PaxosMessage>(packet);
   if (msg == nullptr) {
     ctx.Punt(std::move(packet));
@@ -121,7 +121,7 @@ std::string P4xosSwitchProgram::AppName() const {
   return std::string("p4xos-") + P4xosRoleName(role());
 }
 
-void P4xosSwitchProgram::HandlePacket(AppContext& ctx, Packet packet) {
+void P4xosSwitchProgram::HandlePacket(AppContext& ctx, Packet&& packet) {
   const PaxosMessage* msg = PayloadIf<PaxosMessage>(packet);
   if (msg == nullptr) {
     ctx.Punt(std::move(packet));

@@ -82,7 +82,7 @@ class P4xosFpgaApp : public App {
   }
 
   bool Matches(const Packet& packet) const override;
-  void HandlePacket(AppContext& ctx, Packet packet) override;
+  void HandlePacket(AppContext& ctx, Packet&& packet) override;
 
   // Leader role only: starts passive §9.2 sequence learning (proposals wait
   // for acceptor hints). Call after activation and service re-pointing.
@@ -127,7 +127,7 @@ class P4xosSwitchProgram : public SwitchHostedApp {
   bool Matches(const Packet& packet) const override {
     return packet.proto == AppProto::kPaxos && packet.dst == role_address_;
   }
-  void HandlePacket(AppContext& ctx, Packet packet) override;
+  void HandlePacket(AppContext& ctx, Packet&& packet) override;
 
   // App state contract: ballot/sequence (leader) or vote log (acceptor).
   AppState SnapshotState() const override;

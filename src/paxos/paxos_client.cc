@@ -1,5 +1,6 @@
 #include "src/paxos/paxos_client.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -43,50 +44,41 @@ void PaxosClient::SendNext() {
     if (sim_.Now() >= stop_at_) {
       return;
     }
-    // Value ids are globally unique and non-zero: node in the top bits.
-    const PaxosValue value =
-        (static_cast<PaxosValue>(config_.node) << 32) | next_seq_++;
-    outstanding_[value] = Pending{sim_.Now(), 0};
-    SendRequest(value, /*is_retry=*/false);
+    SendRequest(window_.Open(sim_.Now()), /*attempt=*/1);
     SendNext();
   });
 }
 
-void PaxosClient::SendRequest(PaxosValue value, bool is_retry) {
-  auto it = outstanding_.find(value);
-  if (it == outstanding_.end()) {
-    return;
-  }
-  ++it->second.attempts;
-  if (is_retry) {
+void PaxosClient::SendRequest(uint64_t seq, int attempt) {
+  if (attempt > 1) {
     retries_.Increment();
   } else {
     sent_.Increment();
   }
   PaxosMessage msg;
   msg.type = PaxosMsgType::kClientRequest;
-  msg.value = value;
+  // Value ids are globally unique and non-zero: node in the top bits.
+  msg.value = (static_cast<PaxosValue>(config_.node) << 32) | seq;
   msg.client = config_.node;
   if (uplink_ == nullptr) {
     throw std::logic_error("PaxosClient: no uplink");
   }
   uplink_->Send(this, MakePaxosPacket(config_.node, config_.leader_service, msg,
                                       sim_.Now()));
-  ArmTimeout(value);
+  ArmTimeout(seq, attempt);
 }
 
-void PaxosClient::ArmTimeout(PaxosValue value) {
-  sim_.Schedule(config_.retry_timeout, [this, value] {
-    auto it = outstanding_.find(value);
-    if (it == outstanding_.end()) {
+void PaxosClient::ArmTimeout(uint64_t seq, int attempts) {
+  sim_.Schedule(config_.retry_timeout, [this, seq, attempts] {
+    if (!window_.IsOpen(seq)) {
       return;  // Completed meanwhile.
     }
-    if (it->second.attempts > config_.max_retries) {
+    if (attempts > config_.max_retries) {
       abandoned_.Increment();
-      outstanding_.erase(it);
+      window_.Close(seq);
       return;
     }
-    SendRequest(value, /*is_retry=*/true);
+    SendRequest(seq, attempts + 1);
   });
 }
 
@@ -96,17 +88,17 @@ void PaxosClient::Receive(Packet packet) {
     return;
   }
   const PaxosMessage& msg = *msg_if;
-  if (msg.type != PaxosMsgType::kClientResponse) {
+  if (msg.type != PaxosMsgType::kClientResponse ||
+      msg.value >> 32 != static_cast<PaxosValue>(config_.node)) {
     return;
   }
-  auto it = outstanding_.find(msg.value);
-  if (it == outstanding_.end()) {
+  const std::optional<SimTime> first_sent = window_.Close(msg.value & 0xffffffffu);
+  if (!first_sent.has_value()) {
     return;  // Duplicate response (e.g. re-proposed during migration).
   }
   completed_.Increment();
   ++bucket_completions_;
-  latency_.Record(static_cast<uint64_t>(sim_.Now() - it->second.first_sent));
-  outstanding_.erase(it);
+  latency_.Record(static_cast<uint64_t>(sim_.Now() - *first_sent));
 }
 
 }  // namespace incod

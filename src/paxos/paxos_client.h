@@ -8,13 +8,13 @@
 #define INCOD_SRC_PAXOS_PAXOS_CLIENT_H_
 
 #include <string>
-#include <unordered_map>
 
 #include "src/net/link.h"
 #include "src/paxos/paxos_msg.h"
 #include "src/sim/simulation.h"
 #include "src/stats/counters.h"
 #include "src/stats/histogram.h"
+#include "src/stats/request_window.h"
 #include "src/stats/timeseries.h"
 
 namespace incod {
@@ -46,7 +46,7 @@ class PaxosClient : public PacketSink {
   uint64_t completed() const { return completed_.value(); }
   uint64_t retries() const { return retries_.value(); }
   uint64_t timeouts_abandoned() const { return abandoned_.value(); }
-  size_t outstanding() const { return outstanding_.size(); }
+  size_t outstanding() const { return window_.outstanding(); }
 
   // End-to-end request latency (first send to response), nanoseconds.
   const Histogram& latency() const { return latency_; }
@@ -55,22 +55,19 @@ class PaxosClient : public PacketSink {
   Histogram& mutable_latency() { return latency_; }
 
  private:
-  struct Pending {
-    SimTime first_sent = 0;
-    int attempts = 0;
-  };
-
   void SendNext();
-  void SendRequest(PaxosValue value, bool is_retry);
-  void ArmTimeout(PaxosValue value);
+  // Sends attempt number `attempt` (1: the first send) of request `seq`.
+  void SendRequest(uint64_t seq, int attempt);
+  void ArmTimeout(uint64_t seq, int attempts);
   void RollBucket();
 
   Simulation& sim_;
   PaxosClientConfig config_;
   Link* uplink_ = nullptr;
   SimTime stop_at_ = INT64_MAX;
-  uint64_t next_seq_ = 1;
-  std::unordered_map<PaxosValue, Pending> outstanding_;
+  // Outstanding requests by sequence number (the low 32 bits of their
+  // value), with their first send time.
+  RequestWindow window_;
   Counter sent_;
   Counter completed_;
   Counter retries_;

@@ -22,7 +22,7 @@ SimDuration PaxosSoftwareApp::CpuTimePerRequest(const Packet& packet) const {
   return config_.cpu_time_per_message;
 }
 
-void PaxosSoftwareApp::HandlePacket(AppContext& ctx, Packet packet) {
+void PaxosSoftwareApp::HandlePacket(AppContext& ctx, Packet&& packet) {
   const PaxosMessage* msg_if = active_ ? PayloadIf<PaxosMessage>(packet) : nullptr;
   if (msg_if == nullptr) {
     return;

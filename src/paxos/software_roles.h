@@ -44,7 +44,7 @@ class PaxosSoftwareApp : public App {
   virtual std::optional<NodeId> service_address() const { return std::nullopt; }
 
   SimDuration CpuTimePerRequest(const Packet& packet) const override;
-  void HandlePacket(AppContext& ctx, Packet packet) override;
+  void HandlePacket(AppContext& ctx, Packet&& packet) override;
 
   // Transmits role-state output through the hosting substrate.
   void TransmitOutbox(std::vector<PaxosOut> outbox);

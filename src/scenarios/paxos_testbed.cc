@@ -105,6 +105,7 @@ ScenarioMemberSpec MakeSutAcceptorMember(const PaxosTestbedOptions& options) {
   const NodeId node = kPaxosAcceptorBaseNode;
   ScenarioMemberSpec member;
   member.name = "acceptor-0";
+  member.link_name = "acceptor-10ge";
 
   switch (options.deployment) {
     case PaxosDeployment::kLibpaxos:
@@ -159,6 +160,7 @@ ScenarioMemberSpec MakeAuxRoleMember(std::string name, std::string host_name, No
   member.name = std::move(name);
   member.aux = true;
   member.aux_cores = cores;
+  member.link_name = member.name + "-10ge";
   member.target.kind = ScenarioTargetKind::kNone;
   member.host.config.name = std::move(host_name);
   member.host.config.node = node;
@@ -224,7 +226,6 @@ ScenarioSpec MakePaxosGroupSpec(const PaxosTestbedOptions& options) {
 
   spec.members.push_back(MakeLeaderMember(options));
   for (ScenarioMemberSpec& acceptor : paxos.acceptors) {
-    acceptor.link_name = "acceptor-10ge";
     spec.members.push_back(std::move(acceptor));
   }
   spec.members.push_back(std::move(paxos.learner));

@@ -149,7 +149,7 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
   if (member_spec.aux) {
     built.server = builder_.AddAuxServer(tor_, member_spec.host.config.node,
                                          member_spec.host.config.name,
-                                         member_spec.aux_cores);
+                                         member_spec.aux_cores, member_spec.link_name);
   } else if (member_spec.host.present) {
     built.server = builder_.AddServer(member_spec.host.config, member_spec.host.metered);
   }
@@ -272,7 +272,9 @@ void ScenarioTestbed::BuildFaults() {
       faults_.RegisterTarget(m.switch_target->TargetName(), m.switch_target.get());
     }
     register_link(member_spec.link_name);
-    register_link(PcieLinkName(member_spec));
+    if (!member_spec.aux) {  // An aux host hangs off the ToR with no PCIe hop.
+      register_link(PcieLinkName(member_spec));
+    }
   }
   faults_.Arm(spec_.faults);
 }

@@ -78,7 +78,7 @@ L2Switch* TestbedBuilder::AddL2Switch(std::string name) {
 }
 
 Server* TestbedBuilder::AddAuxServer(L2Switch* sw, NodeId node, std::string name,
-                                     int cores) {
+                                     int cores, std::string link_name) {
   ServerConfig config;
   config.name = std::move(name);
   config.node = node;
@@ -87,7 +87,7 @@ Server* TestbedBuilder::AddAuxServer(L2Switch* sw, NodeId node, std::string name
   config.stack_rx_cost = Nanoseconds(100);  // Aux boxes must never bottleneck.
   config.stack_tx_cost = Nanoseconds(50);
   Server* server = AddServer(std::move(config), /*metered=*/false);
-  Link* link = topology_.ConnectToSwitch(sw, server, node, TenGigLink());
+  Link* link = topology_.ConnectToSwitch(sw, server, node, TenGigLink(), std::move(link_name));
   server->SetUplink(link);
   return server;
 }

@@ -59,8 +59,9 @@ class TestbedBuilder {
   L2Switch* AddL2Switch(std::string name);
   // Auxiliary host that must never bottleneck and is never metered
   // (acceptors, learners): fast stack costs, synthetic curve, attached to
-  // a switch port with a route for `node`.
-  Server* AddAuxServer(L2Switch* sw, NodeId node, std::string name, int cores);
+  // a switch port with a route for `node` over a link named `link_name`.
+  Server* AddAuxServer(L2Switch* sw, NodeId node, std::string name, int cores,
+                       std::string link_name);
   // `shard` >= 0 places the client in that shard (sharded builds only);
   // -1 keeps it in the builder's default shard.
   LoadClient* AddLoadClient(LoadClientConfig config,

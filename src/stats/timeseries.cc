@@ -51,21 +51,19 @@ SlidingWindowRate::SlidingWindowRate(SimDuration window) : window_(window) {
   }
 }
 
-void SlidingWindowRate::RecordEvent(SimTime now, uint64_t count) {
+void SlidingWindowRate::RecordEvent(SimTime now) {
   Evict(now);
-  events_.emplace_back(now, count);
-  in_window_ += count;
+  events_.push_back(now);
 }
 
 double SlidingWindowRate::RatePerSecond(SimTime now) {
   Evict(now);
-  return static_cast<double>(in_window_) / ToSeconds(window_);
+  return static_cast<double>(events_.size()) / ToSeconds(window_);
 }
 
 void SlidingWindowRate::Evict(SimTime now) {
   const SimTime cutoff = now - window_;
-  while (!events_.empty() && events_.front().first < cutoff) {
-    in_window_ -= events_.front().second;
+  while (!events_.empty() && events_.front() < cutoff) {
     events_.pop_front();
   }
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/ring_queue.h"
 #include "src/sim/time.h"
 
 namespace incod {
@@ -44,12 +45,13 @@ class TimeSeries {
 };
 
 // Counts events and reports the average rate (events/second) over a trailing
-// window. Old events are evicted lazily on access.
+// window. Old events are evicted lazily on access. One timestamp per event:
+// every hot caller records single packets.
 class SlidingWindowRate {
  public:
   explicit SlidingWindowRate(SimDuration window);
 
-  void RecordEvent(SimTime now, uint64_t count = 1);
+  void RecordEvent(SimTime now);
 
   // Average events/second over [now - window, now].
   double RatePerSecond(SimTime now);
@@ -61,8 +63,7 @@ class SlidingWindowRate {
   void Evict(SimTime now);
 
   SimDuration window_;
-  std::deque<std::pair<SimTime, uint64_t>> events_;
-  uint64_t in_window_ = 0;
+  RingQueue<SimTime> events_;  // Event times, oldest first.
 };
 
 // Sliding mean of a sampled scalar (CPU %, watts) over a trailing window.

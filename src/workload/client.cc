@@ -1,8 +1,8 @@
 #include "src/workload/client.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 namespace incod {
 
@@ -38,12 +38,11 @@ void LoadClient::SendNext() {
     if (sim_.Now() >= stop_at_) {
       return;
     }
-    const uint64_t id = next_id_++;
+    const uint64_t id = window_.Open(sim_.Now());
     Packet pkt = factory_(config_.node, id, sim_.Now(), rng_);
     pkt.src = config_.node;
     pkt.id = id;
     pkt.created_at = sim_.Now();
-    outstanding_[id] = sim_.Now();
     sent_.Increment();
     if (uplink_ == nullptr) {
       throw std::logic_error("LoadClient: no uplink");
@@ -71,17 +70,7 @@ void LoadClient::RollBucket() {
 
 void LoadClient::SweepTimeouts() {
   sim_.Schedule(config_.loss_timeout, [this] {
-    const SimTime cutoff = sim_.Now() - config_.loss_timeout;
-    std::vector<uint64_t> expired;
-    for (const auto& [id, at] : outstanding_) {
-      if (at < cutoff) {
-        expired.push_back(id);
-      }
-    }
-    for (uint64_t id : expired) {
-      outstanding_.erase(id);
-      lost_.Increment();
-    }
+    lost_.Increment(window_.ExpireBefore(sim_.Now() - config_.loss_timeout));
     if (sim_.Now() < stop_at_) {
       SweepTimeouts();
     }
@@ -98,14 +87,13 @@ void LoadClient::Receive(Packet packet) {
       return;
     }
   }
-  auto it = outstanding_.find(packet.id);
-  if (it == outstanding_.end()) {
+  const std::optional<SimTime> sent_at = window_.Close(packet.id);
+  if (!sent_at.has_value()) {
     return;  // Late or duplicate response.
   }
   received_.Increment();
   ++bucket_completions_;
-  latency_.Record(static_cast<uint64_t>(sim_.Now() - it->second));
-  outstanding_.erase(it);
+  latency_.Record(static_cast<uint64_t>(sim_.Now() - *sent_at));
 }
 
 void LoadClient::OnLinkCongestion(Link* link, bool congested) {

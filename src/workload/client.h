@@ -10,7 +10,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "src/net/flow_control.h"
 #include "src/net/link.h"
@@ -18,6 +17,7 @@
 #include "src/sim/simulation.h"
 #include "src/stats/counters.h"
 #include "src/stats/histogram.h"
+#include "src/stats/request_window.h"
 #include "src/stats/timeseries.h"
 #include "src/workload/arrival.h"
 
@@ -73,7 +73,7 @@ class LoadClient : public PacketSink, public FlowListener {
   uint64_t sent() const { return sent_.value(); }
   uint64_t received() const { return received_.value(); }
   uint64_t lost() const { return lost_.value(); }
-  size_t outstanding() const { return outstanding_.size(); }
+  size_t outstanding() const { return window_.outstanding(); }
   double LossFraction() const;
 
   const Histogram& latency() const { return latency_; }
@@ -97,8 +97,7 @@ class LoadClient : public PacketSink, public FlowListener {
   RequestFactory factory_;
   Link* uplink_ = nullptr;
   SimTime stop_at_ = INT64_MAX;
-  uint64_t next_id_ = 1;
-  std::unordered_map<uint64_t, SimTime> outstanding_;
+  RequestWindow window_;  // Outstanding requests by id.
   Counter sent_;
   Counter received_;
   Counter lost_;

@@ -40,8 +40,8 @@ class FakeContext : public AppContext {
   Simulation& sim() override { return sim_; }
   PlacementKind placement() const override { return placement_; }
   NodeId self_node() const override { return self_; }
-  void Reply(Packet packet) override { replies.push_back(std::move(packet)); }
-  void Punt(Packet packet) override { punts.push_back(std::move(packet)); }
+  void Reply(Packet&& packet) override { replies.push_back(std::move(packet)); }
+  void Punt(Packet&& packet) override { punts.push_back(std::move(packet)); }
 
   std::vector<Packet> replies;
   std::vector<Packet> punts;

@@ -47,13 +47,13 @@ class EchoApp : public App {
     profile.dynamic_watts_at_capacity = 1.0;
     return profile;
   }
-  void HandlePacket(AppContext& ctx, Packet packet) override {
+  void HandlePacket(AppContext& ctx, Packet&& packet) override {
     ++processed;
     Packet reply;
     reply.src = ctx.self_node();
     reply.dst = packet.src;
     reply.proto = AppProto::kKv;
-    ctx.Reply(reply);
+    ctx.Reply(std::move(reply));
   }
   void OnMemoryReset() override { ++resets; }
   int processed = 0;
@@ -579,7 +579,7 @@ struct CountingApp : App {
     profile.smartnic.resource_slots = slots;
     return profile;
   }
-  void HandlePacket(AppContext&, Packet) override {}
+  void HandlePacket(AppContext&, Packet&&) override {}
   void OnActivate() override { ++activations; }
   int slots = 1;
   int activations = 0;

@@ -1,7 +1,9 @@
 // Tests for DNS wire format, zone, NSD and Emu DNS.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "src/device/fpga_nic.h"
 #include "src/dns/dns_message.h"
@@ -183,6 +185,74 @@ TEST(ZoneTest, FillSynthetic) {
   EXPECT_EQ(zone.size(), 100u);
   EXPECT_TRUE(zone.Lookup(Zone::SyntheticName(42)).has_value());
 }
+
+// Differential check: over seeded random adds, replacements, removals,
+// re-adds and lookups (present, removed and never-added names), the flat
+// table answers exactly like a std::map, and SortedRecords matches the
+// map's order.
+class ZoneDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ZoneDifferentialTest, MatchesReferenceMap) {
+  Rng rng(GetParam());
+  Zone zone;
+  std::map<std::string, Zone::Record> reference;
+  auto random_name = [&] {
+    switch (rng.UniformInt(0, 3)) {
+      case 0:  // Synthetic names share long common suffixes.
+        return Zone::SyntheticName(static_cast<size_t>(rng.UniformInt(0, 400)));
+      case 1:
+        return "n" + std::to_string(rng.UniformInt(0, 400)) + ".example";
+      case 2:  // Invalid: never added.
+        return std::string("bad..") + std::to_string(rng.UniformInt(0, 9));
+      default:
+        return "absent" + std::to_string(rng.UniformInt(0, 400)) + ".example";
+    }
+  };
+  for (int step = 0; step < 30000; ++step) {
+    const std::string name = random_name();
+    const int64_t op = rng.UniformInt(0, 99);
+    if (op < 45 && name.rfind("absent", 0) != 0) {
+      const auto ipv4 = static_cast<uint32_t>(rng.NextU64());
+      const auto ttl = static_cast<uint32_t>(rng.UniformInt(1, 86400));
+      const bool valid = IsValidDnsName(name);
+      ASSERT_EQ(zone.AddRecord(name, ipv4, ttl), valid) << name;
+      if (valid) {
+        reference[name] = Zone::Record{ipv4, ttl};
+      }
+    } else if (op < 65) {
+      ASSERT_EQ(zone.Remove(name), reference.erase(name) == 1) << name;
+    } else if (op < 66) {
+      zone.Clear();
+      reference.clear();
+    } else {
+      const auto got = zone.Lookup(name);
+      const auto want = reference.find(name);
+      ASSERT_EQ(got.has_value(), want != reference.end()) << name;
+      if (got.has_value()) {
+        ASSERT_EQ(got->ipv4, want->second.ipv4) << name;
+        ASSERT_EQ(got->ttl, want->second.ttl) << name;
+      }
+    }
+    ASSERT_EQ(zone.size(), reference.size()) << "step " << step;
+    if (step % 1000 == 0) {
+      const auto sorted = zone.SortedRecords();
+      ASSERT_EQ(sorted.size(), reference.size());
+      size_t i = 0;
+      for (const auto& [ref_name, record] : reference) {
+        ASSERT_EQ(sorted[i].first, ref_name);
+        ASSERT_EQ(sorted[i].second.ipv4, record.ipv4);
+        ASSERT_EQ(sorted[i].second.ttl, record.ttl);
+        ++i;
+      }
+    }
+  }
+  // Every surviving record still resolves after all the shifting.
+  for (const auto& [name, record] : reference) {
+    ASSERT_EQ(zone.Lookup(name)->ipv4, record.ipv4) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ZoneDifferentialTest, ::testing::Values(9u, 10u, 11u));
 
 TEST(NsdResolveTest, AnswersFromZone) {
   Zone zone;

@@ -33,13 +33,13 @@ class EchoApp : public App {
   }
   SimDuration CpuTimePerRequest(const Packet&) const override { return cpu_time_; }
 
-  void HandlePacket(AppContext& ctx, Packet packet) override {
+  void HandlePacket(AppContext& ctx, Packet&& packet) override {
     ++executed;
     Packet reply;
     reply.dst = packet.src;
     reply.proto = proto_;
     reply.id = packet.id;
-    ctx.Reply(reply);
+    ctx.Reply(std::move(reply));
   }
 
   int executed = 0;
@@ -267,7 +267,7 @@ TEST(ServerTest, TransmitWithoutUplinkThrows) {
   Simulation sim;
   Server server(sim, BasicConfig());
   Packet pkt;
-  EXPECT_THROW(server.Transmit(pkt), std::logic_error);
+  EXPECT_THROW(server.Transmit(std::move(pkt)), std::logic_error);
 }
 
 TEST(ServerTest, RaplTracksDynamicPower) {

@@ -1,7 +1,12 @@
 // Tests for the KV store, protocol, memcached model, and LaKe.
 #include <gtest/gtest.h>
 
+#include <list>
 #include <memory>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/device/fpga_nic.h"
 #include "src/host/server.h"
@@ -122,6 +127,125 @@ TEST_P(KvStoreLruPropertyTest, MostRecentKeysSurvive) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, KvStoreLruPropertyTest,
                          ::testing::Values(1u, 4u, 16u, 51u));
+
+// Reference LRU store, node-based and obviously correct: the differential
+// oracle for KvStore's flat layout.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  bool Get(uint64_t key, uint32_t* value_bytes) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      return false;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    *value_bytes = it->second->second;
+    return true;
+  }
+  void Set(uint64_t key, uint32_t value_bytes) {
+    if (auto it = index_.find(key); it != index_.end()) {
+      it->second->second = value_bytes;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (index_.size() >= capacity_) {
+      index_.erase(lru_.back().first);
+      lru_.pop_back();
+      ++evictions_;
+    }
+    lru_.emplace_front(key, value_bytes);
+    index_[key] = lru_.begin();
+  }
+  bool Delete(uint64_t key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      return false;
+    }
+    lru_.erase(it->second);
+    index_.erase(it);
+    return true;
+  }
+  void Clear() {
+    lru_.clear();
+    index_.clear();
+  }
+  std::vector<std::pair<uint64_t, uint32_t>> SnapshotLru() const {
+    return {lru_.rbegin(), lru_.rend()};
+  }
+  bool Contains(uint64_t key) const { return index_.count(key) != 0; }
+  size_t size() const { return index_.size(); }
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  size_t capacity_;
+  std::list<std::pair<uint64_t, uint32_t>> lru_;  // Front: most recent.
+  std::unordered_map<uint64_t, std::list<std::pair<uint64_t, uint32_t>>::iterator> index_;
+  uint64_t evictions_ = 0;
+};
+
+// Differential check over seeded random operation sequences: every result,
+// the size, the eviction count and the full LRU order match the reference,
+// including restores into a smaller (evicting) and a larger store.
+class KvStoreDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KvStoreDifferentialTest, MatchesReferenceLru) {
+  Rng rng(GetParam());
+  for (const size_t capacity : {1u, 7u, 64u, 300u}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    KvStore store(capacity);
+    ReferenceLru reference(capacity);
+    // A keyspace a few times the capacity keeps evictions, misses and
+    // index growth/shrink all busy; spread keys exercise the hash.
+    const int64_t keyspace = static_cast<int64_t>(3 * capacity + 5);
+    const uint64_t stride = rng.Bernoulli(0.5) ? 1 : 0x9e3779b97f4a7c15ull;
+    for (int step = 0; step < 20000; ++step) {
+      const uint64_t key = static_cast<uint64_t>(rng.UniformInt(0, keyspace)) * stride;
+      const int64_t op = rng.UniformInt(0, 99);
+      if (op < 40) {
+        uint32_t got = 0;
+        uint32_t want = 0;
+        ASSERT_EQ(store.Get(key, &got), reference.Get(key, &want)) << "step " << step;
+        ASSERT_EQ(got, want);
+      } else if (op < 75) {
+        const auto value = static_cast<uint32_t>(rng.UniformInt(1, 1 << 20));
+        store.Set(key, value);
+        reference.Set(key, value);
+      } else if (op < 95) {
+        ASSERT_EQ(store.Delete(key), reference.Delete(key)) << "step " << step;
+      } else if (op < 96) {
+        store.Clear();
+        reference.Clear();
+      } else if (op < 98) {
+        // Round trip through a store of another size: restoring into a
+        // smaller one evicts the coldest entries, like a real transfer.
+        const size_t other = static_cast<size_t>(rng.UniformInt(1, 2 * capacity));
+        KvStore moved(other);
+        ReferenceLru moved_reference(other);
+        moved.RestoreLru(store.SnapshotLru());
+        for (const auto& [k, v] : reference.SnapshotLru()) {
+          moved_reference.Set(k, v);
+        }
+        ASSERT_EQ(moved.SnapshotLru(), moved_reference.SnapshotLru()) << "step " << step;
+        ASSERT_EQ(moved.evictions(), moved_reference.evictions());
+        store.RestoreLru(moved.SnapshotLru());
+        reference.Clear();
+        for (const auto& [k, v] : moved_reference.SnapshotLru()) {
+          reference.Set(k, v);
+        }
+      }
+      ASSERT_EQ(store.size(), reference.size()) << "step " << step;
+      ASSERT_EQ(store.Contains(key), reference.Contains(key)) << "step " << step;
+      if (step % 97 == 0) {
+        ASSERT_EQ(store.SnapshotLru(), reference.SnapshotLru()) << "step " << step;
+      }
+    }
+    ASSERT_EQ(store.SnapshotLru(), reference.SnapshotLru());
+    ASSERT_EQ(store.evictions(), reference.evictions());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KvStoreDifferentialTest, ::testing::Values(5u, 6u, 7u));
 
 TEST(KvProtocolTest, WireSizes) {
   KvRequest get{KvOp::kGet, 1, 0};

@@ -45,12 +45,12 @@ class EchoFirmware : public App {
   bool SupportsPlacement(PlacementKind placement) const override {
     return placement == PlacementKind::kSmartNic;
   }
-  void HandlePacket(AppContext& ctx, Packet packet) override {
+  void HandlePacket(AppContext& ctx, Packet&& packet) override {
     Packet reply;
     reply.src = packet.dst;
     reply.dst = packet.src;
     reply.proto = packet.proto;
-    ctx.Reply(reply);
+    ctx.Reply(std::move(reply));
   }
 };
 

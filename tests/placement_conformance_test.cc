@@ -140,8 +140,8 @@ class RecordingContext : public AppContext {
   // Every substrate answers on the service address so reply sources are
   // comparable across placements.
   NodeId self_node() const override { return kService; }
-  void Reply(Packet packet) override { replies.push_back(std::move(packet)); }
-  void Punt(Packet packet) override { punts.push_back(std::move(packet)); }
+  void Reply(Packet&& packet) override { replies.push_back(std::move(packet)); }
+  void Punt(Packet&& packet) override { punts.push_back(std::move(packet)); }
 
   std::vector<Packet> replies;
   std::vector<Packet> punts;

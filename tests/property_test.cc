@@ -789,7 +789,7 @@ class ConsumingApp : public App {
     profile.smartnic.fpga_mpps_fraction = 0.001;
     return profile;
   }
-  void HandlePacket(AppContext&, Packet) override {}
+  void HandlePacket(AppContext&, Packet&&) override {}
 };
 
 class OffloadNicConservationTest

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -389,6 +390,46 @@ TEST(PaxosTestbedTest, GroupLayout) {
   EXPECT_NE(testbed.learner(), nullptr);
 }
 
+// Aux acceptor and learner links carry their member's name, so a fault plan
+// can flap them; the testbed registers every link it built exactly once
+// (the Paxos client's link is wired outside the spec).
+TEST(PaxosTestbedTest, AuxLinksAreNamedAndRegisteredOnce) {
+  Simulation sim(1);
+  PaxosTestbedOptions options;
+  options.sut = PaxosSut::kAcceptor;
+  PaxosTestbed testbed(sim, options);
+  FaultInjector& faults = testbed.scenario().faults();
+  const Topology& topology = testbed.builder().topology();
+  const std::vector<std::string> names = faults.LinkNames();
+  std::set<const Link*> links;
+  for (const std::string& name : names) {
+    const Link* link = topology.FindLink(name);
+    ASSERT_NE(link, nullptr) << name;
+    links.insert(link);
+  }
+  EXPECT_EQ(links.size(), names.size());
+  EXPECT_EQ(names.size(), topology.num_links() - 1);
+  const std::set<std::string> registered(names.begin(), names.end());
+  for (const char* aux : {"acceptor-1-10ge", "acceptor-2-10ge", "learner-10ge"}) {
+    EXPECT_EQ(registered.count(aux), 1u) << aux;
+  }
+
+  Link* aux_link = topology.FindLink("acceptor-1-10ge");
+  ASSERT_NE(aux_link, nullptr);
+  Server* aux_host = testbed.scenario().member("acceptor-1").server;
+  FaultPlanSpec plan;
+  plan.events.push_back({FaultKind::kLinkDown, Milliseconds(2), "acceptor-1-10ge", 0});
+  plan.events.push_back({FaultKind::kLinkUp, Milliseconds(4), "acceptor-1-10ge", 0});
+  faults.Arm(plan);
+  testbed.client().Start();
+  sim.RunUntil(Milliseconds(10));
+  EXPECT_GT(aux_link->dropped_link_down(aux_host), 0u);
+  EXPECT_EQ(faults.link_down_events(), 1u);
+  EXPECT_EQ(faults.link_up_events(), 1u);
+  // Two acceptors still make the quorum: the group keeps completing.
+  EXPECT_GT(testbed.client().completed(), 0u);
+}
+
 TEST(PaxosTestbedTest, InvalidConfigsRejected) {
   Simulation sim(1);
   {
@@ -500,12 +541,14 @@ TEST(PaxosTestbedTest, SpecBuiltGroupMatchesHandWiredResults) {
     std::vector<std::unique_ptr<SoftwareAcceptor>> acceptors;
     for (int i = 0; i < 3; ++i) {
       Server* server = builder.AddAuxServer(
-          sw, kPaxosAcceptorBaseNode + static_cast<NodeId>(i), "aux-acceptor", 4);
+          sw, kPaxosAcceptorBaseNode + static_cast<NodeId>(i), "aux-acceptor", 4,
+          "acceptor-" + std::to_string(i) + "-10ge");
       acceptors.push_back(std::make_unique<SoftwareAcceptor>(
           group, static_cast<uint32_t>(i), PaxosSoftwareConfig{Nanoseconds(300), 2}));
       server->BindApp(acceptors.back().get());
     }
-    Server* learner_host = builder.AddAuxServer(sw, kPaxosLearnerNode, "learner-host", 8);
+    Server* learner_host =
+        builder.AddAuxServer(sw, kPaxosLearnerNode, "learner-host", 8, "learner-10ge");
     SoftwareLearner learner(group, PaxosSoftwareConfig{Nanoseconds(100), 8});
     learner_host->BindApp(&learner);
     builder.StartMeter();

@@ -1,11 +1,16 @@
 // Tests for histograms, time series, sliding windows, and CSV output.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "src/stats/counters.h"
 #include "src/stats/csv.h"
 #include "src/stats/histogram.h"
+#include "src/stats/request_window.h"
 #include "src/stats/timeseries.h"
 
 namespace incod {
@@ -170,16 +175,100 @@ TEST(SlidingWindowRateTest, RateOverWindow) {
 
 TEST(SlidingWindowRateTest, OldEventsEvicted) {
   SlidingWindowRate rate(Seconds(1));
-  rate.RecordEvent(0, 1000);
+  for (int i = 0; i < 1000; ++i) {
+    rate.RecordEvent(0);
+  }
   EXPECT_GT(rate.RatePerSecond(Milliseconds(500)), 0.0);
   EXPECT_DOUBLE_EQ(rate.RatePerSecond(Seconds(3)), 0.0);
 }
 
-TEST(SlidingWindowRateTest, CountedEvents) {
+TEST(SlidingWindowRateTest, EventsSharingATick) {
   SlidingWindowRate rate(Seconds(1));
-  rate.RecordEvent(0, 50);
-  rate.RecordEvent(Milliseconds(100), 50);
+  for (int i = 0; i < 50; ++i) {
+    rate.RecordEvent(0);
+    rate.RecordEvent(Milliseconds(100));
+  }
   EXPECT_NEAR(rate.RatePerSecond(Milliseconds(200)), 100.0, 0.1);
+}
+
+// Differential check: over seeded random bursts, gaps and reads, the ring
+// buffer reports exactly what a recount of every recorded time says.
+TEST(SlidingWindowRateTest, MatchesNaiveRecount) {
+  for (uint64_t seed : {3u, 5u, 8u}) {
+    std::mt19937_64 gen(seed);
+    const SimDuration window = Microseconds(50);
+    SlidingWindowRate rate(window);
+    std::vector<SimTime> recorded;
+    SimTime now = 0;
+    for (int step = 0; step < 20000; ++step) {
+      now += static_cast<SimDuration>(gen() % 3 == 0 ? gen() % Microseconds(40) : gen() % 200);
+      if (gen() % 4 != 0) {
+        const int burst = static_cast<int>(gen() % 40);
+        for (int i = 0; i < burst; ++i) {
+          rate.RecordEvent(now);
+          recorded.push_back(now);
+        }
+        continue;
+      }
+      // Times are recorded in order, so the recount walks back from the
+      // newest until it leaves the window.
+      size_t in_window = 0;
+      for (auto it = recorded.rbegin(); it != recorded.rend() && *it >= now - window; ++it) {
+        ++in_window;
+      }
+      ASSERT_DOUBLE_EQ(rate.RatePerSecond(now),
+                       static_cast<double>(in_window) / ToSeconds(window))
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+// Differential check of the clients' request window against a map of
+// outstanding ids: replies arrive late, twice, out of order or for ids never
+// sent, and timeouts sweep expired requests, over seeded random sequences.
+TEST(RequestWindowTest, MatchesReferenceMap) {
+  for (uint64_t seed : {13u, 21u, 34u}) {
+    std::mt19937_64 gen(seed);
+    RequestWindow window;
+    std::map<uint64_t, SimTime> reference;
+    uint64_t next_id = 1;
+    SimTime now = 0;
+    const SimDuration timeout = Microseconds(200);
+    for (int step = 0; step < 50000; ++step) {
+      now += static_cast<SimDuration>(gen() % 1000);
+      const uint64_t op = gen() % 100;
+      if (op < 45) {
+        ASSERT_EQ(window.Open(now), next_id);
+        reference[next_id++] = now;
+      } else if (op < 90) {
+        // Mostly recent ids (out-of-order replies), sometimes old ones
+        // (late or duplicate), id 0 and ids never sent.
+        const uint64_t back = gen() % 8 == 0 ? gen() % (next_id + 1) : gen() % 12;
+        const uint64_t id = back <= next_id ? next_id - back : 0;
+        const uint64_t probe = gen() % 20 == 0 ? next_id + gen() % 3 : id;
+        const auto it = reference.find(probe);
+        ASSERT_EQ(window.IsOpen(probe), it != reference.end()) << "id " << probe;
+        const std::optional<SimTime> closed = window.Close(probe);
+        ASSERT_EQ(closed.has_value(), it != reference.end()) << "id " << probe;
+        if (it != reference.end()) {
+          ASSERT_EQ(*closed, it->second);
+          reference.erase(it);
+        }
+      } else {
+        uint64_t expired = 0;
+        for (auto it = reference.begin(); it != reference.end();) {
+          if (it->second < now - timeout) {
+            it = reference.erase(it);
+            ++expired;
+          } else {
+            ++it;
+          }
+        }
+        ASSERT_EQ(window.ExpireBefore(now - timeout), expired) << "step " << step;
+      }
+      ASSERT_EQ(window.outstanding(), reference.size()) << "step " << step;
+    }
+  }
 }
 
 TEST(SlidingWindowRateTest, RejectsBadWindow) {
