@@ -101,15 +101,10 @@ void ConventionalNic::ForwardLegacy(Link* out, Packet&& packet) {
       return;
     }
     busy_until_ = start + per_packet;
-    sim_.ScheduleAt(start + per_packet + config_.latency,
-                    [this, out, pkt = std::move(packet)]() mutable {
-                      out->Send(this, std::move(pkt));
-                    });
+    out->SendAt(this, start + per_packet + config_.latency, std::move(packet));
     return;
   }
-  sim_.Schedule(config_.latency, [this, out, pkt = std::move(packet)]() mutable {
-    out->Send(this, std::move(pkt));
-  });
+  out->SendAt(this, sim_.Now() + config_.latency, std::move(packet));
 }
 
 void ConventionalNic::ReceiveIntoRing(Packet&& packet) {

@@ -15,6 +15,13 @@
 // on ordinary simulation events, so sharded runs stay event-identical
 // across engine modes, and it is off by default — existing scenarios keep
 // their event streams bit-identical.
+//
+// The pass-through's latency (and max_pps pacing) rides on the packet: it
+// is handed to the outgoing link at once with Link::SendAt at its ready
+// tick, with no relay event of its own. Ready ticks per direction are
+// non-decreasing (a fixed latency after a monotone pacing start), as SendAt
+// requires. The link keeps a relay event only on PFC links, around a
+// scheduled down/up flip and behind a pending relay (see link.h).
 #ifndef INCOD_SRC_DEVICE_CONVENTIONAL_NIC_H_
 #define INCOD_SRC_DEVICE_CONVENTIONAL_NIC_H_
 

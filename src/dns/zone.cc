@@ -1,7 +1,9 @@
 #include "src/dns/zone.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -13,17 +15,55 @@ namespace {
 
 constexpr size_t kMinSlots = 16;
 
-// 64-bit FNV-1a: fixed across platforms and standard libraries.
-uint64_t NameHash(const std::string& name) {
-  uint64_t hash = 14695981039346656037ull;
-  for (const char ch : name) {
-    hash ^= static_cast<uint8_t>(ch);
-    hash *= 1099511628211ull;
+// Little-endian loads: the same words on every platform.
+uint64_t LoadLe64(const char* bytes) {
+  uint64_t word;
+  std::memcpy(&word, bytes, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
   }
-  return hash;
+  return word;
+}
+
+uint64_t LoadLeShort(const char* bytes, size_t n) {
+  uint64_t word = 0;
+  for (size_t i = 0; i < n; ++i) {
+    word |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[i])) << (8 * i);
+  }
+  return word;
+}
+
+// One multiply per word; the rotate folds the high bits the multiply
+// produced back down so the next word's multiply spreads them.
+uint64_t MixWord(uint64_t hash, uint64_t word) {
+  return std::rotl((hash ^ word) * 0x9e3779b97f4a7c15ull, 31);
 }
 
 }  // namespace
+
+uint64_t Zone::NameHash(std::string_view name) {
+  const char* bytes = name.data();
+  const size_t n = name.size();
+  uint64_t hash = 14695981039346656037ull ^ n;
+  if (n >= 8) {
+    for (size_t i = 0; i + 8 < n; i += 8) {
+      hash = MixWord(hash, LoadLe64(bytes + i));
+    }
+    // The last word ends at the last byte, overlapping the one before when
+    // the length is not a multiple of 8; the seed carries the length.
+    hash = MixWord(hash, LoadLe64(bytes + n - 8));
+  } else {
+    hash = MixWord(hash, LoadLeShort(bytes, n));
+  }
+  // Final avalanche (MurmurHash3 fmix64): every input bit reaches the low
+  // bits HomeSlot masks.
+  hash ^= hash >> 33;
+  hash *= 0xff51afd7ed558ccdull;
+  hash ^= hash >> 33;
+  hash *= 0xc4ceb9fe1a85ec53ull;
+  hash ^= hash >> 33;
+  return hash;
+}
 
 void Zone::Reserve(size_t records) {
   size_t slots = std::max(kMinSlots, slots_.size());

@@ -5,15 +5,16 @@
 //
 // Every DNS answer, on every placement, looks its name up here, so the
 // records live in one open-addressing table (linear probing, backward-shift
-// deletion) keyed by a fixed FNV-1a hash of the name: one probe run through
-// a flat array instead of a bucket walk over heap nodes. The table's order
-// is never observable; SortedRecords sorts.
+// deletion) keyed by a fixed word-at-a-time hash of the name: one probe run
+// through a flat array instead of a bucket walk over heap nodes. The table's
+// order is never observable; SortedRecords sorts.
 #ifndef INCOD_SRC_DNS_ZONE_H_
 #define INCOD_SRC_DNS_ZONE_H_
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,6 +52,11 @@ class Zone {
 
   // Synthetic record name for index i (matches FillSynthetic).
   static std::string SyntheticName(size_t i);
+
+  // The table's hash: the length, then 8-byte little-endian words (the
+  // last one ending at the name's last byte), one multiply each, and a
+  // final avalanche. The same value on every platform and standard library.
+  static uint64_t NameHash(std::string_view name);
 
  private:
   struct Slot {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/sim/sharded.h"
@@ -105,7 +106,7 @@ void Link::CompleteDelivery(int dir, Packet&& pkt) {
   }
 }
 
-void Link::Send(const PacketSink* from, Packet&& packet) {
+int Link::IndexFrom(const PacketSink* from) const {
   if (ends_[0] == nullptr || ends_[1] == nullptr) {
     throw std::logic_error("Link::Send before Connect on " + name_);
   }
@@ -113,6 +114,53 @@ void Link::Send(const PacketSink* from, Packet&& packet) {
   if (index < 0) {
     throw std::invalid_argument("Link::Send: sender not connected to " + name_);
   }
+  return index;
+}
+
+void Link::Send(const PacketSink* from, Packet&& packet) {
+  const int index = IndexFrom(from);
+  SendFrom(index, DriveSim(dir_[index]).Now(), std::move(packet));
+}
+
+void Link::SendAt(const PacketSink* from, SimTime ready, Packet&& packet) {
+  SendFrom(IndexFrom(from), ready, std::move(packet));
+}
+
+void Link::SendFrom(int index, SimTime ready, Packet&& packet) {
+  Direction& d = dir_[index];
+  Simulation& drive = DriveSim(d);
+  const SimTime now = drive.Now();
+  if (ready < now || ready < d.last_ready) {
+    // Accepting it would rewind the serializer past packets already
+    // settled: the FIFO would reorder.
+    throw std::logic_error("Link::SendAt on " + name_ + ": ready tick " +
+                           std::to_string(ready) + " before " +
+                           std::to_string(std::max(now, d.last_ready)));
+  }
+  d.last_ready = ready;
+  if (ready > now &&
+      (config_.flow.pfc || d.relays_pending > 0 || FlipWithin(d, now, ready))) {
+    ++d.relays_pending;
+    drive.ScheduleAt(ready, Relay{this, index, std::move(packet)});
+    return;
+  }
+  Accept(index, ready, std::move(packet));
+}
+
+bool Link::FlipWithin(Direction& d, SimTime now, SimTime ready) {
+  while (d.next_flip < d.flips.size() && d.flips[d.next_flip] < now) {
+    ++d.next_flip;
+  }
+  return d.next_flip < d.flips.size() && d.flips[d.next_flip] <= ready;
+}
+
+void Link::CompleteRelay(int dir, Packet&& packet) {
+  Direction& d = dir_[dir];
+  --d.relays_pending;
+  Accept(dir, DriveSim(d).Now(), std::move(packet));
+}
+
+void Link::Accept(int index, SimTime ready, Packet&& packet) {
   Direction& d = dir_[index];
   if (d.tx_down) {
     // Cable is down at the sender: refuse the packet at the NIC, like a
@@ -121,22 +169,22 @@ void Link::Send(const PacketSink* from, Packet&& packet) {
     return;
   }
   if (config_.flow.pfc) {
+    // Paced links relay future-dated sends, so this is ready == now.
     SendPaced(index, std::move(packet));
     return;
   }
   // The backlog counted against the capacity is the packets whose
-  // serialization has not started; the packet occupying the transmitter and
-  // packets already on the wire do not count. Service starts are
-  // non-decreasing, so the starts <= now sit at the front.
-  const SimTime now = DriveSim(d).Now();
-  while (!d.waiting_starts.empty() && d.waiting_starts.front() <= now) {
+  // serialization has not started by `ready`; the packet occupying the
+  // transmitter and packets already on the wire do not count. Service
+  // starts are non-decreasing, so the starts <= ready sit at the front.
+  while (!d.waiting_starts.empty() && d.waiting_starts.front() <= ready) {
     d.waiting_starts.pop_front();
   }
   if (d.waiting_starts.size() >= config_.queue_capacity_packets) {
     ++d.dropped_overflow;
     return;
   }
-  const SimTime start = std::max(now, d.busy_until);
+  const SimTime start = std::max(ready, d.busy_until);
   const SimDuration ser = SerializationDelay(packet.size_bytes);
   d.busy_until = start + ser;
   d.waiting_starts.push_back(start);
@@ -254,8 +302,17 @@ void Link::ScheduleAdmin(SimTime at, bool down) {
   if (ends_[0] == nullptr || ends_[1] == nullptr) {
     throw std::logic_error("Link: schedule down/up before Connect on " + name_);
   }
+  for (const Direction& d : dir_) {
+    const SimTime settled = std::max(DriveSim(d).Now(), d.last_ready);
+    if (at < settled) {
+      throw std::logic_error("Link " + name_ + ": down/up flip at " + std::to_string(at) +
+                             " before tick " + std::to_string(settled) +
+                             " the link already settled");
+    }
+  }
   for (int i = 0; i < 2; ++i) {
     Direction& d = dir_[i];
+    d.flips.insert(std::upper_bound(d.flips.begin(), d.flips.end(), at), at);
     // Two flips per direction: the TX flag in the sender's sim, the RX flag
     // in the receiver's — each shard only ever mutates state it owns. Both
     // are plain events, so engine modes stay event-identical.
@@ -307,7 +364,7 @@ uint64_t Link::dropped_to_dead(const PacketSink* toward) const {
 
 size_t Link::in_flight(const PacketSink* toward) const {
   const Direction& d = dir_[IndexToward(toward)];
-  return d.tx_queue.size() +
+  return d.relays_pending + d.tx_queue.size() +
          static_cast<size_t>(d.posted - (d.delivered + d.dropped_down_rx + d.dropped_dead));
 }
 

@@ -11,6 +11,20 @@
 // inline in the event (no closure allocation) and deliveries of one
 // direction run in send order.
 //
+// Future-dated sends (SendAt): a caller whose packet reaches the link after
+// a fixed delay — a switch's forwarding pipeline, a NIC's PCIe/driver path —
+// hands it over at once with its `ready` tick. The link applies every Send
+// rule as of `ready` and posts the one delivery event now, so the delay
+// costs no event of its own. A direction's ready ticks must not decrease
+// (Send counts as ready = now): the backlog and serializer state are only
+// ever advanced, never rewound, so a caller mixing delays on one direction
+// throws std::logic_error instead of reordering the FIFO. The link falls
+// back to relaying the packet through one event at `ready` when what
+// happens at `ready` is not known at the send: the link is paced (the
+// receiver's pause state at `ready` matters), one of the direction's
+// setup-time down/up flips falls in [now, ready], or an earlier relay on
+// the direction is still pending (so the FIFO keeps send order).
+//
 // PFC paced mode (config.flow.pfc): the direction instead runs a serve loop
 // over an explicit transmit queue — one ServeDone event per packet — so the
 // serializer can stop at a packet boundary when the receiver asserts pause.
@@ -28,6 +42,7 @@
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "src/net/flow_control.h"
 #include "src/net/packet.h"
@@ -68,6 +83,12 @@ class Link {
   void Send(const PacketSink* from, Packet&& packet);
   // Copying form, for callers that keep their packet.
   void Send(const PacketSink* from, const Packet& packet) { Send(from, Packet(packet)); }
+  // Future-dated Send: the packet's bits reach the serializer at `ready`
+  // (>= now), and it is accepted, queued or dropped exactly as a Send at
+  // `ready` would be (see the header comment). Send is SendAt(now). Throws
+  // std::logic_error when `ready` is in the past or before a ready tick the
+  // direction already accepted.
+  void SendAt(const PacketSink* from, SimTime ready, Packet&& packet);
 
   // Fault layer: takes the cable down / brings it back up at `at`, in both
   // directions. While down, new sends are refused at the sender and packets
@@ -75,7 +96,10 @@ class Link {
   // in dropped_link_down. The flips are ordinary scheduled events (one per
   // direction endpoint, in the shard that owns that side's state), so
   // single-queue and sharded runs stay event-identical. Setup-time API:
-  // call before the simulation runs, with a future `at`.
+  // call before the simulation runs, with a future `at`. SendAt decides a
+  // packet's down state when it is sent, so a flip must be known by then:
+  // throws std::logic_error when `at` is in the past or before a ready tick
+  // either direction already accepted.
   void ScheduleDown(SimTime at);
   void ScheduleUp(SimTime at);
 
@@ -121,9 +145,10 @@ class Link {
   uint64_t dropped_link_down(const PacketSink* toward) const;
   // Packets dropped at delivery because the receiving sink was dead.
   uint64_t dropped_to_dead(const PacketSink* toward) const;
-  // Packets accepted but not yet delivered (in service, queued, or on the
-  // wire) toward the given endpoint: the paced transmit queue plus what was
-  // put on the wire minus what the receiver has delivered or dropped.
+  // Packets accepted but not yet delivered (relayed toward their ready
+  // tick, in service, queued, or on the wire) toward the given endpoint:
+  // pending relays plus the paced transmit queue plus what was put on the
+  // wire minus what the receiver has delivered or dropped.
   size_t in_flight(const PacketSink* toward) const;
 
   const std::string& name() const { return name_; }
@@ -142,6 +167,13 @@ class Link {
     RingQueue<SimTime> waiting_starts;
     // Packets put on the wire (sender-side), for in_flight().
     uint64_t posted = 0;
+    // SendAt bookkeeping (sender-side): the latest ready tick accepted,
+    // relay events not yet fired, and the direction's setup-time down/up
+    // flip ticks in order, from next_flip on not yet passed.
+    SimTime last_ready = 0;
+    uint64_t relays_pending = 0;
+    std::vector<SimTime> flips;
+    size_t next_flip = 0;
     // PFC paced mode (config.flow.pfc). tx_queue holds packets not yet on
     // the wire, front included while it is being serialized (`serving`).
     // All of this is sender-side state.
@@ -179,6 +211,17 @@ class Link {
   static_assert(sizeof(Deliver) <= InlineEvent::kInlineCapacity &&
                     std::is_nothrow_move_constructible_v<Deliver>,
                 "Link delivery events must stay inline");
+  // A future-dated send the link cannot settle early (see SendAt): the
+  // packet reaches the accept routine at its ready tick.
+  struct Relay {
+    Link* link;
+    int dir;
+    Packet pkt;
+    void operator()() { link->CompleteRelay(dir, std::move(pkt)); }
+  };
+  static_assert(sizeof(Relay) <= InlineEvent::kInlineCapacity &&
+                    std::is_nothrow_move_constructible_v<Relay>,
+                "Link relay events must stay inline");
   // Paced mode: the serializer finished the tx_queue front.
   struct ServeDone {
     Link* link;
@@ -195,6 +238,17 @@ class Link {
 
   SimDuration SerializationDelay(uint32_t bytes) const;
   int IndexToward(const PacketSink* to) const;
+  // Index of the direction `from` transmits on; throws if not connected.
+  int IndexFrom(const PacketSink* from) const;
+  // The one accept routine behind Send and SendAt: relays the packet to
+  // `ready` when the link cannot settle it now, else Accept.
+  void SendFrom(int index, SimTime ready, Packet&& packet);
+  // Whether a setup-time flip of `d` falls in [now, ready].
+  static bool FlipWithin(Direction& d, SimTime now, SimTime ready);
+  void CompleteRelay(int dir, Packet&& packet);
+  // Applies the send rules as of `ready`: refusal while down, paced
+  // enqueue, or the backlog/overflow check and one Deliver event.
+  void Accept(int index, SimTime ready, Packet&& packet);
   void SendPaced(int index, Packet&& packet);
   void StartService(int dir);
   void CompleteService(int dir);

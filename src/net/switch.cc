@@ -145,10 +145,8 @@ bool L2Switch::upstream_paused(int port) const {
 
 void L2Switch::Forward(Packet&& packet, int port) {
   forwarded_.Increment();
-  Link* link = ports_[static_cast<size_t>(port)];
-  sim_.Schedule(forwarding_latency_, [this, link, pkt = std::move(packet)]() mutable {
-    link->Send(this, std::move(pkt));
-  });
+  ports_[static_cast<size_t>(port)]->SendAt(this, sim_.Now() + forwarding_latency_,
+                                            std::move(packet));
 }
 
 }  // namespace incod

@@ -6,6 +6,14 @@
 // switch forwarding rules to send messages to the new leader" — here, by
 // installing a rule that redirects AppProto::kPaxos traffic addressed to the
 // leader service address toward a different port.
+//
+// The forwarding latency rides on the packet, not on an event: Forward hands
+// each packet to its egress link with Link::SendAt(now + latency), and the
+// link serializes it as of that tick. The latency is fixed, so each egress
+// direction sees non-decreasing ready ticks, as SendAt requires; the link
+// itself keeps a relay event at the ready tick only on PFC ports, around a
+// scheduled down/up flip and behind a pending relay (see link.h). Pipeline
+// replies of a derived ASIC re-enter Receive and take the same path.
 #ifndef INCOD_SRC_NET_SWITCH_H_
 #define INCOD_SRC_NET_SWITCH_H_
 

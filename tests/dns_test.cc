@@ -186,6 +186,16 @@ TEST(ZoneTest, FillSynthetic) {
   EXPECT_TRUE(zone.Lookup(Zone::SyntheticName(42)).has_value());
 }
 
+// The hash is defined by its little-endian word loads, not by the platform:
+// these values hold on every compiler, standard library and byte order. A
+// name shorter than a word, one of exactly two words, and one of 19 bytes
+// whose last word overlaps the one before.
+TEST(ZoneTest, NameHashIsPinned) {
+  EXPECT_EQ(Zone::NameHash("a"), 0x238b9b9301d32792ull);
+  EXPECT_EQ(Zone::NameHash("host1234.example"), 0x97fed0127505b425ull);
+  EXPECT_EQ(Zone::NameHash("host0.bench.example"), 0x5d2403fdbb8b1689ull);
+}
+
 // Differential check: over seeded random adds, replacements, removals,
 // re-adds and lookups (present, removed and never-added names), the flat
 // table answers exactly like a std::map, and SortedRecords matches the

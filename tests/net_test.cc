@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "src/net/packet.h"
 #include "src/net/switch.h"
 #include "src/net/topology.h"
+#include "src/sim/random.h"
 #include "src/sim/sharded.h"
 #include "src/sim/simulation.h"
 
@@ -242,6 +246,157 @@ TEST(LinkTest, SendBeforeConnectThrows) {
   CollectorSink a;
   Link link(sim, {});
   EXPECT_THROW(link.Send(&a, MakeRawPacket(1, 2)), std::logic_error);
+}
+
+// ---- SendAt against a relay reference ----
+//
+// Parameter: (seed, pfc). Random bursts of random-size packets on a slow
+// link, so the direction queues and drops, with down/up flips that fall
+// inside the senders' forwarding windows and, on the PFC leg, a pause of
+// each direction. The a->b sender adds a fixed 20 us delay, the b->a sender
+// none (ready == now). Sending with SendAt must deliver the same (tick, id)
+// stream and count the same drops as the reference that schedules an event
+// at the ready tick and calls Send there.
+
+struct SendAtRun {
+  std::vector<std::pair<SimTime, uint64_t>> to_b;
+  std::vector<std::pair<SimTime, uint64_t>> to_a;
+  uint64_t overflow_b = 0;
+  uint64_t overflow_a = 0;
+  uint64_t down_b = 0;
+  uint64_t down_a = 0;
+  uint64_t events = 0;
+};
+
+SendAtRun RunSendAtTraffic(uint64_t seed, bool pfc, bool relay_reference) {
+  struct Recorder : PacketSink {
+    Recorder(Simulation& sim, std::vector<std::pair<SimTime, uint64_t>>& out)
+        : sim(sim), out(out) {}
+    void Receive(Packet packet) override { out.emplace_back(sim.Now(), packet.id); }
+    std::string SinkName() const override { return "recorder"; }
+    Simulation& sim;
+    std::vector<std::pair<SimTime, uint64_t>>& out;
+  };
+  SendAtRun run;
+  Simulation sim(seed);
+  Rng rng = sim.rng().Fork();
+  Recorder a(sim, run.to_a);
+  Recorder b(sim, run.to_b);
+  Link::Config config;
+  config.gigabits_per_second = 0.5;
+  config.propagation_delay = Microseconds(2);
+  config.queue_capacity_packets = 4;
+  config.flow.pfc = pfc;
+  config.flow.pause_high_watermark = 3;
+  config.flow.pause_low_watermark = 1;
+  Link link(sim, config, "sendat");
+  link.Connect(&a, &b);
+  const SimDuration delay_to_b = Microseconds(20);
+  link.ScheduleDown(Microseconds(1000));
+  link.ScheduleUp(Microseconds(1500));
+  link.ScheduleDown(Microseconds(3000));
+  link.ScheduleUp(Microseconds(3010));
+  if (pfc) {
+    sim.ScheduleAt(Microseconds(2000), [&] { link.PauseUpstream(&b, true); });
+    sim.ScheduleAt(Microseconds(2300), [&] { link.PauseUpstream(&b, false); });
+    sim.ScheduleAt(Microseconds(4000), [&] { link.PauseUpstream(&a, true); });
+    sim.ScheduleAt(Microseconds(4100), [&] { link.PauseUpstream(&a, false); });
+  }
+  uint64_t id = 0;
+  for (int burst = 0; burst < 300; ++burst) {
+    const SimTime at = rng.UniformInt(0, Microseconds(5000));
+    const bool toward_b = rng.Bernoulli(0.6);
+    std::vector<Packet> packets(static_cast<size_t>(rng.UniformInt(1, 3)));
+    for (Packet& pkt : packets) {
+      pkt = MakeRawPacket(toward_b ? 1 : 2, toward_b ? 2 : 1,
+                          static_cast<uint32_t>(rng.UniformInt(64, 1500)));
+      pkt.id = ++id;
+    }
+    sim.ScheduleAt(at, [&, toward_b, packets]() mutable {
+      PacketSink* from = toward_b ? static_cast<PacketSink*>(&a) : &b;
+      const SimTime ready = sim.Now() + (toward_b ? delay_to_b : 0);
+      for (Packet& pkt : packets) {
+        if (relay_reference) {
+          sim.ScheduleAt(ready, [&link, from, pkt]() mutable { link.Send(from, std::move(pkt)); });
+        } else {
+          link.SendAt(from, ready, std::move(pkt));
+        }
+      }
+    });
+  }
+  sim.Run();
+  run.overflow_b = link.dropped_overflow(&b);
+  run.overflow_a = link.dropped_overflow(&a);
+  run.down_b = link.dropped_link_down(&b);
+  run.down_a = link.dropped_link_down(&a);
+  run.events = sim.events_executed();
+  EXPECT_EQ(link.in_flight(&a), 0u);
+  EXPECT_EQ(link.in_flight(&b), 0u);
+  return run;
+}
+
+class SendAtReferenceTest : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(SendAtReferenceTest, MatchesScheduleThenSend) {
+  const auto [seed, pfc] = GetParam();
+  const SendAtRun want = RunSendAtTraffic(seed, pfc, /*relay_reference=*/true);
+  const SendAtRun got = RunSendAtTraffic(seed, pfc, /*relay_reference=*/false);
+  // The traffic must exercise what it is meant to: drops of both kinds.
+  EXPECT_GT(want.overflow_b, 0u);
+  EXPECT_GT(want.down_b, 0u);
+  EXPECT_EQ(got.to_b, want.to_b);
+  EXPECT_EQ(got.to_a, want.to_a);
+  EXPECT_EQ(got.overflow_b, want.overflow_b);
+  EXPECT_EQ(got.overflow_a, want.overflow_a);
+  EXPECT_EQ(got.down_b, want.down_b);
+  EXPECT_EQ(got.down_a, want.down_a);
+  // Unpaced, only sends near a flip keep their relay event.
+  if (!pfc) {
+    EXPECT_LT(got.events, want.events);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedsAndPacing, SendAtReferenceTest,
+                         ::testing::Combine(::testing::Values(1u, 2u, 3u), ::testing::Bool()));
+
+TEST(LinkTest, SendAtRejectsDecreasingReady) {
+  Simulation sim;
+  CollectorSink a(&sim);
+  CollectorSink b(&sim);
+  Link link(sim, {});
+  link.Connect(&a, &b);
+  link.SendAt(&a, Microseconds(10), MakeRawPacket(1, 2));
+  EXPECT_THROW(link.SendAt(&a, Microseconds(5), MakeRawPacket(1, 2)), std::logic_error);
+  // Send is SendAt(now), which is before the accepted ready tick.
+  EXPECT_THROW(link.Send(&a, MakeRawPacket(1, 2)), std::logic_error);
+  // Ties are fine, and the other direction keeps its own ready ticks.
+  link.SendAt(&a, Microseconds(10), MakeRawPacket(1, 2));
+  link.Send(&b, MakeRawPacket(2, 1));
+  sim.RunUntil(Microseconds(20));
+  EXPECT_THROW(link.SendAt(&b, Microseconds(15), MakeRawPacket(2, 1)), std::logic_error);
+  sim.Run();
+  EXPECT_EQ(b.packets.size(), 2u);
+  EXPECT_EQ(a.packets.size(), 1u);
+}
+
+TEST(LinkTest, FlipBeforeAcceptedReadyThrows) {
+  Simulation sim;
+  CollectorSink a(&sim);
+  CollectorSink b(&sim);
+  Link link(sim, {});
+  link.Connect(&a, &b);
+  link.SendAt(&a, Microseconds(10), MakeRawPacket(1, 2));
+  // The packet was settled as sent at 10 us with the link up; a flip before
+  // that would have refused it.
+  EXPECT_THROW(link.ScheduleDown(Microseconds(5)), std::logic_error);
+  EXPECT_NO_THROW(link.ScheduleDown(Microseconds(10)));
+  EXPECT_NO_THROW(link.ScheduleUp(Microseconds(30)));
+  sim.RunUntil(Microseconds(40));
+  // A flip in the past would be clamped to now: refused as well.
+  EXPECT_THROW(link.ScheduleDown(Microseconds(35)), std::logic_error);
+  sim.Run();
+  EXPECT_EQ(link.delivered(&b), 0u);  // Delivered inside the down window.
+  EXPECT_EQ(link.dropped_link_down(&b), 1u);
 }
 
 TEST(SwitchTest, RoutesByDestination) {

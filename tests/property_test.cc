@@ -153,6 +153,97 @@ TEST(SwitchFuzzTest, RandomRulesAndTrafficConserve) {
   EXPECT_EQ(delivered + link_drops, sw.forwarded());
 }
 
+// ---- Switch conservation mid-run, one port across a shard boundary ----
+//
+// Parameter: (seed, parallel). The switch and three sinks live in shard 0;
+// the fourth sink lives in shard 1, so that port's deliveries cross the
+// engine mailbox. The switch hands each packet to its egress link at once,
+// dated 800 ns ahead, so the law reads the link's in_flight for packets
+// still inside the forwarding window. Checked at every RunUntil bound, on
+// a single-queue engine and on a 2-thread parallel one.
+
+class SwitchConservationTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(SwitchConservationTest, ConservesMidRun) {
+  const auto [seed, parallel] = GetParam();
+  ShardedSimulation::Options options;
+  options.num_shards = 2;
+  options.num_threads = parallel ? 2 : 1;
+  options.mode = parallel ? ShardedSimulation::Mode::kParallel
+                          : ShardedSimulation::Mode::kSingleQueue;
+  options.seed = seed;
+  ShardedSimulation ssim(options);
+  Simulation& home = ssim.shard(0);
+  Rng rng = home.rng().Fork();
+  Topology topo(home);
+  topo.SetSharded(&ssim, 0);
+  L2Switch sw(home, "fuzz");
+  struct Collector : PacketSink {
+    void Receive(Packet) override { ++count; }
+    std::string SinkName() const override { return "sink"; }
+    uint64_t count = 0;
+  } sinks[4];
+  topo.AssignShard(&sinks[3], 1);
+  Link::Config config;
+  config.gigabits_per_second = 0.5;  // Slow: queueing and overflow drops.
+  config.queue_capacity_packets = 8;
+  Link* links[4];
+  for (int i = 0; i < 4; ++i) {
+    links[i] = topo.ConnectToSwitch(&sw, &sinks[i], static_cast<NodeId>(i + 1), config);
+  }
+  for (int i = 0; i < 20; ++i) {
+    L2Switch::ForwardingRule rule;
+    rule.proto = static_cast<AppProto>(rng.UniformInt(0, 4));
+    if (rng.Bernoulli(0.5)) {
+      rule.match_dst = static_cast<NodeId>(rng.UniformInt(1, 8));
+    }
+    rule.out_port = static_cast<int>(rng.UniformInt(0, 3));
+    rule.priority = static_cast<int>(rng.UniformInt(0, 5));
+    sw.InstallRule(rule);
+  }
+  uint64_t offered = 0;
+  for (int i = 0; i < 5000; ++i) {
+    Packet pkt;
+    pkt.src = 100;
+    pkt.dst = static_cast<NodeId>(rng.UniformInt(1, 8));  // Some unroutable.
+    pkt.proto = static_cast<AppProto>(rng.UniformInt(0, 4));
+    pkt.size_bytes = static_cast<uint32_t>(rng.UniformInt(64, 1500));
+    home.ScheduleAt(rng.UniformInt(0, Milliseconds(2)), [&sw, &offered, pkt] {
+      ++offered;
+      sw.Receive(pkt);
+    });
+  }
+  // Bounds off any round number, so packets sit inside the 800 ns window.
+  for (const SimTime until :
+       {Microseconds(250) + Nanoseconds(400), Microseconds(777) + Nanoseconds(123),
+        Milliseconds(1) + Nanoseconds(650), Milliseconds(2) + Nanoseconds(300),
+        Milliseconds(50)}) {
+    ssim.RunUntil(until);
+    uint64_t delivered = 0;
+    uint64_t overflow = 0;
+    uint64_t in_flight = 0;
+    for (int i = 0; i < 4; ++i) {
+      delivered += sinks[i].count;
+      overflow += links[i]->dropped_overflow(&sinks[i]);
+      in_flight += links[i]->in_flight(&sinks[i]);
+    }
+    EXPECT_EQ(offered, sw.forwarded() + sw.dropped_no_route()) << "at " << until;
+    EXPECT_EQ(sw.forwarded(), delivered + overflow + in_flight) << "at " << until;
+  }
+  EXPECT_EQ(offered, 5000u);
+  EXPECT_GT(sinks[3].count, 0u);  // The cross-shard port carried traffic.
+  uint64_t overflow = 0;
+  for (int i = 0; i < 4; ++i) {
+    overflow += links[i]->dropped_overflow(&sinks[i]);
+    EXPECT_EQ(links[i]->in_flight(&sinks[i]), 0u);
+  }
+  EXPECT_GT(overflow, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedsAndEngines, SwitchConservationTest,
+                         ::testing::Combine(::testing::Values(1u, 2u), ::testing::Bool()));
+
 // ---- DNS decoder never crashes on arbitrary bytes ----
 
 class DnsFuzzTest : public ::testing::TestWithParam<uint64_t> {};
